@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "energy/analyser.hpp"
+#include "ir/lowering.hpp"
 #include "security/taint.hpp"
 #include "security/transforms.hpp"
 #include "sim/machine.hpp"
@@ -176,17 +179,33 @@ PassConfig MultiCriteriaCompiler::decode(const Genome& genome,
     return config;
 }
 
-Objectives MultiCriteriaCompiler::evaluate(const std::string& function,
-                                           const PassConfig& config) const {
-    const TaskVersion version = compile(function, config);
-    return {version.time_s, version.energy_j, version.leakage};
-}
-
 std::vector<TaskVersion> MultiCriteriaCompiler::optimise(
     const std::string& function, const Options& options) const {
+    if (options.max_versions == 0)
+        throw std::invalid_argument("optimise: max_versions must be >= 1");
+
+    // Passes rewrite one function at a time, and the taint, WCET, energy and
+    // simulator code only follow calls from the entry, so a candidate's
+    // objectives depend on the entry's call graph alone.  The search scores
+    // candidates on that sub-program, once per distinct config (many genomes
+    // decode to one config).  The memo holds objectives only: holding whole
+    // versions would keep every candidate's transformed program alive.
+    const ir::Program reachable = ir::reachable_subprogram(*source_, function);
+    const MultiCriteriaCompiler candidates(reachable, *core_, sim_);
+    std::map<PassConfig, Objectives> scored;
     support::Rng rng(options.seed);
-    const EvalFn eval = [this, &function, &options](const Genome& genome) {
-        return evaluate(function, decode(genome, options.explore_security));
+    const EvalFn eval = [&](const Genome& genome) {
+        const PassConfig config = decode(genome, options.explore_security);
+        auto it = scored.find(config);
+        if (it == scored.end()) {
+            const TaskVersion version = candidates.compile(function, config);
+            it = scored
+                     .emplace(config, Objectives{version.time_s,
+                                                 version.energy_j,
+                                                 version.leakage})
+                     .first;
+        }
+        return it->second;
     };
 
     MooRun run;
@@ -214,7 +233,8 @@ std::vector<TaskVersion> MultiCriteriaCompiler::optimise(
         }
     }
 
-    // Materialise versions from the front plus the traditional baseline.
+    // Materialise versions from the front plus the traditional baseline, on
+    // the whole program: reports, wire frames and certificates embed it.
     std::vector<TaskVersion> versions;
     versions.reserve(run.front.size() + 1);
     for (const auto& solution : run.front)
@@ -248,10 +268,14 @@ std::vector<TaskVersion> MultiCriteriaCompiler::optimise(
                             }),
                 front.end());
     if (front.size() > options.max_versions) {
-        // Thin uniformly, always keeping the fastest and the most frugal.
+        // Thin uniformly, always keeping the fastest and, when there is room
+        // for two, the most frugal.
         std::vector<TaskVersion> thinned;
-        const double step = static_cast<double>(front.size() - 1) /
-                            static_cast<double>(options.max_versions - 1);
+        const double step =
+            options.max_versions == 1
+                ? 0.0
+                : static_cast<double>(front.size() - 1) /
+                      static_cast<double>(options.max_versions - 1);
         for (std::size_t k = 0; k < options.max_versions; ++k)
             thinned.push_back(
                 front[static_cast<std::size_t>(std::round(step * k))]);

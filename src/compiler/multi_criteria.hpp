@@ -14,6 +14,7 @@
 // (multi-version task scheduling, Roeder et al. [20]).
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +45,8 @@ struct PassConfig {
     std::size_t opp_index = 0;
 
     [[nodiscard]] std::string label() const;
+    /// Orders on every field, so a config can key a memo.
+    auto operator<=>(const PassConfig&) const = default;
 };
 
 /// A compiled task version with its analysed ETS properties.
@@ -86,13 +89,17 @@ public:
         /// Include the security knob in the search space (off for tasks with
         /// no secrets: saves search budget).
         bool explore_security = true;
-        /// Cap on returned versions (selected by crowding, keeps extremes).
+        /// Cap on returned versions (thinned uniformly, keeps extremes; a
+        /// cap of 1 keeps the fastest).  Must be at least 1.
         std::size_t max_versions = 8;
     };
 
     /// Multi-objective search; returns the non-dominated versions sorted by
     /// ascending time.  Always includes the baseline config (all scalar
-    /// passes, no unroll/inline, max frequency) for reference.
+    /// passes, no unroll/inline, max frequency) for reference.  Search
+    /// candidates are scored on the entry's reachable sub-program, once per
+    /// distinct PassConfig; the returned versions embed the whole program.
+    /// Throws std::invalid_argument when `options.max_versions` is 0.
     [[nodiscard]] std::vector<TaskVersion> optimise(
         const std::string& function, const Options& options) const;
 
@@ -105,9 +112,6 @@ public:
     [[nodiscard]] PassConfig traditional_config() const;
 
 private:
-    [[nodiscard]] Objectives evaluate(const std::string& function,
-                                      const PassConfig& config) const;
-
     const ir::Program* source_;
     const platform::Core* core_;
     sim::SimOptions sim_;

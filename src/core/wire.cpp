@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <string_view>
 #include <utility>
 
 namespace teamplay::core::wire {
@@ -104,6 +107,16 @@ struct Reader {
         return value;
     }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+    /// An int field sent as i64.  Out-of-range values are rejected: silently
+    /// wrapping them would break encode(decode(b)) == b.
+    int int_field(std::string_view field) {
+        const std::int64_t value = i64();
+        if (value < std::numeric_limits<int>::min() ||
+            value > std::numeric_limits<int>::max())
+            throw WireFormatError("wire field " + std::string(field) +
+                                  " out of int range");
+        return static_cast<int>(value);
+    }
     double f64() { return std::bit_cast<double>(u64()); }
     bool boolean() {
         const std::uint8_t byte = u8();
@@ -311,8 +324,8 @@ ir::Program get_program(Reader& reader) {
             throw WireFormatError(
                 "wire program functions not in canonical order");
         previous_name = fn.name;
-        fn.param_count = static_cast<int>(reader.i64());
-        fn.reg_count = static_cast<int>(reader.i64());
+        fn.param_count = reader.int_field("param_count");
+        fn.reg_count = reader.int_field("reg_count");
         fn.ret_reg = reader.reg();
         if (reader.boolean()) fn.body = get_node(reader, 0);
         program.functions[fn.name] = std::move(fn);
@@ -354,7 +367,7 @@ compiler::TaskVersion get_task_version(Reader& reader) {
     config.dce_pass = reader.boolean();
     config.inline_calls_pass = reader.boolean();
     config.licm = reader.boolean();
-    config.unroll_factor = static_cast<int>(reader.i64());
+    config.unroll_factor = reader.int_field("unroll_factor");
     const std::uint8_t security = reader.u8();
     if (security > static_cast<std::uint8_t>(compiler::SecurityLevel::kLadder))
         throw WireFormatError("wire security level invalid");
@@ -367,7 +380,7 @@ compiler::TaskVersion get_task_version(Reader& reader) {
     version.energy_j = reader.f64();
     version.energy_dynamic_j = reader.f64();
     version.leakage = reader.f64();
-    version.static_instrs = static_cast<int>(reader.i64());
+    version.static_instrs = reader.int_field("static_instrs");
     if (reader.boolean())
         version.program =
             std::make_shared<const ir::Program>(get_program(reader));
@@ -401,7 +414,7 @@ void put_profile(Writer& writer, const profiler::TaskProfile& profile) {
 profiler::TaskProfile get_profile(Reader& reader) {
     profiler::TaskProfile profile;
     profile.function = reader.str();
-    profile.runs = static_cast<int>(reader.i64());
+    profile.runs = reader.int_field("profile.runs");
     profile.time_s = get_estimate(reader);
     profile.energy_j = get_estimate(reader);
     profile.cycles = get_estimate(reader);
@@ -666,8 +679,8 @@ WorkflowOptions get_options(Reader& reader) {
         throw WireFormatError("wire compiler engine invalid");
     options.compiler.engine =
         static_cast<compiler::MultiCriteriaCompiler::Engine>(engine);
-    options.compiler.population = static_cast<int>(reader.i64());
-    options.compiler.iterations = static_cast<int>(reader.i64());
+    options.compiler.population = reader.int_field("population");
+    options.compiler.iterations = reader.int_field("iterations");
     options.compiler.seed = reader.u64();
     options.compiler.explore_security = reader.boolean();
     options.compiler.max_versions = reader.u64();
@@ -679,9 +692,9 @@ WorkflowOptions get_options(Reader& reader) {
         static_cast<coordination::Scheduler::Objective>(objective);
     options.scheduler.deadline_s = reader.f64();
     options.scheduler.anneal = reader.boolean();
-    options.scheduler.anneal_iterations = static_cast<int>(reader.i64());
+    options.scheduler.anneal_iterations = reader.int_field("anneal_iterations");
     options.scheduler.seed = reader.u64();
-    options.profile_runs = static_cast<int>(reader.i64());
+    options.profile_runs = reader.int_field("profile_runs");
     if (reader.boolean()) {
         const std::uint8_t style = reader.u8();
         if (style > static_cast<std::uint8_t>(coordination::GlueStyle::kPosix))

@@ -31,7 +31,8 @@
 //   u64  checksum   FNV-1a 64 of every preceding byte
 //
 // Strictness: the decoder bounds-checks every read, validates every enum
-// and bool byte, rejects trailing garbage, and verifies the trailing
+// and bool byte, rejects int fields outside int range (naming the field),
+// rejects trailing garbage, and verifies the trailing
 // checksum before interpreting the payload — a truncated or corrupted
 // buffer raises WireFormatError, never a partially-filled value.  A valid
 // buffer from a different codec generation raises WireVersionError (the

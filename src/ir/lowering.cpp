@@ -100,6 +100,18 @@ bool reachable_functions(const Program& program, const std::string& entry,
     return complete;
 }
 
+Program reachable_subprogram(const Program& program,
+                             const std::string& entry) {
+    std::vector<const Function*> functions;
+    // An undefined callee (or entry) stays undefined in the copy, which is
+    // exactly how a walk from `entry` saw it in the original.
+    (void)reachable_functions(program, entry, functions);
+    Program sub;
+    sub.memory_words = program.memory_words;
+    for (const Function* fn : functions) sub.functions.emplace(fn->name, *fn);
+    return sub;
+}
+
 std::int64_t estimate_charges(const Program& program, const Function& fn) {
     Estimator estimator{program, {}};
     return estimator.function(fn, 0);

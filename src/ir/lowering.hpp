@@ -5,7 +5,9 @@
 // queries it needs — which functions are reachable, and how many charge
 // events one execution produces — are properties of the IR alone, so they
 // live here where other flatteners (a future native translator, the power
-// trace pre-reservation in sim::Machine) can share them.
+// trace pre-reservation in sim::Machine) can share them.  The compiler's
+// search uses the same reachability walk to cut a program down to one
+// entry's call graph.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,13 @@ namespace teamplay::ir {
 [[nodiscard]] bool reachable_functions(const Program& program,
                                        const std::string& entry,
                                        std::vector<const Function*>& out);
+
+/// A copy of `program` holding only the functions `reachable_functions`
+/// finds from `entry`, with the same `memory_words`.  Code that only follows
+/// calls from `entry` sees no difference; the compiler's search scores its
+/// candidates on this copy (DESIGN.md §14).
+[[nodiscard]] Program reachable_subprogram(const Program& program,
+                                           const std::string& entry);
 
 /// Upper-bound estimate of the charge events (power-trace samples) one
 /// execution of `fn` produces: every instruction, branch, loop iteration

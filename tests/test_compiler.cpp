@@ -1,14 +1,25 @@
 // Unit tests for the multi-criteria compiler: each pass preserves semantics
 // (differential execution on randomised inputs) and improves its intended
-// metric; the multi-objective engines produce valid Pareto fronts.
+// metric; the multi-objective engines produce valid Pareto fronts; the
+// search's candidate scores match whole-program compiles and its fronts
+// stay pinned.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "compiler/moo.hpp"
 #include "compiler/multi_criteria.hpp"
 #include "compiler/passes.hpp"
+#include "fuzz/generator.hpp"
 #include "ir/builder.hpp"
+#include "ir/lowering.hpp"
 #include "ir/printer.hpp"
 #include "sim/machine.hpp"
+#include "usecases/apps.hpp"
 #include "wcet/analyser.hpp"
 
 namespace {
@@ -622,6 +633,145 @@ TEST(MultiCriteria, AllVersionsPreserveTaskSemantics) {
     const auto front = mcc.optimise("task", options);
     for (const auto& version : front)
         expect_same_results(program, *version.program, "task");
+}
+
+// The search scores candidates on the entry's reachable sub-program.  This
+// holds only while no pass or analyser reads outside the entry's call graph.
+TEST(MultiCriteria, ObjectivesDependOnlyOnTheEntryCallGraph) {
+    fuzz::GeneratorConfig shape;
+    shape.min_functions = 3;
+    shape.max_functions = 6;  // room for callees and decoys
+    const fuzz::ProgramGenerator generator(shape);
+    const auto tk1 = platform::apalis_tk1();
+    const platform::Core* cores[] = {&nucleo().cores[0], &tk1.cores[0]};
+    int entries_with_decoys = 0;
+    int entries_with_callees = 0;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        const auto scenario = generator.scenario(seed);
+        const std::set<std::string> entries(scenario.entries.begin(),
+                                            scenario.entries.end());
+        for (const auto& entry : entries) {
+            const auto sub = ir::reachable_subprogram(scenario.program, entry);
+            if (sub.functions.size() < scenario.program.functions.size())
+                ++entries_with_decoys;
+            if (sub.functions.size() > 1) ++entries_with_callees;
+            for (const platform::Core* core : cores) {
+                const compiler::MultiCriteriaCompiler whole(scenario.program,
+                                                            *core);
+                const compiler::MultiCriteriaCompiler reachable(sub, *core);
+                support::Rng rng(seed);
+                for (int g = 0; g < 16; ++g) {
+                    compiler::Genome genome(compiler::kGenomeDims);
+                    for (auto& gene : genome) gene = rng.uniform();
+                    const auto config = whole.decode(genome, true);
+                    const auto a = whole.compile(entry, config);
+                    const auto b = reachable.compile(entry, config);
+                    const auto where = "seed " + std::to_string(seed) + " " +
+                                       entry + " on " + core->name + " " +
+                                       config.label();
+                    EXPECT_EQ(a.time_s, b.time_s) << where;
+                    EXPECT_EQ(a.energy_j, b.energy_j) << where;
+                    EXPECT_EQ(a.leakage, b.leakage) << where;
+                }
+            }
+        }
+    }
+    EXPECT_GT(entries_with_decoys, 0);
+    EXPECT_GT(entries_with_callees, 0);
+}
+
+struct PinnedVersion {
+    std::string label;
+    double time_s;
+    double energy_j;
+    double leakage;
+};
+
+void expect_front(const std::vector<compiler::TaskVersion>& front,
+                  const std::vector<PinnedVersion>& pinned) {
+    ASSERT_EQ(front.size(), pinned.size());
+    for (std::size_t i = 0; i < front.size(); ++i) {
+        EXPECT_EQ(front[i].config.label(), pinned[i].label) << i;
+        EXPECT_EQ(front[i].time_s, pinned[i].time_s) << i;
+        EXPECT_EQ(front[i].energy_j, pinned[i].energy_j) << i;
+        EXPECT_EQ(front[i].leakage, pinned[i].leakage) << i;
+    }
+}
+
+const usecases::UseCaseApp& pill_app() {
+    static const usecases::UseCaseApp app = usecases::make_camera_pill_app();
+    return app;
+}
+
+// Fronts of pill_encrypt (which calls pill_xtea_block and never
+// pill_xtea_unblock) recorded from the whole-program search, so a search
+// that drifts under any engine fails here.
+TEST(MultiCriteria, PinnedPillEncryptFronts) {
+    using Engine = compiler::MultiCriteriaCompiler::Engine;
+    const compiler::MultiCriteriaCompiler mcc(pill_app().program,
+                                              pill_app().platform.cores[0]);
+    compiler::MultiCriteriaCompiler::Options options;
+    options.engine = Engine::kFpa;
+    expect_front(mcc.optimise("pill_encrypt", options),
+                 {{"u2+inl+licm+dce/sec=balance/opp2", 0.020912687499999999,
+                   0.00021375658245000005, 0},
+                  {"u8+inl+licm+dce/sec=balance/opp0", 0.12086812500000001,
+                   0.00017659333555555557, 0}});
+    options.engine = Engine::kNsga2;
+    expect_front(mcc.optimise("pill_encrypt", options),
+                 {{"u1+inl+fold+sr+licm+dce/sec=none/opp2", 0.0219366875,
+                   0.00022083856645000005, 0}});
+    options.engine = Engine::kWeightedSum;
+    expect_front(
+        mcc.optimise("pill_encrypt", options),
+        {{"u8+inl+fold+cse+sr+licm+dce/sec=ladder/opp2", 0.026288437500000001,
+          0.00027255143945000004, 0},
+         {"u8+inl+fold+sr+licm+dce/sec=balance/opp1", 0.040289375000000002,
+          0.00021808826178113585, 0}});
+}
+
+TEST(MultiCriteria, VersionCapOfOneKeepsTheFastest) {
+    const compiler::MultiCriteriaCompiler mcc(pill_app().program,
+                                              pill_app().platform.cores[0]);
+    compiler::MultiCriteriaCompiler::Options options;
+    const auto full = mcc.optimise("pill_encrypt", options);
+    ASSERT_GT(full.size(), 1U);  // the cap must actually thin
+    options.max_versions = 1;
+    const auto capped = mcc.optimise("pill_encrypt", options);
+    ASSERT_EQ(capped.size(), 1U);
+    EXPECT_EQ(capped[0].config.label(), full[0].config.label());
+    EXPECT_EQ(capped[0].time_s, full[0].time_s);
+}
+
+TEST(MultiCriteria, VersionCapOfZeroIsRejected) {
+    const compiler::MultiCriteriaCompiler mcc(pill_app().program,
+                                              pill_app().platform.cores[0]);
+    compiler::MultiCriteriaCompiler::Options options;
+    options.max_versions = 0;
+    EXPECT_THROW((void)mcc.optimise("pill_encrypt", options),
+                 std::invalid_argument);
+}
+
+// optimise is const and keeps its memo per call, so one compiler serves
+// concurrent searches (run under TSan in CI).
+TEST(MultiCriteria, ConcurrentOptimiseOnOneCompiler) {
+    const compiler::MultiCriteriaCompiler mcc(pill_app().program,
+                                              pill_app().platform.cores[0]);
+    compiler::MultiCriteriaCompiler::Options options;
+    options.population = 6;
+    options.iterations = 4;
+    std::vector<PinnedVersion> expected;
+    for (const auto& version : mcc.optimise("pill_encrypt", options))
+        expected.push_back({version.config.label(), version.time_s,
+                            version.energy_j, version.leakage});
+    std::vector<std::vector<compiler::TaskVersion>> fronts(4);
+    std::vector<std::thread> threads;
+    for (auto& front : fronts)
+        threads.emplace_back([&mcc, &options, &front] {
+            front = mcc.optimise("pill_encrypt", options);
+        });
+    for (auto& thread : threads) thread.join();
+    for (const auto& front : fronts) expect_front(front, expected);
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 // message types (including full IR programs inside compiled task versions
 // and whole ScenarioRequest/ToolchainReport frames), property-style
 // randomised keys/telemetry with a seeded RNG, strict rejection of
-// truncated/corrupted/trailing-garbage buffers, and the version-mismatch
-// error path.
+// truncated/corrupted/trailing-garbage buffers and of out-of-range int
+// fields, and the version-mismatch error path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <random>
@@ -522,6 +523,76 @@ TEST(Wire, InvalidPriorityByteIsRejected) {
     reseal(patched);
     EXPECT_THROW((void)core::wire::decode_request(patched),
                  core::wire::WireFormatError);
+}
+
+/// Append the codec's little-endian encoding of a `bytes`-wide value.
+void append_le(Buffer& out, std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
+/// Every offset at which `pattern` occurs in `buffer`.
+std::vector<std::size_t> offsets_of(const Buffer& buffer,
+                                    const Buffer& pattern) {
+    std::vector<std::size_t> offsets;
+    for (auto it = buffer.begin();
+         (it = std::search(it, buffer.end(), pattern.begin(),
+                           pattern.end())) != buffer.end();
+         ++it)
+        offsets.push_back(static_cast<std::size_t>(it - buffer.begin()));
+    return offsets;
+}
+
+/// Overwrite the i64 at `offset` with `value`, reseal, and expect the
+/// request decoder to reject the frame naming `field`.
+void expect_int_field_rejected(Buffer frame, std::size_t offset,
+                               std::uint64_t value, const std::string& field) {
+    for (std::size_t i = 0; i < 8; ++i)
+        frame[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    reseal(frame);
+    try {
+        (void)core::wire::decode_request(frame);
+        FAIL() << field << " = " << value << " was accepted";
+    } catch (const core::wire::WireFormatError& error) {
+        EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+            << error.what();
+    }
+}
+
+// An int field carrying a value outside int range used to wrap silently,
+// which broke encode(decode(b)) == b for the accepted buffer.
+TEST(Wire, OutOfRangePopulationIsRejected) {
+    const auto request = sample_request();
+    const Buffer frame = core::wire::encode(request);
+    // Options start: engine u8, population i64, iterations i64, seed u64.
+    Buffer options_head;
+    append_le(options_head,
+              static_cast<std::uint64_t>(request.options.compiler.engine), 1);
+    append_le(options_head,
+              static_cast<std::uint64_t>(request.options.compiler.population),
+              8);
+    append_le(options_head,
+              static_cast<std::uint64_t>(request.options.compiler.iterations),
+              8);
+    append_le(options_head, request.options.compiler.seed, 8);
+    const auto at = offsets_of(frame, options_head);
+    ASSERT_EQ(at.size(), 1U);
+    expect_int_field_rejected(frame, at[0] + 1, 1ULL << 31, "population");
+}
+
+TEST(Wire, OutOfRangeRegCountIsRejected) {
+    const Buffer frame = core::wire::encode(sample_request());
+    // Function header: name (u32 length + bytes), param_count i64, then
+    // reg_count i64.
+    const ir::Function& fn = *pill_app().program.find("pill_xtea_block");
+    Buffer header;
+    append_le(header, fn.name.size(), 4);
+    for (const char c : fn.name) header.push_back(static_cast<std::uint8_t>(c));
+    append_le(header, static_cast<std::uint64_t>(fn.param_count), 8);
+    const auto at = offsets_of(frame, header);
+    ASSERT_EQ(at.size(), 1U);
+    expect_int_field_rejected(frame, at[0] + header.size(), 1ULL << 32,
+                              "reg_count");
 }
 
 TEST(Wire, RequestWithoutProgramIsUnencodable) {
