@@ -14,8 +14,8 @@ namespace teamplay::core {
 namespace detail {
 
 /// Shared state behind one ScenarioTicket: the owned request, the
-/// cancellation token, and the completion rendezvous (mutex/cv for
-/// blocking waiters, an atomic for cheap polling).
+/// cancellation token, and the completion rendezvous (`finished` for
+/// polling and pool helpers, the cv for waiters on external tickets).
 struct TicketState {
     std::size_t id = 0;
     ScenarioRequest request;
@@ -28,10 +28,9 @@ struct TicketState {
 
     std::atomic<bool> cancel{false};
     std::atomic<bool> started{false};   ///< execution began on some thread
-    std::atomic<bool> finished{false};
+    std::atomic<bool> finished{false};  ///< set under `mutex`
     std::mutex mutex;
     std::condition_variable cv;
-    bool done = false;
     bool cancelled = false;
     bool shed = false;
     bool retrieved = false;
@@ -69,10 +68,14 @@ void publish_ticket(detail::TicketState& state, ToolchainReport report,
         state.error = error;
         state.cancelled = cancelled;
         state.shed = shed;
-        state.done = true;
+        state.finished.store(true, std::memory_order_release);
     }
-    state.finished.store(true, std::memory_order_release);
-    state.cv.notify_all();
+    // Engine tickets are awaited in ThreadPool::help_until, external ones
+    // on the cv (ScenarioTicket::wait).
+    if (state.pool != nullptr)
+        state.pool->wake_helpers();
+    else
+        state.cv.notify_all();
 }
 
 }  // namespace
@@ -88,9 +91,8 @@ std::shared_ptr<TicketState> make_external_ticket(
     state->request = std::move(request);
     state->on_complete = std::move(on_complete);
     state->on_cancel = std::move(on_cancel);
-    // No pool and `started` pre-set: ScenarioTicket::wait must never try
-    // to help-drain work that runs in another process.
-    state->started.store(true, std::memory_order_release);
+    // No pool: ScenarioTicket::wait must never try to help-drain work that
+    // runs in another process.
     return state;
 }
 
@@ -122,19 +124,26 @@ bool ScenarioTicket::done() const {
 
 void ScenarioTicket::wait() const {
     auto& state = *state_;
+    if (state.pool == nullptr) {
+        // External ticket: the scenario runs in another process, so there
+        // is nothing here to help with.
+        std::unique_lock<std::mutex> lock(state.mutex);
+        state.cv.wait(lock, [&state] {
+            return state.finished.load(std::memory_order_relaxed);
+        });
+        return;
+    }
     // Help drain the pool while our own task is still queued: with zero
     // workers this is what executes the scenario (in submission order), and
     // with workers it keeps the waiting thread productive instead of idle.
-    // Once the task is running on another thread we stop picking up foreign
-    // work — otherwise waiting on an early ticket could commit this thread
-    // to a later submission's whole scenario and inflate the early ticket's
-    // observed latency far past its actual completion.
-    while (!state.finished.load(std::memory_order_acquire)) {
-        if (state.started.load(std::memory_order_acquire)) break;
-        if (!state.pool->try_run_one()) break;
+    while (!state.started.load(std::memory_order_acquire) &&
+           state.pool->try_run_one()) {
     }
-    std::unique_lock<std::mutex> lock(state.mutex);
-    state.cv.wait(lock, [&state] { return state.done; });
+    // Once the task runs on another thread, only its stage fan-out (lane
+    // 0) is worth taking: a whole later scenario could keep this thread
+    // busy far past our own completion, while a fan-out task delays it by
+    // one tuple at most.  publish_ticket wakes us when it finishes.
+    state.pool->help_until(state.finished);
 }
 
 ToolchainReport ScenarioTicket::get() {

@@ -134,7 +134,10 @@ struct ScenarioOutcome {
 /// engine that issued them.  `wait`/`get` let the calling thread help drain
 /// the pool queue, so a caller-only engine still executes everything on the
 /// waiting thread — and waiting on the first submitted ticket never blocks
-/// behind later submissions.
+/// behind later submissions.  Once the scenario runs on another thread the
+/// waiter only takes stage fan-out (pool lane 0), never a whole queued
+/// scenario, so `get()` returns at most one fan-out task after completion;
+/// completion callbacks are the zero-delay signal.
 class ScenarioTicket {
 public:
     ScenarioTicket() = default;
@@ -145,7 +148,8 @@ public:
     /// Non-blocking: has the scenario finished (successfully or not)?
     [[nodiscard]] bool done() const;
 
-    /// Block until the scenario finished, helping to drain the pool.
+    /// Block until the scenario finished: help drain the pool until it
+    /// starts, then run its (and other running scenarios') stage fan-out.
     void wait() const;
 
     /// Wait, then move the report out; rethrows the scenario's error
@@ -294,9 +298,9 @@ namespace detail {
 
 // External tickets: the transport client (net/remote_shard.hpp) hands out
 // ScenarioTickets for scenarios that execute in *another process*.  The
-// state is created with `started` pre-set and no pool, so waiters block on
-// the rendezvous directly instead of trying to help-drain a pool that is
-// not there; the reader thread that receives the reply completes it.
+// state is created with no pool, so waiters block on the rendezvous
+// directly instead of trying to help-drain a pool that is not there; the
+// reader thread that receives the reply completes it.
 
 /// Mint the state for an external ticket.  `on_cancel` fires exactly once,
 /// on the first `ScenarioTicket::cancel()` call (a transport client sends

@@ -1,5 +1,8 @@
 #include "profiler/pow_profiler.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/trace.hpp"
 #include "support/stats.hpp"
 
@@ -34,6 +37,12 @@ PowProfiler::PowProfiler(const ir::Program& program,
 
 TaskProfile PowProfiler::profile(const std::string& function,
                                  const InputStager& stager, int runs) {
+    // `runs` can arrive from a remote peer (WorkflowOptions::profile_runs);
+    // fail here, not in the scheduler's time check or vector::reserve.
+    if (runs < 1)
+        throw std::invalid_argument(
+            "PowProfiler::profile: runs must be >= 1, got " +
+            std::to_string(runs));
     TaskProfile result;
     result.function = function;
     result.runs = runs;

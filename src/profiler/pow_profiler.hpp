@@ -63,6 +63,7 @@ public:
                 sim::SimOptions sim = {});
 
     /// Measure `function` over `runs` executions with staged inputs.
+    /// Throws std::invalid_argument when `runs` < 1.
     [[nodiscard]] TaskProfile profile(const std::string& function,
                                       const InputStager& stager, int runs);
 

@@ -49,35 +49,40 @@ bool ThreadPool::QueuedTask::before(const QueuedTask& other) const {
     return seq < other.seq;
 }
 
+bool ThreadPool::QueuedTask::later(const QueuedTask& a,
+                                   const QueuedTask& b) {
+    return b.before(a);  // heap comparator: "a is less urgent than b"
+}
+
+std::function<void()> ThreadPool::pop_lane_locked(std::size_t lane) {
+    auto& heap = lanes_[lane];
+    std::pop_heap(heap.begin(), heap.end(), &QueuedTask::later);
+    auto task = std::move(heap.back().fn);
+    heap.pop_back();
+    --queued_;
+    return task;
+}
+
 std::function<void()> ThreadPool::pop_locked() {
-    const auto later = [](const QueuedTask& a, const QueuedTask& b) {
-        return b.before(a);  // heap comparator: "a is less urgent than b"
-    };
-    for (auto& lane : lanes_) {
-        if (lane.empty()) continue;
-        std::pop_heap(lane.begin(), lane.end(), later);
-        auto task = std::move(lane.back().fn);
-        lane.pop_back();
-        --queued_;
-        return task;
-    }
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane)
+        if (!lanes_[lane].empty()) return pop_lane_locked(lane);
     return {};  // unreachable: caller checked queued_ != 0
 }
 
-void ThreadPool::push_locked(std::size_t lane, QueuedTask task) {
-    const auto later = [](const QueuedTask& a, const QueuedTask& b) {
-        return b.before(a);
-    };
+std::size_t ThreadPool::push_locked(std::size_t level, QueuedTask task) {
+    const std::size_t lane = std::min(level, lanes_.size() - 1);
     task.seq = next_seq_++;
-    auto& heap = lanes_[std::min(lane, lanes_.size() - 1)];
+    auto& heap = lanes_[lane];
     heap.push_back(std::move(task));
-    std::push_heap(heap.begin(), heap.end(), later);
+    std::push_heap(heap.begin(), heap.end(), &QueuedTask::later);
     ++queued_;
+    return lane;
 }
 
 void ThreadPool::submit(
     std::function<void()> task, std::size_t level,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
+    std::size_t lane = 0;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         QueuedTask queued;
@@ -86,9 +91,10 @@ void ThreadPool::submit(
             queued.deadline = *deadline;
             queued.has_deadline = true;
         }
-        push_locked(level, std::move(queued));
+        lane = push_locked(level, std::move(queued));
     }
     work_cv_.notify_one();
+    if (lane == 0) helper_cv_.notify_all();
 }
 
 bool ThreadPool::try_run_one() {
@@ -100,6 +106,27 @@ bool ThreadPool::try_run_one() {
     }
     task();
     return true;
+}
+
+void ThreadPool::help_until(const std::atomic<bool>& done) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!done.load(std::memory_order_acquire)) {
+        if (lanes_[0].empty()) {
+            helper_cv_.wait(lock);
+            continue;
+        }
+        auto task = pop_lane_locked(0);
+        lock.unlock();
+        task();
+        lock.lock();
+    }
+}
+
+void ThreadPool::wake_helpers() {
+    // Empty critical section: a helper is either before its flag check
+    // (and will see the flag) or already asleep on helper_cv_.
+    { const std::lock_guard<std::mutex> lock(mutex_); }
+    helper_cv_.notify_all();
 }
 
 void ThreadPool::worker_loop() {
@@ -158,6 +185,7 @@ void ThreadPool::parallel_for(
         }
     }
     work_cv_.notify_all();
+    helper_cv_.notify_all();
 
     // Help drain the queue (possibly including other batches' tasks), then
     // wait for stragglers of this batch still running on workers.

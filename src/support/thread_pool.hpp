@@ -15,8 +15,9 @@
 //   Notification and cancellation live in the caller's handle (the engine's
 //   ScenarioTicket), not in the pool: a waiter that wants the result calls
 //   `try_run_one` in a loop to help drain the queue (so a caller-only pool
-//   still executes everything on the waiting thread) and then blocks on its
-//   own handle state.
+//   still executes everything on the waiting thread) until its own task
+//   starts, and then `help_until` its handle's completion flag, running
+//   lane-0 fan-out meanwhile.
 //
 // Priority levels: the queue is an array of lanes; dequeue always takes
 // from the lowest-numbered non-empty lane (strict priority).  Level 0 is
@@ -39,6 +40,7 @@
 // 1 vs N threads.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -90,6 +92,18 @@ public:
     /// work they depend on sits in the queue.
     bool try_run_one();
 
+    /// Run lane-0 tasks (parallel_for fan-out) on the calling thread until
+    /// `done` reads true, sleeping while lane 0 is empty; never touches
+    /// lanes >= 1.  A lane-0 push or `wake_helpers()` wakes the sleeper,
+    /// so whoever sets `done` must call `wake_helpers()` afterwards.
+    /// Returns at most one task's run time after `done` is set.
+    void help_until(const std::atomic<bool>& done);
+
+    /// Wake every `help_until` caller to re-check its flag.  Takes the pool
+    /// mutex first: a flag set outside it is then either seen by the
+    /// helper's check or lands while the helper sleeps — never in between.
+    void wake_helpers();
+
     /// Sensible default worker count for batch jobs on this host.
     [[nodiscard]] static std::size_t default_workers();
 
@@ -106,10 +120,17 @@ private:
 
         /// Strict weak order: does `*this` drain before `other`?
         [[nodiscard]] bool before(const QueuedTask& other) const;
+        /// Heap comparator over `before` (the heap top drains first).
+        [[nodiscard]] static bool later(const QueuedTask& a,
+                                        const QueuedTask& b);
     };
 
     void worker_loop();
-    void push_locked(std::size_t lane, QueuedTask task);
+    /// Returns the lane the task landed in (`level` clamped).
+    std::size_t push_locked(std::size_t level, QueuedTask task);
+    /// Pop the most urgent task of `lane`.  Caller holds `mutex_` and has
+    /// checked the lane is non-empty.
+    [[nodiscard]] std::function<void()> pop_lane_locked(std::size_t lane);
     /// Pop from the most urgent non-empty lane.  Caller holds `mutex_` and
     /// has checked `queued_ != 0`.
     [[nodiscard]] std::function<void()> pop_locked();
@@ -122,6 +143,8 @@ private:
     std::size_t queued_ = 0;
     std::mutex mutex_;
     std::condition_variable work_cv_;
+    /// `help_until` sleepers: woken by lane-0 pushes and `wake_helpers`.
+    std::condition_variable helper_cv_;
     bool stop_ = false;
 };
 

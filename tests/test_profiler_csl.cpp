@@ -3,6 +3,10 @@
 // error, never crash or mis-parse).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "core/scenario_engine.hpp"
 #include "csl/csl.hpp"
 #include "ir/builder.hpp"
 #include "profiler/pow_profiler.hpp"
@@ -92,6 +96,40 @@ TEST(PowProfiler, HigherFrequencyProfilesFaster) {
     const auto ps = slow.profile("f", profiler::zero_inputs(0), 20);
     const auto pf = fast.profile("f", profiler::zero_inputs(0), 20);
     EXPECT_GT(ps.time_s.mean, pf.time_s.mean);
+}
+
+/// The message of the std::invalid_argument `action` throws ("" if none).
+template <typename Action>
+std::string invalid_argument_text(Action&& action) {
+    try {
+        action();
+    } catch (const std::invalid_argument& error) {
+        return error.what();
+    }
+    return "";
+}
+
+// A remote peer controls profile_runs; a non-positive count must fail
+// before any run, not as a scheduler or vector::reserve error later.
+TEST(PowProfiler, NonPositiveRunCountIsRejectedUpFront) {
+    const auto app = usecases::make_uav_app("apalis-tk1");
+    profiler::PowProfiler prof(app.program, app.platform.cores[0], 1, 5);
+    for (const int runs : {0, -1})
+        EXPECT_EQ(invalid_argument_text([&] {
+                      (void)prof.profile("uav_capture",
+                                         profiler::zero_inputs(0), runs);
+                  }),
+                  "PowProfiler::profile: runs must be >= 1, got " +
+                      std::to_string(runs));
+
+    core::ScenarioEngine engine;
+    core::ScenarioRequest request;
+    request.program = &app.program;
+    request.platform = &app.platform;
+    request.csl_source = app.csl_source;
+    request.options.profile_runs = 0;
+    EXPECT_EQ(invalid_argument_text([&] { (void)engine.run(request); }),
+              "PowProfiler::profile: runs must be >= 1, got 0");
 }
 
 // -- CSL malformed-input sweep -------------------------------------------------

@@ -1,17 +1,22 @@
-// Service-core surfaces of the ScenarioEngine: async submission tickets,
-// completion callbacks and their ordering, cooperative cancellation (and
-// that it leaves the evaluation cache retryable), bounded-cache eviction
-// accounting and byte-identical certificates under a tiny budget, and the
-// per-stage telemetry threaded through BatchStats and reports.
+// Service-core surfaces of the ScenarioEngine: the thread pool's help
+// primitives, async submission tickets (and byte identity while waiters
+// help), completion callbacks and their ordering, cooperative cancellation
+// (and that it leaves the evaluation cache retryable), bounded-cache
+// eviction accounting and byte-identical certificates under a tiny budget,
+// and the per-stage telemetry threaded through BatchStats and reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario_engine.hpp"
+#include "fuzz/oracle.hpp"
 #include "support/thread_pool.hpp"
 #include "usecases/apps.hpp"
 
@@ -62,6 +67,84 @@ TEST(ThreadPool, NestedParallelForWithZeroWorkers) {
     });
     for (const auto& row : grid)
         EXPECT_EQ(std::accumulate(row.begin(), row.end(), 0), 8);
+}
+
+TEST(ThreadPool, HelpUntilRunsOnlyLaneZeroUntilTheFlagIsSet) {
+    support::ThreadPool pool(0, 3);
+    std::atomic<bool> done{false};
+    std::vector<std::string> order;
+    pool.submit([&] { order.push_back("fan-out a"); }, 0);
+    pool.submit([&] { order.push_back("scenario"); }, 1);
+    pool.submit(
+        [&] {
+            order.push_back("fan-out b");
+            done.store(true, std::memory_order_release);
+            pool.wake_helpers();
+        },
+        0);
+    pool.submit([&] { order.push_back("fan-out c"); }, 0);
+
+    pool.help_until(done);
+    // Lane-0 tasks ran on this thread until the flag was set; the queued
+    // scenario (lane 1) and the fan-out task behind the flag were left.
+    EXPECT_EQ(order, (std::vector<std::string>{"fan-out a", "fan-out b"}));
+    while (pool.try_run_one()) {
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"fan-out a", "fan-out b",
+                                               "fan-out c", "scenario"}));
+}
+
+TEST(ThreadPool, HelpUntilWakesOnALaneZeroPush) {
+    support::ThreadPool pool(0, 2);
+    std::atomic<bool> done{false};
+    std::thread::id ran_on;
+    // The helper sleeps on an empty lane 0 until another thread pushes
+    // fan-out, which it then runs itself (the pool has no workers).
+    std::thread pusher([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        pool.submit(
+            [&] {
+                ran_on = std::this_thread::get_id();
+                done.store(true, std::memory_order_release);
+                pool.wake_helpers();
+            },
+            0);
+    });
+    pool.help_until(done);
+    pusher.join();
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+// The flag is set outside the pool mutex; wake_helpers' mutex handoff is
+// what stops a helper from checking the flag, missing the notify, and
+// sleeping forever.  Each round lines the worker's set-and-wake up with
+// the main thread's entry into help_until, shifted by a few spins per
+// round so some rounds land inside the check-then-sleep window.  A lost
+// wake-up hangs this test (ctest's timeout).
+TEST(ThreadPool, HelpUntilNeverLosesAWakeUp) {
+    support::ThreadPool pool(1, 2);
+    std::atomic<bool> done{false};
+    std::atomic<int> phase{0};
+    for (int round = 0; round < 2000; ++round) {
+        done.store(false, std::memory_order_relaxed);
+        phase.store(0);
+        // Lane 1: only the worker runs it, never the helping thread.
+        pool.submit(
+            [&, round] {
+                phase.store(1);
+                while (phase.load() != 2) {
+                }
+                for (int spin = 0; spin < round % 64; ++spin)
+                    (void)phase.load(std::memory_order_relaxed);
+                done.store(true, std::memory_order_release);
+                pool.wake_helpers();
+            },
+            1);
+        while (phase.load() != 1) std::this_thread::yield();
+        phase.store(2);
+        pool.help_until(done);
+    }
+    EXPECT_TRUE(done.load());
 }
 
 // -- streaming submission ------------------------------------------------------
@@ -156,6 +239,35 @@ TEST(Streaming, StreamedCertificatesMatchRunAllAndWorkerCounts) {
         EXPECT_EQ(report.certificate.to_text(),
                   batch_reports[i].certificate.to_text());
         EXPECT_EQ(report.glue_code, batch_reports[i].glue_code);
+    }
+}
+
+// With workers, a waiter whose scenario has started runs the stage
+// fan-out of running scenarios; reports must not depend on which thread
+// ran which tuple.
+TEST(Streaming, HelpingWaiterKeepsReportsByteIdentical) {
+    std::vector<usecases::UseCaseApp> apps;
+    apps.push_back(usecases::make_parking_app(false));
+    for (const char* board : {"apalis-tk1", "jetson-tx2", "jetson-nano"})
+        apps.push_back(usecases::make_uav_app(board));
+    apps.push_back(usecases::make_rover_app("apalis-tk1"));
+    std::vector<core::ScenarioRequest> requests;
+    for (const auto& app : apps)
+        requests.push_back(request_for(app, fast_options()));
+
+    core::ScenarioEngine caller_only;
+    const auto reference = caller_only.run_all(requests);
+    for (const std::size_t workers : {1U, 3U}) {
+        core::ScenarioEngine engine({.worker_threads = workers});
+        const auto reports = engine.run_all(requests);
+        ASSERT_EQ(reports.size(), reference.size());
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+            EXPECT_EQ(fuzz::canonical_bytes(reports[i]),
+                      fuzz::canonical_bytes(reference[i]))
+                << requests[i].label << " with " << workers << " workers";
+            EXPECT_EQ(reports[i].certificate.to_text(),
+                      reference[i].certificate.to_text());
+        }
     }
 }
 

@@ -709,4 +709,74 @@ TEST(Wire, ReportCorruptionMatrixIsRejected) {
                  core::wire::WireFormatError);
 }
 
+// -- resealed mutation sweep --------------------------------------------------
+//
+// Plain byte flips only ever reach the checksum.  Flipping a bit and
+// resealing hands the structural decoder a mutant it must judge on its
+// own: every accepted mutant must re-encode to itself, and every
+// rejection must be a WireError (never a crash or a foreign exception).
+
+// Odd strides land on every byte offset of 8-byte fields somewhere in the
+// frame; together the two sweeps take about 1 s in a Release build.
+constexpr std::size_t kRequestSweepStride = 3;
+constexpr std::size_t kReportSweepStride = 127;
+
+/// Sweep masks 0x01 and 0x80 over every `stride`-th byte before the
+/// checksum; returns how many mutants were accepted.
+template <typename Decode, typename Encode>
+std::size_t sweep_resealed_mutants(const Buffer& pristine, std::size_t stride,
+                                   Decode decode, Encode encode) {
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i + 8 < pristine.size(); i += stride) {
+        for (const std::uint8_t mask : {0x01, 0x80}) {
+            Buffer mutant = pristine;
+            mutant[i] ^= mask;
+            reseal(mutant);
+            try {
+                const auto decoded = decode(mutant);
+                ++accepted;
+                EXPECT_TRUE(encode(decoded) == mutant)
+                    << "accepted mutant (byte " << i << ", mask "
+                    << int{mask} << ") does not re-encode to itself";
+            } catch (const core::wire::WireError&) {
+            } catch (const std::exception& error) {
+                ADD_FAILURE() << "byte " << i << ", mask " << int{mask}
+                              << ": non-WireError " << error.what();
+            }
+        }
+    }
+    return accepted;
+}
+
+TEST(Wire, ResealedRequestMutantsRoundTripOrRaiseWireError) {
+    const auto app = usecases::make_uav_app("apalis-tk1");
+    auto request = sample_request();
+    request.program = &app.program;
+    request.platform = &app.platform;
+    request.csl_source = app.csl_source;
+    const Buffer pristine = core::wire::encode(request);
+    const auto accepted = sweep_resealed_mutants(
+        pristine, kRequestSweepStride,
+        [](const Buffer& buffer) {
+            return core::wire::decode_request(buffer);
+        },
+        [](const core::wire::ScenarioRequestFrame& frame) {
+            return core::wire::encode(frame.request());
+        });
+    EXPECT_GT(accepted, 0U);  // the sweep reaches past the decoder's checks
+}
+
+TEST(Wire, ResealedReportMutantsRoundTripOrRaiseWireError) {
+    core::ScenarioEngine engine;
+    const Buffer pristine =
+        core::wire::encode(engine.submit(sample_request()).get());
+    const auto accepted = sweep_resealed_mutants(
+        pristine, kReportSweepStride,
+        [](const Buffer& buffer) { return core::wire::decode_report(buffer); },
+        [](const core::ToolchainReport& report) {
+            return core::wire::encode(report);
+        });
+    EXPECT_GT(accepted, 0U);
+}
+
 }  // namespace
