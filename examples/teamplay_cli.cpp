@@ -49,7 +49,6 @@
 #include "fuzz/oracle.hpp"
 #include "fuzz/replay.hpp"
 #include "net/shard_server.hpp"
-#include "sim/backend.hpp"
 #include "sim/trace.hpp"
 #include "usecases/apps.hpp"
 
@@ -98,9 +97,6 @@ void usage() {
         "  --fuzz-seed <n>     (instead of an app) replay one generated\n"
         "                      fuzz scenario through the differential\n"
         "                      oracle; add --loopback for the TCP tier\n"
-        "  --sim-backend <b>   simulator tier: interp (reference) or trace\n"
-        "                      (pre-decoded threaded dispatch; identical\n"
-        "                      results, default interp)\n"
         "  --quiet             only print the certificate verdict");
 }
 
@@ -180,8 +176,7 @@ void print_admission(const core::ShardedScenarioEngine& engine) {
         static_cast<unsigned long long>(totals.queue_peak));
 }
 
-void print_trace_cache(sim::SimBackend backend) {
-    if (backend != sim::SimBackend::kTrace) return;
+void print_trace_cache() {
     const auto stats = sim::TraceCache::process_wide()->stats();
     std::printf("trace cache: %llu hits / %llu misses, %llu evictions, "
                 "%zu entries (%.0f%% hit ratio)\n",
@@ -239,7 +234,6 @@ int main(int argc, char** argv) {
     std::size_t queue_depth = 0;
     bool serve = false;
     std::uint16_t serve_port = 0;
-    sim::SimBackend backend = sim::SimBackend::kInterp;
     int opt_start = 2;
     if (which == "--fuzz-seed") {
         // Replay one generated scenario through the differential oracle
@@ -326,14 +320,6 @@ int main(int argc, char** argv) {
             store_dir = argv[++i];
         } else if (arg == "--cert-dump" && i + 1 < argc) {
             cert_dump_dir = argv[++i];
-        } else if (arg == "--sim-backend" && i + 1 < argc) {
-            const auto parsed = sim::parse_backend(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown simulator backend: %s\n",
-                             argv[i]);
-                return 2;
-            }
-            backend = *parsed;
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             usage();
@@ -352,7 +338,6 @@ int main(int argc, char** argv) {
             sigaddset(&signals, SIGTERM);
             pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
-            sim::set_default_backend(backend);
             net::ShardServer::Options server_options;
             server_options.port = serve_port;
             server_options.engine.worker_threads = jobs;
@@ -361,7 +346,6 @@ int main(int argc, char** argv) {
             if (!store_dir.empty())
                 server_options.engine.result_store =
                     std::make_shared<core::ResultStore>(store_dir);
-            server_options.engine.sim = {.backend = backend};
             server_options.engine.admission.queue_depths = {
                 queue_depth, queue_depth, queue_depth};
             net::ShardServer server(std::move(server_options));
@@ -453,9 +437,6 @@ int main(int argc, char** argv) {
             requests.push_back(std::move(request));
         }
 
-        // Any machine constructed outside the engine (none today, but the
-        // flag should govern the whole process) picks the default up too.
-        sim::set_default_backend(backend);
         std::shared_ptr<core::ResultStore> store;
         if (!store_dir.empty())
             store = std::make_shared<core::ResultStore>(store_dir);
@@ -464,7 +445,6 @@ int main(int argc, char** argv) {
              .worker_threads = jobs,
              .cache_budget = {.max_entries = cache_budget},
              .result_store = store,
-             .sim = {.backend = backend},
              .remote_endpoints = remote_endpoints,
              .fetch_peers = fetch_peers,
              .admission = {.queue_depths = {queue_depth, queue_depth,
@@ -538,7 +518,7 @@ int main(int argc, char** argv) {
             print_result_store(engine, store);
             print_remote_fetch(engine, !fetch_peers.empty());
             print_admission(engine);
-            print_trace_cache(backend);
+            print_trace_cache();
             if (!quiet)
                 std::printf("--- per-stage telemetry (all shards) ---\n%s",
                             engine.stage_telemetry().to_string().c_str());
@@ -564,7 +544,7 @@ int main(int argc, char** argv) {
         print_result_store(engine, store);
         print_remote_fetch(engine, !fetch_peers.empty());
         print_admission(engine);
-        print_trace_cache(backend);
+        print_trace_cache();
         if (!quiet)
             std::printf("--- per-stage telemetry (all shards) ---\n%s",
                         stats.stage_telemetry.to_string().c_str());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -122,25 +123,23 @@ TaskVersion MultiCriteriaCompiler::compile(const std::string& function,
     } else {
         // Complex core: representative cost measured over a few simulator
         // runs (the in-compiler equivalent of a quick profiling pass).
-        constexpr int kRuns = 3;
+        static constexpr std::uint64_t kSeeds[] = {1000, 1001, 1002};
+        constexpr double kRuns = std::size(kSeeds);
         double time_acc = 0.0;
         double energy_acc = 0.0;
         double dynamic_acc = 0.0;
         const ir::Function* entry = transformed->find(function);
         const std::vector<ir::Word> args(
             static_cast<std::size_t>(entry->param_count), 0);
+        sim::Machine machine(*transformed, *core_, config.opp_index,
+                             kSeeds[0], sim_);
         // Candidate programs are throwaway, so compile the trace directly
-        // (no shared-cache churn) and hand it to each per-run machine.
-        std::shared_ptr<const sim::CompiledTrace> trace;
-        if (sim_.backend == sim::SimBackend::kTrace)
-            trace = sim::TraceCompiler::compile(*transformed, function,
-                                                core_->model);
-        for (int r = 0; r < kRuns; ++r) {
-            sim::Machine machine(*transformed, *core_, config.opp_index,
-                                 /*seed=*/1000 + static_cast<unsigned>(r),
-                                 sim::SimOptions{sim_.backend, nullptr});
-            machine.attach_trace(function, trace);
-            const auto run = machine.run(function, args);
+        // (no shared-cache churn).
+        if (machine.backend() == sim::SimBackend::kTrace)
+            machine.attach_trace(function,
+                                 sim::TraceCompiler::compile(
+                                     *transformed, function, core_->model));
+        for (const auto& run : machine.run_seeds(function, args, kSeeds)) {
             time_acc += run.time_s;
             energy_acc += run.energy_j();
             dynamic_acc += run.dynamic_energy_j;

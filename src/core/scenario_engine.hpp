@@ -187,7 +187,7 @@ public:
         std::shared_ptr<ResultStore> result_store;
         /// Simulator tier for every machine this engine constructs
         /// (profiling campaigns, complex-core evaluation).  Defaults to the
-        /// process-wide backend; results are backend-invariant, so this is
+        /// trace tier; results are backend-invariant, so this is
         /// never part of an EvaluationKey.
         sim::SimOptions sim;
         /// Admission control (queue depths per priority class).  The

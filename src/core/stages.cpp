@@ -294,8 +294,8 @@ void AnalyseStage::run_profiled(ScenarioContext& context) const {
             profile_params(context.options.profile_runs, *tuple.core);
         const auto measured = context.cache->lookup(key, [&] {
             EvaluationResult result;
-            // Each (core, OPP) campaign owns a fresh machine per run inside
-            // the profiler, so concurrent tuples never share simulator
+            // Each (core, OPP) campaign owns its machine inside the
+            // profiler, so concurrent tuples never share simulator
             // state; the seed is a pure function of the OPP (legacy
             // convention), keeping results thread-count-invariant.
             profiler::PowProfiler prof(*context.program, *tuple.core,

@@ -1,7 +1,6 @@
 #include "fuzz/oracle.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "core/wire.hpp"
 #include "net/remote_shard.hpp"
 #include "net/shard_server.hpp"
-#include "sim/trace.hpp"
 
 namespace teamplay::fuzz {
 
@@ -74,7 +72,7 @@ core::ToolchainReport DifferentialOracle::reference(
 
 core::ToolchainReport DifferentialOracle::reference(
     const ir::Program& program, const GeneratedScenario& scenario) const {
-    core::ScenarioEngine engine;  // caller-only, interpreter sim
+    core::ScenarioEngine engine;  // caller-only, trace-tier sim
     return engine.run(scenario_request(scenario, program, config_.options));
 }
 
@@ -117,10 +115,9 @@ OracleResult DifferentialOracle::check(
         return canonical_bytes(engine.run(request));
     });
 
-    run_tier("sim/trace", [&] {
+    run_tier("sim/interp", [&] {
         core::ScenarioEngine::Options options;
-        options.sim.backend = sim::SimBackend::kTrace;
-        options.sim.trace_cache = std::make_shared<sim::TraceCache>();
+        options.sim.backend = sim::SimBackend::kInterp;
         core::ScenarioEngine engine(options);
         return canonical_bytes(engine.run(request));
     });

@@ -13,10 +13,10 @@
 // a fingerprint that erased too little.
 //
 // Tier list (reference first):
-//   engine/single    caller-only ScenarioEngine, interpreter sim
+//   engine/single    caller-only ScenarioEngine, trace-tier sim
 //   engine/threads   worker pool exercised (scenario + tuple parallelism)
 //   engine/sharded   ShardedScenarioEngine, fingerprint-routed shards
-//   sim/trace        trace-compiled simulator tier, fresh TraceCache
+//   sim/interp       reference interpreter tier, selected explicitly
 //   wire/request     request survives encode→decode, then runs; the
 //                    re-encode must also be byte-identical to the first
 //   wire/report      report encoding survives decode→re-encode

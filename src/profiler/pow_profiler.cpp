@@ -1,9 +1,9 @@
 #include "profiler/pow_profiler.hpp"
 
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
-#include "sim/trace.hpp"
 #include "support/stats.hpp"
 
 namespace teamplay::profiler {
@@ -47,30 +47,20 @@ TaskProfile PowProfiler::profile(const std::string& function,
     result.function = function;
     result.runs = runs;
 
+    // Each run models the board settling between measurements: the same
+    // staged state on a machine with the next seed, so complex-core noise
+    // varies.  One machine stages that state once and runs every seed.
+    std::vector<std::uint64_t> seeds(static_cast<std::size_t>(runs));
+    std::iota(seeds.begin(), seeds.end(), next_machine_seed_);
+    next_machine_seed_ += seeds.size();
+    sim::Machine machine(*program_, *core_, opp_index_, seeds.front(), sim_);
+    const auto args = stager(rng_, machine);
+
     std::vector<double> times;
     std::vector<double> energies;
     std::vector<double> cycle_samples;
     times.reserve(static_cast<std::size_t>(runs));
-    // Resolve the compiled trace once per campaign: fresh machines below
-    // attach the shared result instead of fingerprinting the program on
-    // every run.
-    bool trace_resolved = false;
-    std::shared_ptr<const sim::CompiledTrace> trace;
-    for (int r = 0; r < runs; ++r) {
-        // A fresh machine per run models the board settling between
-        // measurements; the seed advances so complex-core noise varies.
-        sim::Machine machine(*program_, *core_, opp_index_,
-                             next_machine_seed_++, sim_);
-        if (machine.backend() == sim::SimBackend::kTrace) {
-            if (!trace_resolved) {
-                trace = machine.resolve_trace(function);
-                trace_resolved = true;
-            } else {
-                machine.attach_trace(function, trace);
-            }
-        }
-        const auto args = stager(rng_, machine);
-        const auto run = machine.run(function, args);
+    for (const auto& run : machine.run_seeds(function, args, seeds)) {
         times.push_back(run.time_s);
         energies.push_back(run.energy_j());
         cycle_samples.push_back(run.cycles);

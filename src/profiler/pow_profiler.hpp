@@ -5,10 +5,10 @@
 // second workflow instruments a sequential binary and derives per-task time
 // and energy estimates from repeated measured executions.  This module
 // reproduces that loop against the simulated board: it runs a task many
-// times with randomised inputs, collects the sample distributions and
-// produces the estimates the coordination layer schedules with (mean, p95,
-// observed max, and a margin-inflated "high-water mark" used in place of a
-// true WCET).
+// times from staged inputs under varying timing noise, collects the sample
+// distributions and produces the estimates the coordination layer
+// schedules with (mean, p95, observed max, and a margin-inflated
+// "high-water mark" used in place of a true WCET).
 #pragma once
 
 #include <cstdint>
@@ -45,8 +45,10 @@ struct TaskProfile {
     Estimate cycles;
 };
 
-/// Prepares machine state (memory image, arguments) before each profiled
-/// run; returns the argument vector.
+/// Prepares machine state (memory image, arguments) for a campaign;
+/// returns the argument vector.  `profile` calls it once per campaign and
+/// every run starts from the state it staged: runs differ only in their
+/// machine seed.
 using InputStager =
     std::function<std::vector<ir::Word>(support::Rng&, sim::Machine&)>;
 
@@ -55,14 +57,14 @@ using InputStager =
 
 class PowProfiler {
 public:
-    /// `sim` selects the simulator tier of every machine the campaign
-    /// builds; the trace is resolved once per profiled function and shared
-    /// across the per-run machines.
+    /// `sim` selects the simulator tier of the machine each campaign
+    /// builds.
     PowProfiler(const ir::Program& program, const platform::Core& core,
                 std::size_t opp_index, std::uint64_t seed = 1,
                 sim::SimOptions sim = {});
 
-    /// Measure `function` over `runs` executions with staged inputs.
+    /// Measure `function` over `runs` executions from one staged state,
+    /// seeded with the next `runs` machine seeds (Machine::run_seeds).
     /// Throws std::invalid_argument when `runs` < 1.
     [[nodiscard]] TaskProfile profile(const std::string& function,
                                       const InputStager& stager, int runs);

@@ -1,23 +1,22 @@
 // Simulator execution-tier selection.
 //
-// The machine has two execution tiers (DESIGN.md §9): the recursive
-// tree-walking interpreter (the reference semantics and differential
-// oracle) and the binary-translation-lite trace tier, which pre-decodes a
-// function into a flat instruction stream executed by a threaded-dispatch
-// loop.  Both tiers produce bit-identical RunResults — the tier only
-// changes how fast the crank turns, never what comes out.
+// The machine has two execution tiers (DESIGN.md §9): the pre-decoded
+// threaded-dispatch trace tier, which is the production simulator, and the
+// recursive tree-walking interpreter, which is the reference semantics and
+// the fallback for programs that cannot be lowered.  Both tiers produce
+// bit-identical RunResults — the tier only changes how fast the crank
+// turns, never what comes out.
 //
-// Selection is layered: every Machine picks up the process-wide default at
-// construction (what the CLI's --sim-backend flag sets), and owners that
-// manage their own machines — the PowProfiler, the multi-criteria compiler,
-// the scenario engine — thread an explicit SimOptions through instead, the
-// same way the engine shares its EvaluationCache.
+// Selection is explicit: owners that build machines internally — the
+// PowProfiler, the multi-criteria compiler, the scenario engine — take a
+// SimOptions, the same way the engine shares its EvaluationCache.  The
+// interpreter runs only where a caller asks for it with
+// `SimOptions{SimBackend::kInterp, …}` (tests, the fuzz oracle,
+// bench_sim_backend).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 
 namespace teamplay::sim {
 
@@ -28,22 +27,11 @@ enum class SimBackend : std::uint8_t {
     kTrace,   ///< pre-decoded threaded-dispatch traces, interp fallback
 };
 
-/// Process-wide default backend consulted by every Machine constructor.
-/// Defaults to kInterp; set once at startup (e.g. from --sim-backend)
-/// before machines exist — the setter is atomic, but machines snapshot it
-/// at construction.
-[[nodiscard]] SimBackend default_backend();
-void set_default_backend(SimBackend backend);
-
-[[nodiscard]] std::string_view backend_name(SimBackend backend);
-/// Parses "interp" / "trace"; nullopt for anything else.
-[[nodiscard]] std::optional<SimBackend> parse_backend(std::string_view name);
-
 /// Backend selection plus the trace cache to share, threaded through the
 /// components that construct machines internally.  A null cache with the
 /// trace backend means the process-wide cache (TraceCache::process_wide).
 struct SimOptions {
-    SimBackend backend = default_backend();
+    SimBackend backend = SimBackend::kTrace;
     std::shared_ptr<TraceCache> trace_cache;
 };
 

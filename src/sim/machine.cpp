@@ -367,9 +367,13 @@ void Machine::exec_node(const ir::Node& node, Frame& frame, RunResult& result,
     }
 }
 
-template <bool RecordTrace, bool Predictable>
+template <bool RecordTrace, bool Predictable, bool Lockstep>
 void Machine::exec_trace(const CompiledTrace& trace,
-                         std::span<const ir::Word> args, RunResult& result) {
+                         std::span<const ir::Word> args, RunResult& result,
+                         std::span<Lane> lanes) {
+    // A lockstep pass has no single cycle count to trace power against,
+    // and predictable cores have no noise to draw per lane.
+    static_assert(!Lockstep || (!RecordTrace && !Predictable));
     const auto& model = core_->model;
     const double freq_hz = core_->opp(opp_index_).freq_hz;
     const double alpha = model.data_alpha_pj_per_bit;
@@ -427,6 +431,8 @@ void Machine::exec_trace(const CompiledTrace& trace,
     std::int64_t instrs = 0;
     std::array<std::int64_t, isa::kNumInstrClasses> counts{};
     const std::int64_t budget = budget_;
+    Lane* const lanes_begin = lanes.data();
+    Lane* const lanes_end = lanes_begin + lanes.size();
 
 // The charge epilogue of every compute op: identical floating-point
 // expression shapes and RNG consumption as Machine::charge
@@ -437,28 +443,45 @@ void Machine::exec_trace(const CompiledTrace& trace,
 // them on the stack — a store-forwarding round trip per instruction in
 // the hottest path of the whole simulator.  As plain locals they live in
 // registers.
-#define TP_STOCH(cycles_var, is_mem)                                    \
+#define TP_STOCH(rng, cycles_var, is_mem)                               \
     do {                                                                \
         if constexpr (!Predictable) {                                   \
             if (has_jitter) {                                           \
                 const double tp_factor =                                \
-                    1.0 + rng_.gaussian(0.0, jitter_sigma);             \
+                    1.0 + (rng).gaussian(0.0, jitter_sigma);            \
                 (cycles_var) *= tp_factor < 0.1 ? 0.1 : tp_factor;      \
             }                                                           \
-            if ((is_mem) && rng_.chance(miss_prob))                     \
+            if ((is_mem) && (rng).chance(miss_prob))                    \
                 (cycles_var) += miss_penalty;                           \
+        }                                                               \
+    } while (0)
+// Accrues one event's cycles, `cycles_var` holding its base on entry: to
+// the run's accumulator from the machine's RNG, or in lockstep to every
+// lane's accumulator from that lane's own RNG — in each lane the same
+// draws, in the same order, as a standalone run with the lane's seed.
+#define TP_ACCRUE(cycles_var, is_mem)                                   \
+    do {                                                                \
+        if constexpr (Lockstep) {                                       \
+            for (Lane* tp_lane = lanes_begin; tp_lane != lanes_end;     \
+                 ++tp_lane) {                                           \
+                double tp_lane_cycles = (cycles_var);                   \
+                TP_STOCH(tp_lane->rng, tp_lane_cycles, (is_mem));       \
+                tp_lane->cycles += tp_lane_cycles;                      \
+            }                                                           \
+        } else {                                                        \
+            TP_STOCH(rng_, (cycles_var), (is_mem));                     \
+            cycles_acc += (cycles_var);                                 \
         }                                                               \
     } while (0)
 #define TP_CHARGE(in, value, is_mem)                                    \
     do {                                                                \
         double tp_cycles = (in).base_cycles;                            \
-        TP_STOCH(tp_cycles, (is_mem));                                  \
+        TP_ACCRUE(tp_cycles, (is_mem));                                 \
         const double tp_data_pj =                                       \
             alpha * static_cast<double>(std::popcount(                  \
                         static_cast<std::uint64_t>(value)));            \
         const double tp_energy_j =                                      \
             ((in).base_energy_pj + tp_data_pj) * scale * 1e-12;         \
-        cycles_acc += tp_cycles;                                        \
         energy_acc += tp_energy_j;                                      \
         ++instrs;                                                       \
         ++counts[static_cast<std::size_t>((in).cls)];                   \
@@ -474,9 +497,8 @@ void Machine::exec_trace(const CompiledTrace& trace,
 #define TP_OVERHEAD(in)                                                 \
     do {                                                                \
         double tp_actual = (in).base_cycles;                            \
-        TP_STOCH(tp_actual, false);                                     \
+        TP_ACCRUE(tp_actual, false);                                    \
         const double tp_energy_j = (in).base_energy_pj * scale * 1e-12; \
-        cycles_acc += tp_actual;                                        \
         energy_acc += tp_energy_j;                                      \
         if constexpr (RecordTrace) {                                    \
             const double tp_duration_s = tp_actual / freq_hz;           \
@@ -690,7 +712,7 @@ void Machine::exec_trace(const CompiledTrace& trace,
 
     TP_END()
 tp_done:
-    result.cycles = cycles_acc;
+    result.cycles = cycles_acc;  // 0 in lockstep: the lanes hold cycles
     result.dynamic_energy_j = energy_acc;
     result.instrs_executed = instrs;
     result.class_counts = counts;
@@ -702,6 +724,7 @@ tp_done:
 #undef TP_UNARY
 #undef TP_BINOP
 #undef TP_STOCH
+#undef TP_ACCRUE
 #undef TP_CHARGE
 #undef TP_OVERHEAD
 #undef TP_REG
@@ -741,8 +764,8 @@ std::int64_t Machine::charge_estimate(const std::string& function) {
     return estimate;
 }
 
-RunResult Machine::run(const std::string& function,
-                       std::span<const ir::Word> args, bool record_trace) {
+const ir::Function& Machine::enter(const std::string& function,
+                                   std::span<const ir::Word> args) {
     // Entry resolution (function lookup, trace resolution) is memoised for
     // the common repeated-run case; a different entry re-resolves.
     if (last_fn_ == nullptr || function != last_entry_) {
@@ -755,12 +778,23 @@ RunResult Machine::run(const std::string& function,
         last_fn_ = fn;
         last_entry_ = function;
     }
-    const ir::Function* const fn = last_fn_;
-    if (static_cast<int>(args.size()) != fn->param_count)
+    if (static_cast<int>(args.size()) != last_fn_->param_count)
         throw std::invalid_argument(
             "Machine: argument count mismatch for '" + function +
-            "': expected " + std::to_string(fn->param_count) + ", got " +
-            std::to_string(args.size()));
+            "': expected " + std::to_string(last_fn_->param_count) +
+            ", got " + std::to_string(args.size()));
+    return *last_fn_;
+}
+
+void Machine::settle(RunResult& result) const {
+    const auto& point = core_->opp(opp_index_);
+    result.time_s = result.cycles / point.freq_hz;
+    result.static_energy_j = point.static_power_w * result.time_s;
+}
+
+RunResult Machine::run(const std::string& function,
+                       std::span<const ir::Word> args, bool record_trace) {
+    const ir::Function& fn = enter(function, args);
     RunResult result;
 
     const CompiledTrace* const trace = last_trace_.get();
@@ -771,35 +805,75 @@ RunResult Machine::run(const std::string& function,
             result.power_trace.reserve(static_cast<std::size_t>(
                 std::min(trace->estimated_charges, kMaxTraceReserve)));
             if (predictable)
-                exec_trace<true, true>(*trace, args, result);
+                exec_trace<true, true, false>(*trace, args, result, {});
             else
-                exec_trace<true, false>(*trace, args, result);
+                exec_trace<true, false, false>(*trace, args, result, {});
         } else {
             if (predictable)
-                exec_trace<false, true>(*trace, args, result);
+                exec_trace<false, true, false>(*trace, args, result, {});
             else
-                exec_trace<false, false>(*trace, args, result);
+                exec_trace<false, false, false>(*trace, args, result, {});
         }
     } else {
         Frame frame;
-        frame.regs.assign(static_cast<std::size_t>(fn->reg_count), 0);
+        frame.regs.assign(static_cast<std::size_t>(fn.reg_count), 0);
         for (std::size_t i = 0; i < args.size(); ++i) frame.regs[i] = args[i];
         if (record_trace) {
             result.power_trace.reserve(static_cast<std::size_t>(
                 std::min(charge_estimate(function), kMaxTraceReserve)));
-            exec_node<true>(*fn->body, frame, result, 0);
+            exec_node<true>(*fn.body, frame, result, 0);
         } else {
-            exec_node<false>(*fn->body, frame, result, 0);
+            exec_node<false>(*fn.body, frame, result, 0);
         }
-        if (fn->ret_reg != ir::kNoReg)
+        if (fn.ret_reg != ir::kNoReg)
             result.ret_value =
-                frame.regs[static_cast<std::size_t>(fn->ret_reg)];
+                frame.regs[static_cast<std::size_t>(fn.ret_reg)];
     }
 
-    const auto& point = core_->opp(opp_index_);
-    result.time_s = result.cycles / point.freq_hz;
-    result.static_energy_j = point.static_power_w * result.time_s;
+    settle(result);
     return result;
+}
+
+std::vector<RunResult> Machine::run_seeds(
+    const std::string& function, std::span<const ir::Word> args,
+    std::span<const std::uint64_t> seeds) {
+    (void)enter(function, args);
+    std::vector<RunResult> results;
+    if (seeds.empty()) return results;
+    results.reserve(seeds.size());
+
+    if (core_->model.predictable) {
+        results.assign(seeds.size(), run(function, args));
+        return results;
+    }
+
+    if (last_trace_ == nullptr) {
+        // Interpreter: one standalone run per seed, each from the staged
+        // memory image with a fresh RNG.  The machine's own stream resumes
+        // afterwards, as the lockstep pass never touches it.
+        const std::vector<ir::Word> staged = memory_;
+        const support::Rng own = rng_;
+        for (const std::uint64_t seed : seeds) {
+            std::copy(staged.begin(), staged.end(), memory_.begin());
+            rng_ = support::Rng(seed);
+            results.push_back(run(function, args));
+        }
+        rng_ = own;
+        return results;
+    }
+
+    std::vector<Lane> lanes;
+    lanes.reserve(seeds.size());
+    for (const std::uint64_t seed : seeds)
+        lanes.push_back(Lane{support::Rng(seed)});
+    RunResult shared;
+    exec_trace<false, false, true>(*last_trace_, args, shared, lanes);
+    for (const Lane& lane : lanes) {
+        RunResult& result = results.emplace_back(shared);
+        result.cycles = lane.cycles;
+        settle(result);
+    }
+    return results;
 }
 
 }  // namespace teamplay::sim

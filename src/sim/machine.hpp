@@ -12,12 +12,12 @@
 // Hamming-weight data-dependent component, which is what the side-channel
 // leakage metrics of the SecurityAnalyser consume.
 //
-// Execution tiers (DESIGN.md §9): the recursive tree-walking interpreter is
-// the reference semantics; with SimBackend::kTrace, `run` executes a
-// pre-decoded flat trace (sim/trace.hpp) through a threaded-dispatch loop
-// instead, falling back to the interpreter when lowering is impossible.
-// Both tiers produce bit-identical RunResults — the differential oracle in
-// tests/test_sim_trace.cpp pins this.
+// Execution tiers (DESIGN.md §9): with SimBackend::kTrace (the default),
+// `run` executes a pre-decoded flat trace (sim/trace.hpp) through a
+// threaded-dispatch loop, falling back to the interpreter when lowering is
+// impossible; the recursive tree-walking interpreter is the reference
+// semantics.  Both tiers produce bit-identical RunResults — the
+// differential oracle in tests/test_sim_trace.cpp pins this.
 #pragma once
 
 #include <array>
@@ -67,9 +67,9 @@ class Machine {
 public:
     /// The program must outlive the machine.  `seed` drives the stochastic
     /// timing of complex cores; predictable cores never consult it.  `sim`
-    /// selects the execution tier; its default snapshots the process-wide
-    /// backend (sim/backend.hpp).  With the trace backend and no explicit
-    /// cache, compiled traces go through TraceCache::process_wide().
+    /// selects the execution tier (sim/backend.hpp).  With the trace
+    /// backend and no explicit cache, compiled traces go through
+    /// TraceCache::process_wide().
     Machine(const ir::Program& program, const platform::Core& core,
             std::size_t opp_index, std::uint64_t seed = 1,
             SimOptions sim = {});
@@ -93,6 +93,20 @@ public:
     RunResult run(const std::string& function,
                   std::span<const ir::Word> args, bool record_trace = false);
 
+    /// Execute `function` once per seed, each as if on a fresh machine
+    /// built with that seed over the current memory image: result i is
+    /// bit-identical to a `run` on such a machine.  The seed feeds only
+    /// the stochastic cycles, so on the trace tier a complex core executes
+    /// the instruction stream once, in lockstep: every charge draws from
+    /// each seed's own RNG into that seed's own cycle count, while energy,
+    /// counts, memory and the return value are computed once.  Predictable
+    /// cores run once and replicate the result; the interpreter restores
+    /// the memory image and runs each seed in turn.  Throws what `run`
+    /// throws.  Afterwards memory holds the image one run leaves behind.
+    std::vector<RunResult> run_seeds(const std::string& function,
+                                     std::span<const ir::Word> args,
+                                     std::span<const std::uint64_t> seeds);
+
     /// Abort threshold for runaway programs (default 500 M instructions).
     void set_instruction_budget(std::int64_t budget) { budget_ = budget; }
 
@@ -105,9 +119,9 @@ public:
     /// Resolve the compiled trace for `function` (memo -> shared cache ->
     /// compile) and remember the outcome.  Returns null when the function
     /// cannot be lowered (interpreter fallback) or the backend is kInterp.
-    /// Owners that build many machines over the same program (PowProfiler,
-    /// the multi-criteria compiler) resolve once and `attach_trace` the
-    /// result to later machines, skipping per-machine fingerprinting.
+    /// Owners that build many machines over the same program resolve once
+    /// and `attach_trace` the result to later machines, skipping
+    /// per-machine fingerprinting.
     [[nodiscard]] std::shared_ptr<const CompiledTrace> resolve_trace(
         const std::string& function);
 
@@ -131,13 +145,25 @@ private:
     void charge(isa::InstrClass cls, ir::Word data_value, RunResult& result);
     template <bool RecordTrace>
     void charge_overhead(double cycles, double energy_pj, RunResult& result);
+    /// One seed of a lockstep pass: its noise stream and cycle count.
+    struct Lane {
+        support::Rng rng;
+        double cycles = 0.0;
+    };
     /// Threaded-dispatch executor over a pre-decoded trace; sets
     /// `result.ret_value` from the trace's entry return register.
     /// `Predictable` specialises out the stochastic-timing path entirely
     /// (the per-instruction RNG draws exist only on complex cores).
-    template <bool RecordTrace, bool Predictable>
+    /// `Lockstep` charges stochastic cycles to every lane, each from its
+    /// own RNG, instead of to `result.cycles` from the machine's RNG.
+    template <bool RecordTrace, bool Predictable, bool Lockstep>
     void exec_trace(const CompiledTrace& trace, std::span<const ir::Word> args,
-                    RunResult& result);
+                    RunResult& result, std::span<Lane> lanes);
+    /// Resolves `function` (memoised) and validates the argument count.
+    const ir::Function& enter(const std::string& function,
+                              std::span<const ir::Word> args);
+    /// Derives time and leakage energy from `result.cycles`.
+    void settle(RunResult& result) const;
     [[nodiscard]] double stochastic_cycles(double base, bool memory_access);
     [[nodiscard]] std::int64_t charge_estimate(const std::string& function);
 
@@ -168,8 +194,8 @@ private:
     std::vector<ir::Word> trace_arena_;
     std::vector<TraceCall> trace_calls_;
 
-    /// Last-entry fast path for `run`: repeated executions of the same
-    /// function (profiling campaigns) skip the per-run map lookups.
+    /// Last-entry fast path for `run` and `run_seeds`: repeated
+    /// executions of the same function skip the per-run map lookups.
     /// Invalidated by attach_trace.
     std::string last_entry_;
     const ir::Function* last_fn_ = nullptr;

@@ -200,8 +200,7 @@ public:
     void clear();
 
     /// Lazily constructed process-wide cache: what machines use when the
-    /// trace backend is selected without an explicit cache (e.g. via the
-    /// CLI's --sim-backend flag).
+    /// trace backend is selected without an explicit cache.
     [[nodiscard]] static const std::shared_ptr<TraceCache>& process_wide();
 
 private:

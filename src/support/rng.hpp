@@ -18,7 +18,11 @@ class Rng {
 public:
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) { reseed(seed); }
 
+    /// Restart as `Rng(seed)`: the Gaussian spare of the old stream is
+    /// dropped with the rest of its state.
     void reseed(std::uint64_t seed) {
+        have_spare_ = false;
+        spare_ = 0.0;
         // SplitMix64 expansion of the seed into the full 256-bit state.
         std::uint64_t x = seed;
         for (auto& word : state_) {

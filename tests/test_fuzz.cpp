@@ -100,6 +100,11 @@ TEST(FuzzOracle, TwoHundredScenariosAllTiersByteIdentical) {
         const auto scenario = generator.scenario(seed);
         const auto result = oracle.check(scenario);
         EXPECT_GE(result.tiers.size(), 5u);
+        // The reference runs the production trace tier; the interpreter
+        // is the differential tier.
+        EXPECT_NE(std::find(result.tiers.begin(), result.tiers.end(),
+                            "sim/interp"),
+                  result.tiers.end());
         if (!result.ok()) {
             fuzz::ReplayRecord record;
             record.seed = seed;
@@ -201,7 +206,7 @@ TEST(FuzzReplay, FormatParseRoundTrip) {
     fuzz::ReplayRecord record;
     record.seed = 0x00000000DEADBEEFull;
     record.status = "divergence";
-    record.detail = "tier=sim/trace byte_offset=17";
+    record.detail = "tier=sim/interp byte_offset=17";
     const auto line = fuzz::format_record(record);
     EXPECT_EQ(line.rfind("FUZZ-REPLAY ", 0), 0u) << line;
     const auto parsed = fuzz::parse_record(line);

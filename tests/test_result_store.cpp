@@ -8,10 +8,12 @@
 // proving zero recomputes and byte-identical certificates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -504,6 +506,116 @@ TEST_F(ResultStoreTest, ConcurrentShardsShareOneStore) {
     const auto second = certificate_texts(engine.run_all(fleet.requests));
     EXPECT_EQ(first, second);
     EXPECT_GT(store->stats().appended, 0U);
+}
+
+// -- resealed mutation sweep --------------------------------------------------
+//
+// Plain byte flips only ever reach a frame's checksum.  Flipping a bit and
+// resealing the frame's FNV trailer hands the strict decoder a mutant it
+// must judge on its own, through `load`: nothing may throw, a kHit must
+// re-encode to the mutated frame bytes, and anything else must be counted
+// as a kReject.  Frames are judged independently, so each round flips one
+// byte in every result frame of the segment and reopens the store once.
+
+/// Rounds per mask.  Frame f is flipped at offsets 0, s, 2s, ... with an
+/// odd stride s >= size(f) / kSweepRounds, so every byte of the profile
+/// and taint frames and every odd-strided byte of the compiled fronts is
+/// hit; about 0.5 s in a Release build.
+constexpr std::size_t kSweepRounds = 144;
+
+TEST_F(ResultStoreTest, ResealedSegmentMutantsLoadByteExactOrReject) {
+    {
+        // One profiled and one static scenario: profile, taint and
+        // compiled-front result frames in one segment.
+        const auto uav = usecases::make_uav_app("apalis-tk1");
+        const auto pill = usecases::make_camera_pill_app();
+        std::vector<core::ScenarioRequest> requests;
+        for (const auto* app : {&uav, &pill}) {
+            core::ScenarioRequest request;
+            request.program = &app->program;
+            request.platform = &app->platform;
+            request.csl_source = app->csl_source;
+            request.options = fast_options();
+            request.label = app->name;
+            requests.push_back(std::move(request));
+        }
+        core::ScenarioEngine engine(
+            {.result_store = std::make_shared<core::ResultStore>(dir_)});
+        (void)engine.run_all(requests);
+    }
+    const auto pristine = read_segment();
+
+    struct Record {
+        core::EvaluationKey key;
+        std::size_t begin = 0;   ///< result payload offset in the segment
+        std::size_t sealed = 0;  ///< payload bytes before the checksum
+        std::size_t stride = 1;
+    };
+    std::vector<Record> records;
+    std::vector<bool> kinds_seen(3, false);
+    std::size_t offset = 6;  // "TPSG" + u16 version
+    while (const auto key_frame = core::wire::next_frame(pristine, offset)) {
+        Record record{core::wire::decode_key(*key_frame)};
+        record.begin = offset + 4;
+        const auto result_frame = core::wire::next_frame(pristine, offset);
+        ASSERT_TRUE(result_frame.has_value());
+        record.sealed = result_frame->size() - 8;
+        record.stride = (record.sealed / kSweepRounds) | 1U;
+        kinds_seen[static_cast<std::size_t>(record.key.kind)] = true;
+        records.push_back(std::move(record));
+    }
+    ASSERT_EQ(kinds_seen, std::vector<bool>(3, true));
+
+    std::size_t hits = 0;
+    std::size_t rejects = 0;
+    for (const std::uint8_t mask : {0x01, 0x80}) {
+        for (std::size_t round = 0; round < kSweepRounds; ++round) {
+            auto mutant = pristine;
+            for (const Record& record : records) {
+                const std::size_t at = round * record.stride;
+                if (at >= record.sealed) continue;
+                mutant[record.begin + at] ^= mask;
+                const std::uint64_t checksum =
+                    fnv1a(mutant.data() + record.begin, record.sealed);
+                for (std::size_t b = 0; b < 8; ++b)
+                    mutant[record.begin + record.sealed + b] =
+                        static_cast<std::uint8_t>(checksum >> (8 * b));
+            }
+            write_segment(mutant);
+            const std::string where = "mask " + std::to_string(mask) +
+                                      " round " + std::to_string(round);
+            try {
+                core::ResultStore store(dir_);
+                for (const Record& record : records) {
+                    const auto loaded = store.load(record.key);
+                    if (loaded.status == core::ResultStore::LoadStatus::kHit) {
+                        ++hits;
+                        const auto frame =
+                            std::span<const std::uint8_t>(mutant).subspan(
+                                record.begin, record.sealed + 8);
+                        EXPECT_TRUE(std::ranges::equal(
+                            core::wire::encode(*loaded.result), frame))
+                            << where << ", byte "
+                            << round * record.stride << " of a "
+                            << core::analysis_kind_name(record.key.kind)
+                            << " frame: hit does not re-encode to it";
+                    } else {
+                        ++rejects;
+                        EXPECT_EQ(loaded.status,
+                                  core::ResultStore::LoadStatus::kReject)
+                            << where;
+                    }
+                }
+                const auto stats = store.stats();
+                EXPECT_EQ(stats.load_hits + stats.load_rejects, records.size())
+                    << where;
+            } catch (const std::exception& error) {
+                ADD_FAILURE() << where << ": threw " << error.what();
+            }
+        }
+    }
+    EXPECT_GT(hits, 0U);     // the sweep reaches past the decoder's checks
+    EXPECT_GT(rejects, 0U);  // and the decoder refuses some mutants
 }
 
 }  // namespace

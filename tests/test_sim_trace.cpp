@@ -7,16 +7,21 @@
 // programs across their platforms' cores and OPPs and compare every
 // RunResult field with exact equality — any divergence in lowering,
 // charge ordering or RNG consumption shows up as a failure here, not as a
-// subtly wrong certificate downstream.
+// subtly wrong certificate downstream.  The same holds for the lockstep
+// entry point `run_seeds` against one fresh machine per seed, and for its
+// two owners, the profiler campaign and the complex-core compiler.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
+#include <typeindex>
 #include <vector>
 
+#include "compiler/multi_criteria.hpp"
 #include "core/scenario_engine.hpp"
 #include "csl/csl.hpp"
 #include "ir/builder.hpp"
+#include "profiler/pow_profiler.hpp"
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
 #include "support/rng.hpp"
@@ -40,13 +45,13 @@ Outcome run_once(const ir::Program& program, const platform::Core& core,
                  const std::shared_ptr<sim::TraceCache>& cache,
                  const std::string& entry,
                  const std::vector<ir::Word>& memory_image,
-                 const std::vector<ir::Word>& args) {
+                 const std::vector<ir::Word>& args, bool record_trace = true) {
     sim::Machine machine(program, core, opp, seed,
                          sim::SimOptions{backend, cache});
     if (!memory_image.empty()) machine.poke_span(0, memory_image);
     Outcome outcome;
     try {
-        outcome.result = machine.run(entry, args, /*record_trace=*/true);
+        outcome.result = machine.run(entry, args, record_trace);
     } catch (const std::exception& error) {
         outcome.error = error.what();
         if (outcome.error.empty()) outcome.error = "(empty message)";
@@ -358,6 +363,250 @@ TEST(SimTraceCache, StatsMergeAndSince) {
     EXPECT_EQ(delta.misses, 1u);
     EXPECT_EQ(delta.entries, 4u);  // point-in-time, not a delta
     EXPECT_DOUBLE_EQ(a.hit_ratio(), 0.6);
+}
+
+// -- lockstep seeds -----------------------------------------------------------
+
+/// Runs per profiling campaign in the benchmark's cold sweep.
+constexpr std::size_t kCampaignSeeds = 15;
+
+/// `run_seeds` on one machine over `memory_image`, one Outcome per seed: a
+/// throw is every seed's outcome.
+std::vector<Outcome> run_lockstep(const ir::Program& program,
+                                  const platform::Core& core, std::size_t opp,
+                                  sim::SimBackend backend,
+                                  const std::string& entry,
+                                  const std::vector<ir::Word>& memory_image,
+                                  const std::vector<ir::Word>& args,
+                                  const std::vector<std::uint64_t>& seeds) {
+    sim::Machine machine(program, core, opp, /*seed=*/1,
+                         sim::SimOptions{backend, nullptr});
+    if (!memory_image.empty()) machine.poke_span(0, memory_image);
+    std::vector<Outcome> outcomes(seeds.size());
+    try {
+        const auto results = machine.run_seeds(entry, args, seeds);
+        EXPECT_EQ(results.size(), seeds.size());
+        for (std::size_t i = 0; i < results.size() && i < seeds.size(); ++i)
+            outcomes[i].result = results[i];
+    } catch (const std::exception& error) {
+        for (auto& outcome : outcomes) outcome.error = error.what();
+    }
+    return outcomes;
+}
+
+/// Every task entry of `app` on every core at every OPP, from a seeded
+/// random memory image (so a run that writes memory would leak into the
+/// next seed's if the image were not restored): `run_seeds` on both tiers
+/// against one fresh interpreter machine per seed.
+void sweep_lockstep(const usecases::UseCaseApp& app) {
+    const auto spec = csl::parse(app.csl_source);
+    support::Rng stager(0x5EEDu);
+    std::vector<ir::Word> image(
+        std::min<std::size_t>(app.program.memory_words, 512));
+    for (auto& word : image)
+        word = static_cast<ir::Word>(stager.next() % 97) - 13;
+    std::vector<std::uint64_t> seeds(kCampaignSeeds);
+    for (auto& seed : seeds) seed = stager.next();
+
+    for (const auto& task : spec.tasks) {
+        const ir::Function* fn = app.program.find(task.entry);
+        ASSERT_NE(fn, nullptr) << app.name << "/" << task.entry;
+        const std::vector<ir::Word> args(
+            static_cast<std::size_t>(fn->param_count), 0);
+        for (const auto& core : app.platform.cores) {
+            for (std::size_t opp = 0; opp < core.opps.size(); ++opp) {
+                std::vector<Outcome> fresh;
+                for (const auto seed : seeds)
+                    fresh.push_back(run_once(app.program, core, opp, seed,
+                                             sim::SimBackend::kInterp,
+                                             nullptr, task.entry, image, args,
+                                             /*record_trace=*/false));
+                for (const auto backend :
+                     {sim::SimBackend::kInterp, sim::SimBackend::kTrace}) {
+                    const auto lockstep =
+                        run_lockstep(app.program, core, opp, backend,
+                                     task.entry, image, args, seeds);
+                    for (std::size_t i = 0; i < seeds.size(); ++i)
+                        expect_identical(
+                            fresh[i], lockstep[i],
+                            app.name + "/" + task.entry + " core=" +
+                                core.name + " opp=" + std::to_string(opp) +
+                                (backend == sim::SimBackend::kTrace
+                                     ? " trace"
+                                     : " interp") +
+                                " seed#" + std::to_string(i));
+                }
+            }
+        }
+    }
+}
+
+TEST(SimTraceLockstep, CameraPill) {
+    sweep_lockstep(usecases::make_camera_pill_app());
+}
+
+TEST(SimTraceLockstep, Space) { sweep_lockstep(usecases::make_space_app()); }
+
+TEST(SimTraceLockstep, Uav) {
+    sweep_lockstep(usecases::make_uav_app("apalis-tk1"));
+}
+
+TEST(SimTraceLockstep, Rover) {
+    sweep_lockstep(usecases::make_rover_app("apalis-tk1"));
+}
+
+TEST(SimTraceLockstep, Parking) {
+    sweep_lockstep(usecases::make_parking_app(/*on_m0=*/false));
+}
+
+const platform::Core& cortex_a15() {
+    static const platform::Platform p = platform::apalis_tk1();
+    return p.cores.front();
+}
+
+/// On a complex core, `run_seeds` must raise what a per-seed `run` raises:
+/// same exception type, same text, on both tiers.
+void expect_lockstep_error(const ir::Program& program,
+                           const std::vector<ir::Word>& args,
+                           std::int64_t budget, const std::string& context) {
+    const std::vector<std::uint64_t> seeds{3, 4, 5};
+    ASSERT_FALSE(cortex_a15().model.predictable);
+    for (const auto backend :
+         {sim::SimBackend::kInterp, sim::SimBackend::kTrace}) {
+        std::optional<std::type_index> expected_type;
+        std::string expected_what;
+        for (const auto seed : seeds) {
+            sim::Machine machine(program, cortex_a15(), 0, seed,
+                                 sim::SimOptions{backend, nullptr});
+            machine.set_instruction_budget(budget);
+            try {
+                (void)machine.run("f", args);
+                FAIL() << context << ": per-seed run did not throw";
+            } catch (const std::exception& error) {
+                expected_type = typeid(error);
+                expected_what = error.what();
+            }
+        }
+        sim::Machine machine(program, cortex_a15(), 0, 1,
+                             sim::SimOptions{backend, nullptr});
+        machine.set_instruction_budget(budget);
+        try {
+            (void)machine.run_seeds("f", args, seeds);
+            ADD_FAILURE() << context << ": run_seeds did not throw";
+        } catch (const std::exception& error) {
+            EXPECT_EQ(std::type_index(typeid(error)), expected_type)
+                << context;
+            EXPECT_EQ(error.what(), expected_what) << context;
+        }
+    }
+}
+
+TEST(SimTraceLockstep, ErrorSurfacesMatchPerSeedRuns) {
+    {
+        ir::FunctionBuilder b("f", 0);
+        const auto i = b.loop_begin(1000000);
+        (void)b.add(i, i);
+        b.loop_end();
+        expect_lockstep_error(make_single(b.build()), {}, 1000, "budget");
+    }
+    {
+        ir::FunctionBuilder b("f", 0);
+        (void)b.load(b.imm(static_cast<ir::Word>(1) << 40));
+        expect_lockstep_error(make_single(b.build()), {},
+                              std::int64_t{1} << 40, "oob-load");
+    }
+    {
+        ir::FunctionBuilder b("f", 1);
+        (void)b.dynamic_loop_begin(b.param(0), 8);
+        b.loop_end();
+        expect_lockstep_error(make_single(b.build()), {9},
+                              std::int64_t{1} << 40, "dynamic-loop-bound");
+    }
+}
+
+/// A campaign on the trace tier (one lockstep pass) equals the same
+/// campaign on the interpreter (one standalone run per seed).
+void expect_profiles_tier_invariant(const usecases::UseCaseApp& app) {
+    const auto spec = csl::parse(app.csl_source);
+    for (const auto& task : spec.tasks) {
+        const ir::Function* fn = app.program.find(task.entry);
+        ASSERT_NE(fn, nullptr);
+        for (const auto& core : app.platform.cores) {
+            for (std::size_t opp = 0; opp < core.opps.size(); ++opp) {
+                profiler::TaskProfile profiles[2];
+                const sim::SimBackend backends[2] = {sim::SimBackend::kInterp,
+                                                     sim::SimBackend::kTrace};
+                for (int k = 0; k < 2; ++k) {
+                    profiler::PowProfiler profiler(
+                        app.program, core, opp, opp * 131 + 7,
+                        sim::SimOptions{backends[k], nullptr});
+                    profiles[k] = profiler.profile(
+                        task.entry, profiler::zero_inputs(fn->param_count),
+                        static_cast<int>(kCampaignSeeds));
+                }
+                const std::string context = app.name + "/" + task.entry +
+                                            " core=" + core.name +
+                                            " opp=" + std::to_string(opp);
+                EXPECT_EQ(profiles[0].function, profiles[1].function);
+                EXPECT_EQ(profiles[0].runs, profiles[1].runs);
+                const auto same = [&](const profiler::Estimate& a,
+                                      const profiler::Estimate& b,
+                                      const char* what) {
+                    EXPECT_EQ(a.mean, b.mean) << context << " " << what;
+                    EXPECT_EQ(a.stddev, b.stddev) << context << " " << what;
+                    EXPECT_EQ(a.p95, b.p95) << context << " " << what;
+                    EXPECT_EQ(a.max, b.max) << context << " " << what;
+                };
+                same(profiles[0].time_s, profiles[1].time_s, "time");
+                same(profiles[0].energy_j, profiles[1].energy_j, "energy");
+                same(profiles[0].cycles, profiles[1].cycles, "cycles");
+            }
+        }
+    }
+}
+
+TEST(SimTraceLockstep, ProfilesEqualAcrossTiersUav) {
+    expect_profiles_tier_invariant(usecases::make_uav_app("apalis-tk1"));
+}
+
+TEST(SimTraceLockstep, ProfilesEqualAcrossTiersParking) {
+    expect_profiles_tier_invariant(usecases::make_parking_app(false));
+}
+
+TEST(SimTraceLockstep, ComplexCoreCompileAveragesThreeFreshMachines) {
+    const auto app = usecases::make_uav_app("apalis-tk1");
+    const auto spec = csl::parse(app.csl_source);
+    const auto& core = cortex_a15();
+    for (const auto backend :
+         {sim::SimBackend::kInterp, sim::SimBackend::kTrace}) {
+        const compiler::MultiCriteriaCompiler mcc(
+            app.program, core, sim::SimOptions{backend, nullptr});
+        for (const auto& task : spec.tasks) {
+            compiler::PassConfig config = mcc.traditional_config();
+            config.opp_index = 1;
+            const auto version = mcc.compile(task.entry, config);
+            const ir::Function* fn = version.program->find(task.entry);
+            ASSERT_NE(fn, nullptr);
+            const std::vector<ir::Word> args(
+                static_cast<std::size_t>(fn->param_count), 0);
+            double time_s = 0.0;
+            double energy_j = 0.0;
+            double dynamic_j = 0.0;
+            for (const std::uint64_t seed : {1000, 1001, 1002}) {
+                sim::Machine machine(*version.program, core, config.opp_index,
+                                     seed,
+                                     sim::SimOptions{sim::SimBackend::kInterp,
+                                                     nullptr});
+                const auto run = machine.run(task.entry, args);
+                time_s += run.time_s;
+                energy_j += run.energy_j();
+                dynamic_j += run.dynamic_energy_j;
+            }
+            EXPECT_EQ(version.time_s, time_s / 3) << task.entry;
+            EXPECT_EQ(version.energy_j, energy_j / 3) << task.entry;
+            EXPECT_EQ(version.energy_dynamic_j, dynamic_j / 3) << task.entry;
+        }
+    }
 }
 
 // -- engine-level identity ----------------------------------------------------

@@ -27,6 +27,16 @@ TEST(Rng, DifferentSeedsDiverge) {
     EXPECT_LT(same, 2);
 }
 
+TEST(Rng, ReseedDropsTheGaussianSpare) {
+    // One draw leaves the polar method's second value pending; a reseeded
+    // stream must not hand it out.
+    Rng reseeded(1);
+    (void)reseeded.gaussian();
+    reseeded.reseed(7);
+    Rng fresh(7);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(reseeded.gaussian(), fresh.gaussian());
+}
+
 TEST(Rng, UniformInUnitInterval) {
     Rng rng(7);
     for (int i = 0; i < 1000; ++i) {
