@@ -3,10 +3,13 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <concepts>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 namespace teamplay::core::wire {
@@ -24,12 +27,14 @@ enum class MessageKind : std::uint8_t {
     kReport = 6,
 };
 
-/// Node trees are shallow in practice (builder nesting); the cap only
-/// exists so a corrupted buffer cannot drive unbounded recursion.
+/// Node and proof trees are shallow in practice (builder nesting); the cap
+/// only exists so a corrupted buffer cannot drive unbounded recursion.
 constexpr int kMaxNodeDepth = 256;
 
 constexpr std::size_t kHeaderBytes = 4 + 2 + 1;   // magic + version + kind
 constexpr std::size_t kChecksumBytes = 8;
+
+using Clock = std::chrono::steady_clock;
 
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
     std::uint64_t value = 14695981039346656037ULL;
@@ -40,39 +45,91 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
     return value;
 }
 
-// -- writer -------------------------------------------------------------------
+// -- archives -----------------------------------------------------------------
+//
+// Each wire type has one `transfer(ar, value)` listing its fields in wire
+// order; `Writer` runs it to encode and `Reader` to decode, so the two
+// directions cannot drift apart.  The reader's primitives make every check
+// a decoded byte needs (bounds, bool and enum ranges, int narrowing,
+// sequence counts, canonical map order, tree depth, fixed table sizes), so
+// no transfer repeats one.  Small element types are listed inline, in the
+// transfer of the type that holds them.
+
+/// How a transfer sees its value: const when writing, mutable when reading.
+template <class Ar, class T>
+using Ref =
+    std::conditional_t<std::remove_reference_t<Ar>::kWriting, const T&, T&>;
+/// True for the archive that decodes.
+template <class Ar>
+constexpr bool kReads = !std::remove_reference_t<Ar>::kWriting;
+
+/// The unsigned 64-bit types (std::uint64_t, std::size_t) sent as u64.
+template <class U>
+concept Word64 = std::unsigned_integral<U> && sizeof(U) == 8;
 
 struct Writer {
+    static constexpr bool kWriting = true;
     Buffer out;
 
-    void u8(std::uint8_t value) { out.push_back(value); }
-    void u16(std::uint16_t value) {
-        out.push_back(static_cast<std::uint8_t>(value));
-        out.push_back(static_cast<std::uint8_t>(value >> 8));
-    }
-    void u32(std::uint32_t value) {
-        for (int shift = 0; shift < 32; shift += 8)
+    /// Append `value` as `Bytes` little-endian bytes.
+    template <int Bytes>
+    void le(std::uint64_t value) {
+        for (int shift = 0; shift < 8 * Bytes; shift += 8)
             out.push_back(static_cast<std::uint8_t>(value >> shift));
     }
-    void u64(std::uint64_t value) {
-        for (int shift = 0; shift < 64; shift += 8)
-            out.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
-    void i64(std::int64_t value) {
-        u64(static_cast<std::uint64_t>(value));
-    }
-    void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-    void boolean(bool value) { u8(value ? 1 : 0); }
-    void reg(ir::Reg value) { u32(static_cast<std::uint32_t>(value)); }
+    void u64(std::uint64_t value) { le<8>(value); }
+    void i64(std::int64_t value) { le<8>(static_cast<std::uint64_t>(value)); }
+    void int_field(int value, std::string_view /*field*/) { i64(value); }
+    void f64(double value) { le<8>(std::bit_cast<std::uint64_t>(value)); }
+    void boolean(bool value) { le<1>(value ? 1 : 0); }
+    void reg(ir::Reg value) { le<4>(static_cast<std::uint32_t>(value)); }
     void str(std::string_view text) {
-        u32(static_cast<std::uint32_t>(text.size()));
+        le<4>(text.size());
         out.insert(out.end(), text.begin(), text.end());
+    }
+    template <class E>
+    void enumeration(E value, E /*last*/, std::string_view /*name*/) {
+        le<1>(static_cast<std::uint8_t>(value));
+    }
+    void fixed_size(std::size_t size, std::string_view /*name*/) {
+        le<4>(size);
+    }
+    void nesting(int /*depth*/, std::string_view /*tree*/) {}
+
+    /// Presence flag of an optional value or owning pointer.
+    bool present(const auto& slot) {
+        boolean(static_cast<bool>(slot));
+        return static_cast<bool>(slot);
+    }
+    const auto& pointee(const auto& slot) { return *slot; }
+
+    void seq(const auto& items, std::size_t /*min_element_bytes*/,
+             auto each) {
+        le<4>(items.size());
+        for (const auto& item : items) each(item);
+    }
+
+    /// Map entries in map order: the key, then `each(key, value)`.
+    void map(const auto& items, std::size_t /*min_entry_bytes*/,
+             std::string_view /*name*/, auto each) {
+        le<4>(items.size());
+        for (const auto& [key, value] : items) {
+            map_key(key);
+            each(key, value);
+        }
+    }
+    void map_key(std::string_view text) { str(text); }
+    void map_key(std::uint64_t value) { u64(value); }
+
+    /// A deadline crosses as the budget remaining now: an absolute
+    /// steady-clock value is meaningless on another host's clock.
+    void budget(Clock::time_point deadline) {
+        f64(std::chrono::duration<double>(deadline - Clock::now()).count());
     }
 };
 
-// -- reader -------------------------------------------------------------------
-
 struct Reader {
+    static constexpr bool kWriting = false;
     std::span<const std::uint8_t> data;
     std::size_t pos = 0;
 
@@ -80,883 +137,547 @@ struct Reader {
         if (bytes > data.size() - pos)
             throw WireFormatError("wire buffer truncated");
     }
-    std::uint8_t u8() {
-        need(1);
-        return data[pos++];
-    }
-    std::uint16_t u16() {
-        need(2);
-        std::uint16_t value = 0;
-        for (int shift = 0; shift < 16; shift += 8)
-            value = static_cast<std::uint16_t>(
-                value | static_cast<std::uint16_t>(data[pos++]) << shift);
-        return value;
-    }
-    std::uint32_t u32() {
-        need(4);
-        std::uint32_t value = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            value |= static_cast<std::uint32_t>(data[pos++]) << shift;
-        return value;
-    }
-    std::uint64_t u64() {
-        need(8);
+    /// The next `Bytes` bytes as a little-endian value.
+    template <int Bytes>
+    std::uint64_t le() {
+        need(Bytes);
         std::uint64_t value = 0;
-        for (int shift = 0; shift < 64; shift += 8)
+        for (int shift = 0; shift < 8 * Bytes; shift += 8)
             value |= static_cast<std::uint64_t>(data[pos++]) << shift;
         return value;
     }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+    void u64(Word64 auto& value) { value = le<8>(); }
+    void i64(std::int64_t& value) {
+        value = static_cast<std::int64_t>(le<8>());
+    }
     /// An int field sent as i64.  Out-of-range values are rejected: silently
     /// wrapping them would break encode(decode(b)) == b.
-    int int_field(std::string_view field) {
-        const std::int64_t value = i64();
-        if (value < std::numeric_limits<int>::min() ||
-            value > std::numeric_limits<int>::max())
+    void int_field(int& value, std::string_view field) {
+        const auto wide = static_cast<std::int64_t>(le<8>());
+        if (wide < std::numeric_limits<int>::min() ||
+            wide > std::numeric_limits<int>::max())
             throw WireFormatError("wire field " + std::string(field) +
                                   " out of int range");
-        return static_cast<int>(value);
+        value = static_cast<int>(wide);
     }
-    double f64() { return std::bit_cast<double>(u64()); }
-    bool boolean() {
-        const std::uint8_t byte = u8();
+    void f64(double& value) { value = std::bit_cast<double>(le<8>()); }
+    bool flag() {
+        const std::uint64_t byte = le<1>();
         if (byte > 1) throw WireFormatError("wire bool byte not 0/1");
         return byte == 1;
     }
-    ir::Reg reg() { return static_cast<ir::Reg>(u32()); }
-    std::string str() {
-        const std::uint32_t length = u32();
-        need(length);
-        std::string text(reinterpret_cast<const char*>(data.data() + pos),
-                         length);
-        pos += length;
-        return text;
+    void boolean(bool& value) { value = flag(); }
+    void reg(ir::Reg& value) {
+        value = static_cast<ir::Reg>(static_cast<std::uint32_t>(le<4>()));
     }
+    void str(std::string& text) {
+        const std::uint64_t length = le<4>();
+        need(length);
+        text.assign(reinterpret_cast<const char*>(data.data() + pos), length);
+        pos += length;
+    }
+    /// An enum sent as one byte; anything past `last` is rejected.
+    template <class E>
+    void enumeration(E& value, E last, std::string_view name) {
+        const std::uint64_t byte = le<1>();
+        if (byte > static_cast<std::uint8_t>(last))
+            throw WireFormatError("wire " + std::string(name) + " invalid");
+        value = static_cast<E>(byte);
+    }
+    /// A fixed-size table is fixed per codec generation; a different size
+    /// is a layout change, which is what the version field is for — here
+    /// it can only mean corruption that survived the checksum window.
+    void fixed_size(std::size_t size, std::string_view name) {
+        if (le<4>() != size)
+            throw WireFormatError("wire " + std::string(name) +
+                                  " size invalid");
+    }
+    void nesting(int depth, std::string_view tree) {
+        if (depth > kMaxNodeDepth)
+            throw WireFormatError("wire " + std::string(tree) +
+                                  " tree nested too deeply");
+    }
+
+    bool present(auto& /*slot*/) { return flag(); }
+    /// A present slot's value, created empty for the caller to fill.
+    template <class T>
+    T& pointee(std::unique_ptr<T>& slot) {
+        slot = std::make_unique<T>();
+        return *slot;
+    }
+    template <class T>
+    T& pointee(std::shared_ptr<const T>& slot) {
+        auto value = std::make_shared<T>();
+        slot = value;
+        return *value;
+    }
+    template <class T>
+    T& pointee(std::optional<T>& slot) { return slot.emplace(); }
+
     /// Sequence-count guard: each element occupies >= `min_element_bytes`,
     /// so a forged count larger than the remaining buffer is rejected
     /// before any allocation.
     std::uint32_t count(std::size_t min_element_bytes) {
-        const std::uint32_t n = u32();
-        if (min_element_bytes > 0 &&
-            n > (data.size() - pos) / min_element_bytes)
+        const auto n = static_cast<std::uint32_t>(le<4>());
+        if (n > (data.size() - pos) / min_element_bytes)
             throw WireFormatError("wire sequence count exceeds buffer");
         return n;
     }
+    void seq(auto& items, std::size_t min_element_bytes, auto each) {
+        const std::uint32_t n = count(min_element_bytes);
+        items.reserve(n);
+        for (std::uint32_t i = 0; i < n; ++i) each(items.emplace_back());
+    }
+
+    template <class Map>
+    void map(Map& items, std::size_t min_entry_bytes, std::string_view name,
+             auto each) {
+        const std::uint32_t n = count(min_entry_bytes);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            typename Map::key_type key{};
+            map_key(key);
+            // The writer emits keys in strictly increasing map order; a
+            // duplicate or unsorted key would decode, then re-encode to
+            // different bytes.
+            if (!items.empty() &&
+                !items.key_comp()(items.rbegin()->first, key))
+                throw WireFormatError("wire " + std::string(name) +
+                                      " not in canonical order");
+            const auto it = items.try_emplace(items.end(), std::move(key));
+            each(it->first, it->second);
+        }
+    }
+    void map_key(std::string& text) { str(text); }
+    void map_key(Word64 auto& value) { u64(value); }
+
+    void budget(Clock::time_point& deadline) {
+        double budget_s = 0.0;
+        f64(budget_s);
+        if (std::isnan(budget_s))
+            throw WireFormatError("wire deadline budget is NaN");
+        // Re-anchor on this host's steady clock.  A negative budget is
+        // legal: it means the deadline passed in transit and admission
+        // should refuse the request immediately.
+        deadline = Clock::now() +
+                   std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(budget_s));
+    }
 };
-
-// -- framing ------------------------------------------------------------------
-
-Writer begin_message(MessageKind kind) {
-    Writer writer;
-    writer.u32(kMagic);
-    writer.u16(kVersion);
-    writer.u8(static_cast<std::uint8_t>(kind));
-    return writer;
-}
-
-Buffer seal_message(Writer writer) {
-    writer.u64(fnv1a(writer.out));
-    return std::move(writer.out);
-}
-
-/// Validate framing (length, magic, checksum, version, kind) and return a
-/// reader positioned at the payload, spanning exactly the payload bytes.
-Reader open_message(std::span<const std::uint8_t> buffer, MessageKind kind) {
-    if (buffer.size() < kHeaderBytes + kChecksumBytes)
-        throw WireFormatError("wire buffer shorter than frame");
-    const auto body = buffer.first(buffer.size() - kChecksumBytes);
-    Reader frame{buffer};
-    if (frame.u32() != kMagic) throw WireFormatError("wire magic mismatch");
-    // Checksum before version: corruption must never masquerade as a
-    // version skew.
-    Reader trailer{buffer, buffer.size() - kChecksumBytes};
-    if (trailer.u64() != fnv1a(body))
-        throw WireFormatError("wire checksum mismatch");
-    const std::uint16_t version = frame.u16();
-    if (version != kVersion) throw WireVersionError(version, kVersion);
-    if (frame.u8() != static_cast<std::uint8_t>(kind))
-        throw WireFormatError("wire message kind mismatch");
-    return Reader{body, kHeaderBytes};
-}
-
-void expect_fully_consumed(const Reader& reader) {
-    if (reader.pos != reader.data.size())
-        throw WireFormatError("wire payload has trailing bytes");
-}
 
 // -- IR program ---------------------------------------------------------------
 
-void put_node(Writer& writer, const ir::Node& node) {
-    writer.u8(static_cast<std::uint8_t>(node.kind));
+void transfer(auto& ar, Ref<decltype(ar), ir::Node> node, int depth = 0) {
+    ar.nesting(depth, "node");
+    ar.enumeration(node.kind, ir::NodeKind::kCall, "node kind");
     switch (node.kind) {
         case ir::NodeKind::kBlock:
-            writer.u32(static_cast<std::uint32_t>(node.instrs.size()));
-            for (const auto& instr : node.instrs) {
-                writer.u8(static_cast<std::uint8_t>(instr.op));
-                writer.reg(instr.dst);
-                writer.reg(instr.a);
-                writer.reg(instr.b);
-                writer.reg(instr.c);
-                writer.u64(static_cast<std::uint64_t>(instr.imm));
-                writer.boolean(instr.secret);
-            }
+            ar.seq(node.instrs, 22, [&](auto& instr) {
+                ar.enumeration(instr.op, ir::Opcode::kSelect, "opcode");
+                ar.reg(instr.dst);
+                ar.reg(instr.a);
+                ar.reg(instr.b);
+                ar.reg(instr.c);
+                ar.i64(instr.imm);
+                ar.boolean(instr.secret);
+            });
             break;
         case ir::NodeKind::kSeq:
-            writer.u32(static_cast<std::uint32_t>(node.children.size()));
-            for (const auto& child : node.children) put_node(writer, *child);
+            ar.seq(node.children, 1, [&](auto& child) {
+                transfer(ar, ar.pointee(child), depth + 1);
+            });
             break;
-        case ir::NodeKind::kIf:
-            writer.reg(node.cond);
-            writer.boolean(node.then_branch != nullptr);
-            writer.boolean(node.else_branch != nullptr);
-            if (node.then_branch) put_node(writer, *node.then_branch);
-            if (node.else_branch) put_node(writer, *node.else_branch);
+        case ir::NodeKind::kIf: {
+            ar.reg(node.cond);
+            // Both presence flags come before either branch.
+            const bool has_then = ar.present(node.then_branch);
+            const bool has_else = ar.present(node.else_branch);
+            if (has_then)
+                transfer(ar, ar.pointee(node.then_branch), depth + 1);
+            if (has_else)
+                transfer(ar, ar.pointee(node.else_branch), depth + 1);
             break;
+        }
         case ir::NodeKind::kLoop:
-            writer.i64(node.trip);
-            writer.i64(node.bound);
-            writer.reg(node.trip_reg);
-            writer.reg(node.index_reg);
-            writer.i64(node.stride);
-            writer.boolean(node.body != nullptr);
-            if (node.body) put_node(writer, *node.body);
+            ar.i64(node.trip);
+            ar.i64(node.bound);
+            ar.reg(node.trip_reg);
+            ar.reg(node.index_reg);
+            ar.i64(node.stride);
+            if (ar.present(node.body))
+                transfer(ar, ar.pointee(node.body), depth + 1);
             break;
         case ir::NodeKind::kCall:
-            writer.str(node.callee);
-            writer.u32(static_cast<std::uint32_t>(node.args.size()));
-            for (const ir::Reg arg : node.args) writer.reg(arg);
-            writer.reg(node.ret);
+            ar.str(node.callee);
+            ar.seq(node.args, 4, [&](auto& arg) { ar.reg(arg); });
+            ar.reg(node.ret);
             break;
     }
 }
 
-ir::NodePtr get_node(Reader& reader, int depth) {
-    if (depth > kMaxNodeDepth)
-        throw WireFormatError("wire node tree nested too deeply");
-    const std::uint8_t kind_byte = reader.u8();
-    if (kind_byte > static_cast<std::uint8_t>(ir::NodeKind::kCall))
-        throw WireFormatError("wire node kind invalid");
-    auto node = std::make_unique<ir::Node>();
-    node->kind = static_cast<ir::NodeKind>(kind_byte);
-    switch (node->kind) {
-        case ir::NodeKind::kBlock: {
-            const std::uint32_t n = reader.count(22);  // bytes per instr
-            node->instrs.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i) {
-                ir::Instr instr;
-                const std::uint8_t op = reader.u8();
-                if (op >= ir::kNumOpcodes)
-                    throw WireFormatError("wire opcode invalid");
-                instr.op = static_cast<ir::Opcode>(op);
-                instr.dst = reader.reg();
-                instr.a = reader.reg();
-                instr.b = reader.reg();
-                instr.c = reader.reg();
-                instr.imm = reader.i64();
-                instr.secret = reader.boolean();
-                node->instrs.push_back(instr);
-            }
-            break;
-        }
-        case ir::NodeKind::kSeq: {
-            const std::uint32_t n = reader.count(1);
-            node->children.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i)
-                node->children.push_back(get_node(reader, depth + 1));
-            break;
-        }
-        case ir::NodeKind::kIf: {
-            node->cond = reader.reg();
-            const bool has_then = reader.boolean();
-            const bool has_else = reader.boolean();
-            if (has_then) node->then_branch = get_node(reader, depth + 1);
-            if (has_else) node->else_branch = get_node(reader, depth + 1);
-            break;
-        }
-        case ir::NodeKind::kLoop: {
-            node->trip = reader.i64();
-            node->bound = reader.i64();
-            node->trip_reg = reader.reg();
-            node->index_reg = reader.reg();
-            node->stride = reader.i64();
-            if (reader.boolean()) node->body = get_node(reader, depth + 1);
-            break;
-        }
-        case ir::NodeKind::kCall: {
-            node->callee = reader.str();
-            const std::uint32_t n = reader.count(4);
-            node->args.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i)
-                node->args.push_back(reader.reg());
-            node->ret = reader.reg();
-            break;
-        }
-    }
-    return node;
-}
-
-void put_program(Writer& writer, const ir::Program& program) {
-    writer.u64(program.memory_words);
-    writer.u32(static_cast<std::uint32_t>(program.functions.size()));
-    // std::map iteration: name order, canonical on both sides.
-    for (const auto& [name, fn] : program.functions) {
-        writer.str(name);
-        writer.i64(fn.param_count);
-        writer.i64(fn.reg_count);
-        writer.reg(fn.ret_reg);
-        writer.boolean(fn.body != nullptr);
-        if (fn.body) put_node(writer, *fn.body);
-    }
-}
-
-ir::Program get_program(Reader& reader) {
-    ir::Program program;
-    program.memory_words = reader.u64();
-    const std::uint32_t n = reader.count(4);
-    std::string previous_name;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        ir::Function fn;
-        fn.name = reader.str();
-        // The encoder emits functions in strict map order; accepting
-        // duplicates or unsorted names would break the byte-exact
-        // encode(decode(b)) == b guarantee.
-        if (i > 0 && fn.name <= previous_name)
-            throw WireFormatError(
-                "wire program functions not in canonical order");
-        previous_name = fn.name;
-        fn.param_count = reader.int_field("param_count");
-        fn.reg_count = reader.int_field("reg_count");
-        fn.ret_reg = reader.reg();
-        if (reader.boolean()) fn.body = get_node(reader, 0);
-        program.functions[fn.name] = std::move(fn);
-    }
-    return program;
+void transfer(auto& ar, Ref<decltype(ar), ir::Program> program) {
+    ar.u64(program.memory_words);
+    ar.map(program.functions, 4, "program functions",
+           [&](const std::string& name, auto& fn) {
+               // A function's name crosses once, as its map key.
+               if constexpr (kReads<decltype(ar)>) fn.name = name;
+               ar.int_field(fn.param_count, "param_count");
+               ar.int_field(fn.reg_count, "reg_count");
+               ar.reg(fn.ret_reg);
+               if (ar.present(fn.body)) transfer(ar, ar.pointee(fn.body));
+           });
 }
 
 // -- compiler / profiler payloads --------------------------------------------
 
-void put_task_version(Writer& writer, const compiler::TaskVersion& version) {
-    const auto& config = version.config;
-    writer.boolean(config.fold);
-    writer.boolean(config.cse_pass);
-    writer.boolean(config.strength);
-    writer.boolean(config.dce_pass);
-    writer.boolean(config.inline_calls_pass);
-    writer.boolean(config.licm);
-    writer.i64(config.unroll_factor);
-    writer.u8(static_cast<std::uint8_t>(config.security));
-    writer.u64(config.opp_index);
-    writer.boolean(version.analysable);
-    writer.f64(version.wcet_s);
-    writer.f64(version.wcec_j);
-    writer.f64(version.time_s);
-    writer.f64(version.energy_j);
-    writer.f64(version.energy_dynamic_j);
-    writer.f64(version.leakage);
-    writer.i64(version.static_instrs);
-    writer.boolean(version.program != nullptr);
-    if (version.program) put_program(writer, *version.program);
-}
-
-compiler::TaskVersion get_task_version(Reader& reader) {
-    compiler::TaskVersion version;
+void transfer(auto& ar, Ref<decltype(ar), compiler::TaskVersion> version) {
     auto& config = version.config;
-    config.fold = reader.boolean();
-    config.cse_pass = reader.boolean();
-    config.strength = reader.boolean();
-    config.dce_pass = reader.boolean();
-    config.inline_calls_pass = reader.boolean();
-    config.licm = reader.boolean();
-    config.unroll_factor = reader.int_field("unroll_factor");
-    const std::uint8_t security = reader.u8();
-    if (security > static_cast<std::uint8_t>(compiler::SecurityLevel::kLadder))
-        throw WireFormatError("wire security level invalid");
-    config.security = static_cast<compiler::SecurityLevel>(security);
-    config.opp_index = reader.u64();
-    version.analysable = reader.boolean();
-    version.wcet_s = reader.f64();
-    version.wcec_j = reader.f64();
-    version.time_s = reader.f64();
-    version.energy_j = reader.f64();
-    version.energy_dynamic_j = reader.f64();
-    version.leakage = reader.f64();
-    version.static_instrs = reader.int_field("static_instrs");
-    if (reader.boolean())
-        version.program =
-            std::make_shared<const ir::Program>(get_program(reader));
-    return version;
+    ar.boolean(config.fold);
+    ar.boolean(config.cse_pass);
+    ar.boolean(config.strength);
+    ar.boolean(config.dce_pass);
+    ar.boolean(config.inline_calls_pass);
+    ar.boolean(config.licm);
+    ar.int_field(config.unroll_factor, "unroll_factor");
+    ar.enumeration(config.security, compiler::SecurityLevel::kLadder,
+                   "security level");
+    ar.u64(config.opp_index);
+    ar.boolean(version.analysable);
+    ar.f64(version.wcet_s);
+    ar.f64(version.wcec_j);
+    ar.f64(version.time_s);
+    ar.f64(version.energy_j);
+    ar.f64(version.energy_dynamic_j);
+    ar.f64(version.leakage);
+    ar.int_field(version.static_instrs, "static_instrs");
+    if (ar.present(version.program))
+        transfer(ar, ar.pointee(version.program));
 }
 
-void put_estimate(Writer& writer, const profiler::Estimate& estimate) {
-    writer.f64(estimate.mean);
-    writer.f64(estimate.stddev);
-    writer.f64(estimate.p95);
-    writer.f64(estimate.max);
+void transfer(auto& ar, Ref<decltype(ar), profiler::Estimate> estimate) {
+    ar.f64(estimate.mean);
+    ar.f64(estimate.stddev);
+    ar.f64(estimate.p95);
+    ar.f64(estimate.max);
 }
 
-profiler::Estimate get_estimate(Reader& reader) {
-    profiler::Estimate estimate;
-    estimate.mean = reader.f64();
-    estimate.stddev = reader.f64();
-    estimate.p95 = reader.f64();
-    estimate.max = reader.f64();
-    return estimate;
-}
-
-void put_profile(Writer& writer, const profiler::TaskProfile& profile) {
-    writer.str(profile.function);
-    writer.i64(profile.runs);
-    put_estimate(writer, profile.time_s);
-    put_estimate(writer, profile.energy_j);
-    put_estimate(writer, profile.cycles);
-}
-
-profiler::TaskProfile get_profile(Reader& reader) {
-    profiler::TaskProfile profile;
-    profile.function = reader.str();
-    profile.runs = reader.int_field("profile.runs");
-    profile.time_s = get_estimate(reader);
-    profile.energy_j = get_estimate(reader);
-    profile.cycles = get_estimate(reader);
-    return profile;
-}
-
-void put_cache_stats(Writer& writer, const EvaluationCache::Stats& stats) {
-    writer.u64(stats.hits);
-    writer.u64(stats.misses);
-    writer.u64(stats.evictions);
-    writer.u64(stats.store_hits);
-    writer.u64(stats.store_misses);
-    writer.u64(stats.spills);
-    writer.u64(stats.store_rejects);
-    writer.u64(stats.remote_hits);
-    writer.u64(stats.remote_misses);
-    writer.u64(stats.entries);
-    writer.f64(stats.resident_cost);
-}
-
-EvaluationCache::Stats get_cache_stats(Reader& reader) {
-    EvaluationCache::Stats stats;
-    stats.hits = reader.u64();
-    stats.misses = reader.u64();
-    stats.evictions = reader.u64();
-    stats.store_hits = reader.u64();
-    stats.store_misses = reader.u64();
-    stats.spills = reader.u64();
-    stats.store_rejects = reader.u64();
-    stats.remote_hits = reader.u64();
-    stats.remote_misses = reader.u64();
-    stats.entries = reader.u64();
-    stats.resident_cost = reader.f64();
-    return stats;
-}
-
-void put_admission(Writer& writer, const AdmissionStats& stats) {
-    for (const auto& per_class : stats.classes) {
-        writer.u64(per_class.submitted);
-        writer.u64(per_class.admitted);
-        writer.u64(per_class.rejected);
-        writer.u64(per_class.shed);
-        writer.u64(per_class.completed);
-        writer.u64(per_class.cancelled);
-        writer.u64(per_class.failed);
-        writer.u64(per_class.queue_peak);
-    }
-    writer.u32(static_cast<std::uint32_t>(stats.remote_failures.size()));
-    for (const std::uint64_t failures : stats.remote_failures)
-        writer.u64(failures);
-}
-
-AdmissionStats get_admission(Reader& reader) {
-    AdmissionStats stats;
+void transfer(auto& ar, Ref<decltype(ar), AdmissionStats> stats) {
+    // One entry per priority class, without a count: the class set is
+    // fixed by the wire version.
     for (auto& per_class : stats.classes) {
-        per_class.submitted = reader.u64();
-        per_class.admitted = reader.u64();
-        per_class.rejected = reader.u64();
-        per_class.shed = reader.u64();
-        per_class.completed = reader.u64();
-        per_class.cancelled = reader.u64();
-        per_class.failed = reader.u64();
-        per_class.queue_peak = reader.u64();
+        ar.u64(per_class.submitted);
+        ar.u64(per_class.admitted);
+        ar.u64(per_class.rejected);
+        ar.u64(per_class.shed);
+        ar.u64(per_class.completed);
+        ar.u64(per_class.cancelled);
+        ar.u64(per_class.failed);
+        ar.u64(per_class.queue_peak);
     }
-    const std::uint32_t remotes = reader.count(8);
-    stats.remote_failures.reserve(remotes);
-    for (std::uint32_t i = 0; i < remotes; ++i)
-        stats.remote_failures.push_back(reader.u64());
-    return stats;
+    ar.seq(stats.remote_failures, 8,
+           [&](auto& failures) { ar.u64(failures); });
 }
 
-void put_telemetry(Writer& writer, const StageTelemetry& telemetry) {
-    writer.u32(static_cast<std::uint32_t>(telemetry.stages().size()));
-    for (const auto& [name, stage] : telemetry.stages()) {
-        writer.str(name);
-        writer.u64(stage.count);
-        writer.f64(stage.total_s);
-        writer.f64(stage.max_s);
-    }
-}
-
-StageTelemetry get_telemetry(Reader& reader) {
-    StageTelemetry telemetry;
-    const std::uint32_t n = reader.count(28);  // name len + 3 scalars
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::string name = reader.str();
-        StageTelemetry::PerStage stage;
-        stage.count = reader.u64();
-        stage.total_s = reader.f64();
-        stage.max_s = reader.f64();
-        telemetry.merge(name, stage);
-    }
-    return telemetry;
+void transfer(auto& ar, Ref<decltype(ar), StageTelemetry> telemetry) {
+    // StageTelemetry exposes its table read-only, so the reader rebuilds
+    // it by folding each decoded stage into an empty table.
+    auto stages = telemetry.stages();
+    ar.map(stages, 28, "telemetry stages",
+           [&](const std::string& /*name*/, auto& stage) {
+               ar.u64(stage.count);
+               ar.f64(stage.total_s);
+               ar.f64(stage.max_s);
+           });
+    if constexpr (kReads<decltype(ar)>)
+        for (const auto& [name, stage] : stages) {
+            telemetry.merge(name, stage);
+            // The fold starts from a zeroed entry, so it turns a negative,
+            // -0.0 or NaN max_s (and a -0.0 total) into +0.0: a stage it
+            // alters bit for bit would re-encode to different bytes.
+            const auto& folded = telemetry.stages().find(name)->second;
+            if (std::memcmp(&folded, &stage, sizeof stage) != 0)
+                throw WireFormatError("wire telemetry stage not canonical");
+        }
 }
 
 // -- platform -----------------------------------------------------------------
 
-void put_target_model(Writer& writer, const isa::TargetModel& model) {
-    writer.str(model.name);
-    writer.boolean(model.predictable);
-    writer.u32(static_cast<std::uint32_t>(model.cost.size()));
-    for (const auto& entry : model.cost) {
-        writer.f64(entry.cycles);
-        writer.f64(entry.energy_pj);
-    }
-    writer.f64(model.branch_cycles);
-    writer.f64(model.branch_energy_pj);
-    writer.f64(model.loop_iter_cycles);
-    writer.f64(model.loop_iter_energy_pj);
-    writer.f64(model.call_cycles);
-    writer.f64(model.call_energy_pj);
-    writer.f64(model.nominal_voltage);
-    writer.f64(model.data_alpha_pj_per_bit);
-    writer.f64(model.cache_miss_prob);
-    writer.f64(model.cache_miss_penalty);
-    writer.f64(model.timing_jitter_sigma);
-}
-
-isa::TargetModel get_target_model(Reader& reader) {
-    isa::TargetModel model;
-    model.name = reader.str();
-    model.predictable = reader.boolean();
-    // The cost table is fixed-size per codec generation; a different class
-    // count is a layout change, which is what the version field is for —
-    // here it can only mean corruption that survived the checksum window.
-    if (reader.u32() != model.cost.size())
-        throw WireFormatError("wire cost table size invalid");
+void transfer(auto& ar, Ref<decltype(ar), isa::TargetModel> model) {
+    ar.str(model.name);
+    ar.boolean(model.predictable);
+    ar.fixed_size(model.cost.size(), "cost table");
     for (auto& entry : model.cost) {
-        entry.cycles = reader.f64();
-        entry.energy_pj = reader.f64();
+        ar.f64(entry.cycles);
+        ar.f64(entry.energy_pj);
     }
-    model.branch_cycles = reader.f64();
-    model.branch_energy_pj = reader.f64();
-    model.loop_iter_cycles = reader.f64();
-    model.loop_iter_energy_pj = reader.f64();
-    model.call_cycles = reader.f64();
-    model.call_energy_pj = reader.f64();
-    model.nominal_voltage = reader.f64();
-    model.data_alpha_pj_per_bit = reader.f64();
-    model.cache_miss_prob = reader.f64();
-    model.cache_miss_penalty = reader.f64();
-    model.timing_jitter_sigma = reader.f64();
-    return model;
+    ar.f64(model.branch_cycles);
+    ar.f64(model.branch_energy_pj);
+    ar.f64(model.loop_iter_cycles);
+    ar.f64(model.loop_iter_energy_pj);
+    ar.f64(model.call_cycles);
+    ar.f64(model.call_energy_pj);
+    ar.f64(model.nominal_voltage);
+    ar.f64(model.data_alpha_pj_per_bit);
+    ar.f64(model.cache_miss_prob);
+    ar.f64(model.cache_miss_penalty);
+    ar.f64(model.timing_jitter_sigma);
 }
 
-void put_platform(Writer& writer, const platform::Platform& platform) {
-    writer.str(platform.name);
-    writer.f64(platform.base_power_w);
-    writer.u32(static_cast<std::uint32_t>(platform.cores.size()));
-    for (const auto& core : platform.cores) {
-        writer.str(core.name);
-        put_target_model(writer, core.model);
-        writer.u32(static_cast<std::uint32_t>(core.opps.size()));
-        for (const auto& opp : core.opps) {
-            writer.f64(opp.freq_hz);
-            writer.f64(opp.voltage);
-            writer.f64(opp.static_power_w);
-        }
-        writer.str(core.core_class);
-    }
-}
-
-platform::Platform get_platform(Reader& reader) {
-    platform::Platform platform;
-    platform.name = reader.str();
-    platform.base_power_w = reader.f64();
-    const std::uint32_t cores = reader.count(24);
-    platform.cores.reserve(cores);
-    for (std::uint32_t i = 0; i < cores; ++i) {
-        platform::Core core;
-        core.name = reader.str();
-        core.model = get_target_model(reader);
-        const std::uint32_t opps = reader.count(24);
-        core.opps.reserve(opps);
-        for (std::uint32_t j = 0; j < opps; ++j) {
-            platform::OperatingPoint opp;
-            opp.freq_hz = reader.f64();
-            opp.voltage = reader.f64();
-            opp.static_power_w = reader.f64();
-            core.opps.push_back(opp);
-        }
-        core.core_class = reader.str();
-        platform.cores.push_back(std::move(core));
-    }
-    return platform;
+void transfer(auto& ar, Ref<decltype(ar), platform::Platform> platform) {
+    ar.str(platform.name);
+    ar.f64(platform.base_power_w);
+    ar.seq(platform.cores, 24, [&](auto& core) {
+        ar.str(core.name);
+        transfer(ar, core.model);
+        ar.seq(core.opps, 24, [&](auto& opp) {
+            ar.f64(opp.freq_hz);
+            ar.f64(opp.voltage);
+            ar.f64(opp.static_power_w);
+        });
+        ar.str(core.core_class);
+    });
 }
 
 // -- CSL spec -----------------------------------------------------------------
 
-void put_app_spec(Writer& writer, const csl::AppSpec& spec) {
-    writer.str(spec.name);
-    writer.str(spec.platform);
-    writer.f64(spec.deadline_s);
-    writer.u32(static_cast<std::uint32_t>(spec.tasks.size()));
-    for (const auto& task : spec.tasks) {
-        writer.str(task.name);
-        writer.str(task.entry);
-        writer.f64(task.period_s);
-        writer.f64(task.deadline_s);
-        writer.f64(task.time_budget_s);
-        writer.f64(task.energy_budget_j);
-        writer.f64(task.leakage_budget);
-        writer.str(task.security_hint);
-        writer.str(task.core_class);
-        writer.u32(static_cast<std::uint32_t>(task.deps.size()));
-        for (const auto& dep : task.deps) writer.str(dep);
-    }
-}
-
-csl::AppSpec get_app_spec(Reader& reader) {
-    csl::AppSpec spec;
-    spec.name = reader.str();
-    spec.platform = reader.str();
-    spec.deadline_s = reader.f64();
-    const std::uint32_t tasks = reader.count(60);
-    spec.tasks.reserve(tasks);
-    for (std::uint32_t i = 0; i < tasks; ++i) {
-        csl::TaskSpec task;
-        task.name = reader.str();
-        task.entry = reader.str();
-        task.period_s = reader.f64();
-        task.deadline_s = reader.f64();
-        task.time_budget_s = reader.f64();
-        task.energy_budget_j = reader.f64();
-        task.leakage_budget = reader.f64();
-        task.security_hint = reader.str();
-        task.core_class = reader.str();
-        const std::uint32_t deps = reader.count(4);
-        task.deps.reserve(deps);
-        for (std::uint32_t j = 0; j < deps; ++j)
-            task.deps.push_back(reader.str());
-        spec.tasks.push_back(std::move(task));
-    }
-    return spec;
+void transfer(auto& ar, Ref<decltype(ar), csl::AppSpec> spec) {
+    ar.str(spec.name);
+    ar.str(spec.platform);
+    ar.f64(spec.deadline_s);
+    ar.seq(spec.tasks, 60, [&](auto& task) {
+        ar.str(task.name);
+        ar.str(task.entry);
+        ar.f64(task.period_s);
+        ar.f64(task.deadline_s);
+        ar.f64(task.time_budget_s);
+        ar.f64(task.energy_budget_j);
+        ar.f64(task.leakage_budget);
+        ar.str(task.security_hint);
+        ar.str(task.core_class);
+        ar.seq(task.deps, 4, [&](auto& dep) { ar.str(dep); });
+    });
 }
 
 // -- workflow options ---------------------------------------------------------
 
-void put_options(Writer& writer, const WorkflowOptions& options) {
-    writer.u8(static_cast<std::uint8_t>(options.compiler.engine));
-    writer.i64(options.compiler.population);
-    writer.i64(options.compiler.iterations);
-    writer.u64(options.compiler.seed);
-    writer.boolean(options.compiler.explore_security);
-    writer.u64(options.compiler.max_versions);
-    writer.u8(static_cast<std::uint8_t>(options.scheduler.objective));
-    writer.f64(options.scheduler.deadline_s);
-    writer.boolean(options.scheduler.anneal);
-    writer.i64(options.scheduler.anneal_iterations);
-    writer.u64(options.scheduler.seed);
-    writer.i64(options.profile_runs);
-    writer.boolean(options.glue_style.has_value());
-    if (options.glue_style)
-        writer.u8(static_cast<std::uint8_t>(*options.glue_style));
-}
-
-WorkflowOptions get_options(Reader& reader) {
-    WorkflowOptions options;
-    const std::uint8_t engine = reader.u8();
-    if (engine > static_cast<std::uint8_t>(
-                     compiler::MultiCriteriaCompiler::Engine::kWeightedSum))
-        throw WireFormatError("wire compiler engine invalid");
-    options.compiler.engine =
-        static_cast<compiler::MultiCriteriaCompiler::Engine>(engine);
-    options.compiler.population = reader.int_field("population");
-    options.compiler.iterations = reader.int_field("iterations");
-    options.compiler.seed = reader.u64();
-    options.compiler.explore_security = reader.boolean();
-    options.compiler.max_versions = reader.u64();
-    const std::uint8_t objective = reader.u8();
-    if (objective > static_cast<std::uint8_t>(
-                        coordination::Scheduler::Objective::kEnergy))
-        throw WireFormatError("wire scheduler objective invalid");
-    options.scheduler.objective =
-        static_cast<coordination::Scheduler::Objective>(objective);
-    options.scheduler.deadline_s = reader.f64();
-    options.scheduler.anneal = reader.boolean();
-    options.scheduler.anneal_iterations = reader.int_field("anneal_iterations");
-    options.scheduler.seed = reader.u64();
-    options.profile_runs = reader.int_field("profile_runs");
-    if (reader.boolean()) {
-        const std::uint8_t style = reader.u8();
-        if (style > static_cast<std::uint8_t>(coordination::GlueStyle::kPosix))
-            throw WireFormatError("wire glue style invalid");
-        options.glue_style = static_cast<coordination::GlueStyle>(style);
-    }
-    return options;
+void transfer(auto& ar, Ref<decltype(ar), WorkflowOptions> options) {
+    ar.enumeration(options.compiler.engine,
+                   compiler::MultiCriteriaCompiler::Engine::kWeightedSum,
+                   "compiler engine");
+    ar.int_field(options.compiler.population, "population");
+    ar.int_field(options.compiler.iterations, "iterations");
+    ar.u64(options.compiler.seed);
+    ar.boolean(options.compiler.explore_security);
+    ar.u64(options.compiler.max_versions);
+    ar.enumeration(options.scheduler.objective,
+                   coordination::Scheduler::Objective::kEnergy,
+                   "scheduler objective");
+    ar.f64(options.scheduler.deadline_s);
+    ar.boolean(options.scheduler.anneal);
+    ar.int_field(options.scheduler.anneal_iterations, "anneal_iterations");
+    ar.u64(options.scheduler.seed);
+    ar.int_field(options.profile_runs, "profile_runs");
+    if (ar.present(options.glue_style))
+        ar.enumeration(ar.pointee(options.glue_style),
+                       coordination::GlueStyle::kPosix, "glue style");
 }
 
 // -- report payloads ----------------------------------------------------------
 
-void put_task_graph(Writer& writer, const coordination::TaskGraph& graph) {
-    writer.str(graph.app_name);
-    writer.u32(static_cast<std::uint32_t>(graph.tasks.size()));
-    for (const auto& task : graph.tasks) {
-        writer.str(task.name);
-        writer.str(task.entry_fn);
-        writer.u32(static_cast<std::uint32_t>(task.deps.size()));
-        for (const auto& dep : task.deps) writer.str(dep);
-        writer.f64(task.period_s);
-        writer.f64(task.deadline_s);
-        // std::map iteration: core-class order, canonical on both sides.
-        writer.u32(static_cast<std::uint32_t>(task.versions.size()));
-        for (const auto& [core_class, versions] : task.versions) {
-            writer.str(core_class);
-            writer.u32(static_cast<std::uint32_t>(versions.size()));
-            for (const auto& choice : versions) {
-                writer.f64(choice.time_s);
-                writer.f64(choice.energy_j);
-                writer.f64(choice.leakage);
-                writer.u64(choice.opp_index);
-                writer.str(choice.note);
-            }
-        }
-    }
+void transfer(auto& ar, Ref<decltype(ar), coordination::Task> task) {
+    ar.str(task.name);
+    ar.str(task.entry_fn);
+    ar.seq(task.deps, 4, [&](auto& dep) { ar.str(dep); });
+    ar.f64(task.period_s);
+    ar.f64(task.deadline_s);
+    ar.map(task.versions, 8, "version map",
+           [&](const std::string& /*core_class*/, auto& versions) {
+               ar.seq(versions, 36, [&](auto& choice) {
+                   ar.f64(choice.time_s);
+                   ar.f64(choice.energy_j);
+                   ar.f64(choice.leakage);
+                   ar.u64(choice.opp_index);
+                   ar.str(choice.note);
+               });
+           });
 }
 
-coordination::TaskGraph get_task_graph(Reader& reader) {
-    coordination::TaskGraph graph;
-    graph.app_name = reader.str();
-    const std::uint32_t tasks = reader.count(32);
-    graph.tasks.reserve(tasks);
-    for (std::uint32_t i = 0; i < tasks; ++i) {
-        coordination::Task task;
-        task.name = reader.str();
-        task.entry_fn = reader.str();
-        const std::uint32_t deps = reader.count(4);
-        task.deps.reserve(deps);
-        for (std::uint32_t j = 0; j < deps; ++j)
-            task.deps.push_back(reader.str());
-        task.period_s = reader.f64();
-        task.deadline_s = reader.f64();
-        const std::uint32_t classes = reader.count(8);
-        std::string previous_class;
-        for (std::uint32_t j = 0; j < classes; ++j) {
-            std::string core_class = reader.str();
-            if (j > 0 && core_class <= previous_class)
-                throw WireFormatError(
-                    "wire version map not in canonical order");
-            previous_class = core_class;
-            const std::uint32_t versions = reader.count(36);
-            std::vector<coordination::VersionChoice> choices;
-            choices.reserve(versions);
-            for (std::uint32_t k = 0; k < versions; ++k) {
-                coordination::VersionChoice choice;
-                choice.time_s = reader.f64();
-                choice.energy_j = reader.f64();
-                choice.leakage = reader.f64();
-                choice.opp_index = reader.u64();
-                choice.note = reader.str();
-                choices.push_back(std::move(choice));
-            }
-            task.versions[std::move(core_class)] = std::move(choices);
-        }
-        graph.tasks.push_back(std::move(task));
-    }
-    return graph;
+void transfer(auto& ar, Ref<decltype(ar), coordination::TaskGraph> graph) {
+    ar.str(graph.app_name);
+    ar.seq(graph.tasks, 32, [&](auto& task) { transfer(ar, task); });
 }
 
-void put_schedule(Writer& writer, const coordination::Schedule& schedule) {
-    writer.u32(static_cast<std::uint32_t>(schedule.entries.size()));
-    for (const auto& entry : schedule.entries) {
-        writer.str(entry.task);
-        writer.u64(entry.core);
-        writer.u64(entry.version);
-        writer.str(entry.core_class);
-        writer.f64(entry.start_s);
-        writer.f64(entry.finish_s);
-        writer.f64(entry.dynamic_energy_j);
-        writer.u64(entry.opp_index);
-    }
-    writer.f64(schedule.makespan_s);
-    writer.boolean(schedule.feasible);
+void transfer(auto& ar, Ref<decltype(ar), coordination::Schedule> schedule) {
+    ar.seq(schedule.entries, 56, [&](auto& entry) {
+        ar.str(entry.task);
+        ar.u64(entry.core);
+        ar.u64(entry.version);
+        ar.str(entry.core_class);
+        ar.f64(entry.start_s);
+        ar.f64(entry.finish_s);
+        ar.f64(entry.dynamic_energy_j);
+        ar.u64(entry.opp_index);
+    });
+    ar.f64(schedule.makespan_s);
+    ar.boolean(schedule.feasible);
 }
 
-coordination::Schedule get_schedule(Reader& reader) {
-    coordination::Schedule schedule;
-    const std::uint32_t entries = reader.count(64);
-    schedule.entries.reserve(entries);
-    for (std::uint32_t i = 0; i < entries; ++i) {
-        coordination::ScheduleEntry entry;
-        entry.task = reader.str();
-        entry.core = reader.u64();
-        entry.version = reader.u64();
-        entry.core_class = reader.str();
-        entry.start_s = reader.f64();
-        entry.finish_s = reader.f64();
-        entry.dynamic_energy_j = reader.f64();
-        entry.opp_index = reader.u64();
-        schedule.entries.push_back(std::move(entry));
-    }
-    schedule.makespan_s = reader.f64();
-    schedule.feasible = reader.boolean();
-    return schedule;
+void transfer(auto& ar, Ref<decltype(ar), contracts::ProofNode> node,
+              int depth = 0) {
+    ar.nesting(depth, "proof");
+    ar.enumeration(node.rule, contracts::ProofRule::kStaticLeak,
+                   "proof rule");
+    ar.f64(node.value);
+    ar.f64(node.param);
+    ar.str(node.note);
+    ar.seq(node.children, 25,
+           [&](auto& child) { transfer(ar, child, depth + 1); });
 }
 
-void put_proof_node(Writer& writer, const contracts::ProofNode& node) {
-    writer.u8(static_cast<std::uint8_t>(node.rule));
-    writer.f64(node.value);
-    writer.f64(node.param);
-    writer.str(node.note);
-    writer.u32(static_cast<std::uint32_t>(node.children.size()));
-    for (const auto& child : node.children) put_proof_node(writer, child);
+void transfer(auto& ar, Ref<decltype(ar), contracts::Certificate> certificate) {
+    ar.str(certificate.app);
+    ar.str(certificate.platform);
+    ar.seq(certificate.results, 48, [&](auto& result) {
+        ar.str(result.poi);
+        ar.enumeration(result.property, contracts::Property::kSecurity,
+                       "contract property");
+        ar.f64(result.budget);
+        ar.f64(result.analysed);
+        ar.boolean(result.holds);
+        ar.boolean(result.measured_only);
+        transfer(ar, result.proof);
+    });
 }
 
-contracts::ProofNode get_proof_node(Reader& reader, int depth) {
-    if (depth > kMaxNodeDepth)
-        throw WireFormatError("wire proof tree nested too deeply");
-    contracts::ProofNode node;
-    const std::uint8_t rule = reader.u8();
-    if (rule > static_cast<std::uint8_t>(contracts::ProofRule::kStaticLeak))
-        throw WireFormatError("wire proof rule invalid");
-    node.rule = static_cast<contracts::ProofRule>(rule);
-    node.value = reader.f64();
-    node.param = reader.f64();
-    node.note = reader.str();
-    const std::uint32_t children = reader.count(25);
-    node.children.reserve(children);
-    for (std::uint32_t i = 0; i < children; ++i)
-        node.children.push_back(get_proof_node(reader, depth + 1));
-    return node;
+void transfer(auto& ar, Ref<decltype(ar), ToolchainReport> report) {
+    transfer(ar, report.spec);
+    ar.str(report.platform_name);
+    transfer(ar, report.graph);
+    transfer(ar, report.schedule);
+    transfer(ar, report.certificate);
+    ar.str(report.glue_code);
+    ar.str(report.sequential_glue);
+    ar.seq(report.fronts, 12, [&](auto& front) {
+        ar.str(front.task);
+        ar.str(front.core_class);
+        ar.seq(front.versions, 16,
+               [&](auto& version) { transfer(ar, version); });
+    });
+    ar.map(report.rta, 13, "rta map",
+           [&](std::size_t /*core*/, auto& rta) {
+               ar.boolean(rta.schedulable);
+               ar.seq(rta.response_times, 8,
+                      [&](auto& response) { ar.f64(response); });
+           });
+    ar.seq(report.stage_laps, 12, [&](auto& lap) {
+        ar.str(lap.stage);
+        ar.f64(lap.seconds);
+    });
 }
 
-void put_certificate(Writer& writer,
-                     const contracts::Certificate& certificate) {
-    writer.str(certificate.app);
-    writer.str(certificate.platform);
-    writer.u32(static_cast<std::uint32_t>(certificate.results.size()));
-    for (const auto& result : certificate.results) {
-        writer.str(result.poi);
-        writer.u8(static_cast<std::uint8_t>(result.property));
-        writer.f64(result.budget);
-        writer.f64(result.analysed);
-        writer.boolean(result.holds);
-        writer.boolean(result.measured_only);
-        put_proof_node(writer, result.proof);
-    }
+// -- message payloads ---------------------------------------------------------
+
+void transfer(auto& ar, Ref<decltype(ar), EvaluationKey> key) {
+    ar.u64(key.structural_fp);
+    ar.str(key.entry);
+    ar.str(key.core_class);
+    ar.u64(key.opp_index);
+    ar.enumeration(key.kind, AnalysisKind::kTaint, "analysis kind");
+    ar.u64(key.params);
 }
 
-contracts::Certificate get_certificate(Reader& reader) {
-    contracts::Certificate certificate;
-    certificate.app = reader.str();
-    certificate.platform = reader.str();
-    const std::uint32_t results = reader.count(48);
-    certificate.results.reserve(results);
-    for (std::uint32_t i = 0; i < results; ++i) {
-        contracts::ContractResult result;
-        result.poi = reader.str();
-        const std::uint8_t property = reader.u8();
-        if (property >
-            static_cast<std::uint8_t>(contracts::Property::kSecurity))
-            throw WireFormatError("wire contract property invalid");
-        result.property = static_cast<contracts::Property>(property);
-        result.budget = reader.f64();
-        result.analysed = reader.f64();
-        result.holds = reader.boolean();
-        result.measured_only = reader.boolean();
-        result.proof = get_proof_node(reader, 0);
-        certificate.results.push_back(std::move(result));
-    }
-    return certificate;
+void transfer(auto& ar, Ref<decltype(ar), EvaluationResult> result) {
+    if (ar.present(result.front))
+        ar.seq(ar.pointee(result.front), 16,
+               [&](auto& version) { transfer(ar, version); });
+    ar.str(result.profile.function);
+    ar.int_field(result.profile.runs, "profile.runs");
+    transfer(ar, result.profile.time_s);
+    transfer(ar, result.profile.energy_j);
+    transfer(ar, result.profile.cycles);
+    ar.f64(result.leakage);
 }
 
-void put_report(Writer& writer, const ToolchainReport& report) {
-    put_app_spec(writer, report.spec);
-    writer.str(report.platform_name);
-    put_task_graph(writer, report.graph);
-    put_schedule(writer, report.schedule);
-    put_certificate(writer, report.certificate);
-    writer.str(report.glue_code);
-    writer.str(report.sequential_glue);
-    writer.u32(static_cast<std::uint32_t>(report.fronts.size()));
-    for (const auto& front : report.fronts) {
-        writer.str(front.task);
-        writer.str(front.core_class);
-        writer.u32(static_cast<std::uint32_t>(front.versions.size()));
-        for (const auto& version : front.versions)
-            put_task_version(writer, version);
-    }
-    // std::map iteration: ascending core index, canonical on both sides.
-    writer.u32(static_cast<std::uint32_t>(report.rta.size()));
-    for (const auto& [core, rta] : report.rta) {
-        writer.u64(core);
-        writer.boolean(rta.schedulable);
-        writer.u32(static_cast<std::uint32_t>(rta.response_times.size()));
-        for (const double response : rta.response_times)
-            writer.f64(response);
-    }
-    writer.u32(static_cast<std::uint32_t>(report.stage_laps.size()));
-    for (const auto& lap : report.stage_laps) {
-        writer.str(lap.stage);
-        writer.f64(lap.seconds);
-    }
+void transfer(auto& ar, Ref<decltype(ar), BatchStats> stats) {
+    ar.u64(stats.scenarios);
+    ar.u64(stats.workers);
+    ar.f64(stats.wall_s);
+    ar.f64(stats.scenarios_per_s);
+    ar.u64(stats.cache.hits);
+    ar.u64(stats.cache.misses);
+    ar.u64(stats.cache.evictions);
+    ar.u64(stats.cache.store_hits);
+    ar.u64(stats.cache.store_misses);
+    ar.u64(stats.cache.spills);
+    ar.u64(stats.cache.store_rejects);
+    ar.u64(stats.cache.remote_hits);
+    ar.u64(stats.cache.remote_misses);
+    ar.u64(stats.cache.entries);
+    ar.f64(stats.cache.resident_cost);
+    transfer(ar, stats.stage_telemetry);
+    transfer(ar, stats.admission);
 }
 
-ToolchainReport get_report(Reader& reader) {
-    ToolchainReport report;
-    report.spec = get_app_spec(reader);
-    report.platform_name = reader.str();
-    report.graph = get_task_graph(reader);
-    report.schedule = get_schedule(reader);
-    report.certificate = get_certificate(reader);
-    report.glue_code = reader.str();
-    report.sequential_glue = reader.str();
-    const std::uint32_t fronts = reader.count(12);
-    report.fronts.reserve(fronts);
-    for (std::uint32_t i = 0; i < fronts; ++i) {
-        TaskFront front;
-        front.task = reader.str();
-        front.core_class = reader.str();
-        const std::uint32_t versions = reader.count(16);
-        front.versions.reserve(versions);
-        for (std::uint32_t j = 0; j < versions; ++j)
-            front.versions.push_back(get_task_version(reader));
-        report.fronts.push_back(std::move(front));
+/// A request encodes from a ScenarioRequest, which borrows its program and
+/// platform, and decodes into a ScenarioRequestFrame, which owns them.
+template <class Ar>
+using RequestRef = std::conditional_t<kReads<Ar>, ScenarioRequestFrame&,
+                                      const ScenarioRequest&>;
+
+void transfer(auto& ar, RequestRef<decltype(ar)> request) {
+    if constexpr (kReads<decltype(ar)>) {
+        transfer(ar, request.program);
+        transfer(ar, request.platform);
+    } else {
+        transfer(ar, *request.program);
+        transfer(ar, *request.platform);
     }
-    const std::uint32_t rta_entries = reader.count(13);
-    bool have_previous_core = false;
-    std::size_t previous_core = 0;
-    for (std::uint32_t i = 0; i < rta_entries; ++i) {
-        const std::size_t core = reader.u64();
-        if (have_previous_core && core <= previous_core)
-            throw WireFormatError("wire rta map not in canonical order");
-        have_previous_core = true;
-        previous_core = core;
-        coordination::RtaResult rta;
-        rta.schedulable = reader.boolean();
-        const std::uint32_t responses = reader.count(8);
-        rta.response_times.reserve(responses);
-        for (std::uint32_t j = 0; j < responses; ++j)
-            rta.response_times.push_back(reader.f64());
-        report.rta[core] = std::move(rta);
-    }
-    const std::uint32_t laps = reader.count(12);
-    report.stage_laps.reserve(laps);
-    for (std::uint32_t i = 0; i < laps; ++i) {
-        StageLap lap;
-        lap.stage = reader.str();
-        lap.seconds = reader.f64();
-        report.stage_laps.push_back(std::move(lap));
-    }
-    return report;
+    ar.str(request.csl_source);
+    if (ar.present(request.spec)) transfer(ar, ar.pointee(request.spec));
+    transfer(ar, request.options);
+    ar.str(request.label);
+    ar.enumeration(request.priority, Priority::kBackground, "priority byte");
+    if (ar.present(request.deadline))
+        ar.budget(ar.pointee(request.deadline));
+}
+
+// -- framing ------------------------------------------------------------------
+
+template <class T>
+Buffer encode_message(MessageKind kind, const T& value) {
+    Writer writer;
+    writer.le<4>(kMagic);
+    writer.le<2>(kVersion);
+    writer.le<1>(static_cast<std::uint8_t>(kind));
+    transfer(writer, value);
+    writer.le<8>(fnv1a(writer.out));
+    return std::move(writer.out);
+}
+
+/// Validate framing (length, magic, checksum, version, kind), decode the
+/// payload and reject any bytes left over.
+template <class T>
+T decode_message(std::span<const std::uint8_t> buffer, MessageKind kind) {
+    if (buffer.size() < kHeaderBytes + kChecksumBytes)
+        throw WireFormatError("wire buffer shorter than frame");
+    const auto body = buffer.first(buffer.size() - kChecksumBytes);
+    Reader frame{buffer};
+    if (frame.le<4>() != kMagic) throw WireFormatError("wire magic mismatch");
+    // Checksum before version: corruption must never masquerade as a
+    // version skew.
+    Reader trailer{buffer, buffer.size() - kChecksumBytes};
+    if (trailer.le<8>() != fnv1a(body))
+        throw WireFormatError("wire checksum mismatch");
+    const auto version = static_cast<std::uint16_t>(frame.le<2>());
+    if (version != kVersion) throw WireVersionError(version, kVersion);
+    if (frame.le<1>() != static_cast<std::uint8_t>(kind))
+        throw WireFormatError("wire message kind mismatch");
+
+    Reader reader{body, kHeaderBytes};
+    T value;
+    transfer(reader, value);
+    if (reader.pos != reader.data.size())
+        throw WireFormatError("wire payload has trailing bytes");
+    return value;
 }
 
 }  // namespace
@@ -964,114 +685,46 @@ ToolchainReport get_report(Reader& reader) {
 // -- public surface -----------------------------------------------------------
 
 Buffer encode(const EvaluationKey& key) {
-    Writer writer = begin_message(MessageKind::kKey);
-    writer.u64(key.structural_fp);
-    writer.str(key.entry);
-    writer.str(key.core_class);
-    writer.u64(key.opp_index);
-    writer.u8(static_cast<std::uint8_t>(key.kind));
-    writer.u64(key.params);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kKey, key);
 }
 
 EvaluationKey decode_key(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kKey);
-    EvaluationKey key;
-    key.structural_fp = reader.u64();
-    key.entry = reader.str();
-    key.core_class = reader.str();
-    key.opp_index = reader.u64();
-    const std::uint8_t kind = reader.u8();
-    if (kind > static_cast<std::uint8_t>(AnalysisKind::kTaint))
-        throw WireFormatError("wire analysis kind invalid");
-    key.kind = static_cast<AnalysisKind>(kind);
-    key.params = reader.u64();
-    expect_fully_consumed(reader);
-    return key;
+    return decode_message<EvaluationKey>(buffer, MessageKind::kKey);
 }
 
 Buffer encode(const EvaluationResult& result) {
-    Writer writer = begin_message(MessageKind::kResult);
-    writer.boolean(result.front != nullptr);
-    if (result.front) {
-        writer.u32(static_cast<std::uint32_t>(result.front->size()));
-        for (const auto& version : *result.front)
-            put_task_version(writer, version);
-    }
-    put_profile(writer, result.profile);
-    writer.f64(result.leakage);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kResult, result);
 }
 
 EvaluationResult decode_result(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kResult);
-    EvaluationResult result;
-    if (reader.boolean()) {
-        const std::uint32_t n = reader.count(16);
-        std::vector<compiler::TaskVersion> versions;
-        versions.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-            versions.push_back(get_task_version(reader));
-        result.front =
-            std::make_shared<const std::vector<compiler::TaskVersion>>(
-                std::move(versions));
-    }
-    result.profile = get_profile(reader);
-    result.leakage = reader.f64();
-    expect_fully_consumed(reader);
-    return result;
+    return decode_message<EvaluationResult>(buffer, MessageKind::kResult);
 }
 
 Buffer encode(const StageTelemetry& telemetry) {
-    Writer writer = begin_message(MessageKind::kTelemetry);
-    put_telemetry(writer, telemetry);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kTelemetry, telemetry);
 }
 
 StageTelemetry decode_telemetry(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kTelemetry);
-    StageTelemetry telemetry = get_telemetry(reader);
-    expect_fully_consumed(reader);
-    return telemetry;
+    return decode_message<StageTelemetry>(buffer, MessageKind::kTelemetry);
 }
 
 Buffer encode(const BatchStats& stats) {
-    Writer writer = begin_message(MessageKind::kBatchStats);
-    writer.u64(stats.scenarios);
-    writer.u64(stats.workers);
-    writer.f64(stats.wall_s);
-    writer.f64(stats.scenarios_per_s);
-    put_cache_stats(writer, stats.cache);
-    put_telemetry(writer, stats.stage_telemetry);
-    put_admission(writer, stats.admission);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kBatchStats, stats);
 }
 
 BatchStats decode_batch_stats(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kBatchStats);
-    BatchStats stats;
-    stats.scenarios = reader.u64();
-    stats.workers = reader.u64();
-    stats.wall_s = reader.f64();
-    stats.scenarios_per_s = reader.f64();
-    stats.cache = get_cache_stats(reader);
-    stats.stage_telemetry = get_telemetry(reader);
-    stats.admission = get_admission(reader);
-    expect_fully_consumed(reader);
-    return stats;
+    return decode_message<BatchStats>(buffer, MessageKind::kBatchStats);
 }
 
 ScenarioRequest ScenarioRequestFrame::request() const {
-    ScenarioRequest request;
-    request.program = &program;
-    request.platform = &platform;
-    request.csl_source = csl_source;
-    request.spec = spec;
-    request.options = options;
-    request.label = label;
-    request.priority = priority;
-    request.deadline = deadline;
-    return request;
+    return {.program = &program,
+            .platform = &platform,
+            .csl_source = csl_source,
+            .spec = spec,
+            .options = options,
+            .label = label,
+            .priority = priority,
+            .deadline = deadline};
 }
 
 Buffer encode(const ScenarioRequest& request) {
@@ -1079,65 +732,19 @@ Buffer encode(const ScenarioRequest& request) {
         throw std::invalid_argument(
             "wire: cannot encode a ScenarioRequest without a program and "
             "platform");
-    Writer writer = begin_message(MessageKind::kRequest);
-    put_program(writer, *request.program);
-    put_platform(writer, *request.platform);
-    writer.str(request.csl_source);
-    writer.boolean(request.spec.has_value());
-    if (request.spec) put_app_spec(writer, *request.spec);
-    put_options(writer, request.options);
-    writer.str(request.label);
-    writer.u8(static_cast<std::uint8_t>(request.priority));
-    // The deadline crosses as remaining budget, sampled now: an absolute
-    // steady-clock value is meaningless on another host's clock.
-    writer.boolean(request.deadline.has_value());
-    if (request.deadline.has_value())
-        writer.f64(std::chrono::duration<double>(
-                       *request.deadline - std::chrono::steady_clock::now())
-                       .count());
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kRequest, request);
 }
 
 ScenarioRequestFrame decode_request(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kRequest);
-    ScenarioRequestFrame frame;
-    frame.program = get_program(reader);
-    frame.platform = get_platform(reader);
-    frame.csl_source = reader.str();
-    if (reader.boolean()) frame.spec = get_app_spec(reader);
-    frame.options = get_options(reader);
-    frame.label = reader.str();
-    const std::uint8_t priority = reader.u8();
-    if (priority >= kNumPriorityClasses)
-        throw WireFormatError("wire priority byte invalid");
-    frame.priority = static_cast<Priority>(priority);
-    if (reader.boolean()) {
-        const double budget_s = reader.f64();
-        if (std::isnan(budget_s))
-            throw WireFormatError("wire deadline budget is NaN");
-        // Re-anchor on this host's steady clock.  A negative budget is
-        // legal: it means the deadline passed in transit and admission
-        // should refuse the request immediately.
-        frame.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(budget_s));
-    }
-    expect_fully_consumed(reader);
-    return frame;
+    return decode_message<ScenarioRequestFrame>(buffer, MessageKind::kRequest);
 }
 
 Buffer encode(const ToolchainReport& report) {
-    Writer writer = begin_message(MessageKind::kReport);
-    put_report(writer, report);
-    return seal_message(std::move(writer));
+    return encode_message(MessageKind::kReport, report);
 }
 
 ToolchainReport decode_report(std::span<const std::uint8_t> buffer) {
-    Reader reader = open_message(buffer, MessageKind::kReport);
-    ToolchainReport report = get_report(reader);
-    expect_fully_consumed(reader);
-    return report;
+    return decode_message<ToolchainReport>(buffer, MessageKind::kReport);
 }
 
 // -- frame streams ------------------------------------------------------------

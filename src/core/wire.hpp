@@ -1,14 +1,14 @@
 // Versioned, endian-stable binary wire codec for the service core.
 //
-// The distributed follow-on to in-process sharding (DESIGN.md §8) moves
-// memoised evaluation results and merged telemetry between hosts; this
-// codec defines the byte format those messages travel in.  Six message
-// types are covered — `EvaluationKey`, `EvaluationResult` (including full
-// IR programs inside compiled task versions), `StageTelemetry`,
-// `BatchStats`, `ScenarioRequest` (program + platform + CSL + options,
-// everything a remote shard needs to run the scenario) and
-// `ToolchainReport` (the full reply, certificate included) — with strict
-// round-trip guarantees:
+// The shard fabric (net/, DESIGN.md §11) and the result store move
+// requests, reports, memoised evaluation results and merged telemetry
+// between hosts and onto disk; this codec defines the byte format those
+// messages travel in.  Six message types are covered — `EvaluationKey`,
+// `EvaluationResult` (including full IR programs inside compiled task
+// versions), `StageTelemetry`, `BatchStats`, `ScenarioRequest` (program +
+// platform + CSL + options, everything a remote shard needs to run the
+// scenario) and `ToolchainReport` (the full reply, certificate included)
+// — with strict round-trip guarantees:
 //
 //   decode(encode(x)) == x   field-for-field (doubles bit-exact),
 //   encode(decode(b)) == b   byte-for-byte for any accepted buffer.
@@ -26,13 +26,17 @@
 //
 //   u32  magic      0x5450_4C57 ("TPLW")
 //   u16  version    kVersion — decoder rejects any other value
-//   u8   kind       message discriminator (key/result/telemetry/batch)
+//   u8   kind       message discriminator (key/result/telemetry/batch/
+//                   request/report)
 //   ...  payload    message-specific, length-prefixed strings/sequences
 //   u64  checksum   FNV-1a 64 of every preceding byte
 //
 // Strictness: the decoder bounds-checks every read, validates every enum
 // and bool byte, rejects int fields outside int range (naming the field),
-// rejects trailing garbage, and verifies the trailing
+// rejects sequence counts the remaining bytes cannot hold, requires every
+// map (program functions, version maps, RTA, telemetry stages) in
+// canonical order (strictly increasing keys: duplicates and unsorted keys
+// are refused), rejects trailing garbage, and verifies the trailing
 // checksum before interpreting the payload — a truncated or corrupted
 // buffer raises WireFormatError, never a partially-filled value.  A valid
 // buffer from a different codec generation raises WireVersionError (the
@@ -137,10 +141,10 @@ struct ScenarioRequestFrame {
 // -- frame streams ------------------------------------------------------------
 //
 // Length-prefixed framing for byte streams of wire messages (an on-disk
-// result-store segment, a future socket transport): u32 LE payload length
-// followed by the payload.  The payload is itself a sealed wire message,
-// so stream corruption is caught either by the framing bounds here or by
-// the message checksum inside the frame.
+// result-store segment; net/'s TCP transport uses the same u32 prefix):
+// u32 LE payload length followed by the payload.  The payload is itself a
+// sealed wire message, so stream corruption is caught either by the
+// framing bounds here or by the message checksum inside the frame.
 
 /// Append `message` to `stream` as one length-prefixed frame.
 void append_frame(Buffer& stream, std::span<const std::uint8_t> message);

@@ -1,8 +1,9 @@
 // Shard fabric transport (net/): loopback round-trips are byte-identical
 // to in-process runs, transport faults (mid-frame disconnect, server
 // restart, poisoned frames) surface as the retryable cancellation class
-// and never poison the server, cancels propagate across the wire, and a
-// warm fabric peer serves a cold engine's misses with zero recomputes.
+// and never poison the server, cancels propagate across the wire, a warm
+// fabric peer serves a cold engine's misses with zero recomputes, and
+// resealed mutants of a kReplyStats envelope round-trip or raise WireError.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/scenario_engine.hpp"
 #include "core/sharded_engine.hpp"
@@ -79,6 +81,63 @@ TEST(Net, EnvelopeRoundTripAndRejects) {
     bad_type[8] = 0xEE;
     EXPECT_THROW((void)net::decode_envelope(bad_type),
                  core::wire::WireFormatError);
+}
+
+/// Recompute the FNV-1a 64 trailer of an envelope's wire payload, so a
+/// mutated envelope reaches the structural decoder instead of failing the
+/// checksum.
+void reseal_payload(core::wire::Buffer& envelope_bytes) {
+    std::uint64_t checksum = 14695981039346656037ULL;
+    const std::size_t trailer = envelope_bytes.size() - 8;
+    for (std::size_t i = 9; i < trailer; ++i) {
+        checksum ^= envelope_bytes[i];
+        checksum *= 1099511628211ULL;
+    }
+    for (std::size_t i = 0; i < 8; ++i)
+        envelope_bytes[trailer + i] =
+            static_cast<std::uint8_t>(checksum >> (8 * i));
+}
+
+// Every byte of a kReplyStats envelope, flipped with masks 0x01 and 0x80
+// and resealed: an accepted envelope re-encodes to the mutant, and a
+// kReplyStats payload either decodes and re-encodes to itself or raises a
+// WireError.
+TEST(Net, ResealedStatsEnvelopeMutantsRoundTripOrRaiseWireError) {
+    core::ScenarioEngine engine;
+    const std::vector<core::ScenarioRequest> requests{light_request()};
+    core::BatchStats stats;
+    (void)engine.run_all(requests, &stats);
+    stats.admission.remote_failures = {0, 3};
+    const auto pristine = net::encode_envelope(
+        {0x0102030405060708ULL, net::MsgType::kReplyStats,
+         core::wire::encode(stats)});
+
+    std::size_t stats_accepted = 0;
+    for (std::size_t i = 0; i < pristine.size(); ++i) {
+        for (const std::uint8_t mask : {0x01, 0x80}) {
+            auto mutant = pristine;
+            mutant[i] ^= mask;
+            reseal_payload(mutant);
+            net::Envelope envelope;
+            try {
+                envelope = net::decode_envelope(mutant);
+            } catch (const core::wire::WireError&) {
+                continue;
+            }
+            EXPECT_TRUE(net::encode_envelope(envelope) == mutant)
+                << "byte " << i << ", mask " << int{mask};
+            if (envelope.type != net::MsgType::kReplyStats) continue;
+            try {
+                EXPECT_TRUE(core::wire::encode(core::wire::decode_batch_stats(
+                                envelope.payload)) == envelope.payload)
+                    << "accepted payload (byte " << i << ", mask "
+                    << int{mask} << ") does not re-encode to itself";
+                ++stats_accepted;
+            } catch (const core::wire::WireError&) {
+            }
+        }
+    }
+    EXPECT_GT(stats_accepted, 0U);
 }
 
 TEST(Net, LoopbackReportIsByteIdenticalToInProcess) {

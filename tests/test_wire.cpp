@@ -2,8 +2,10 @@
 // message types (including full IR programs inside compiled task versions
 // and whole ScenarioRequest/ToolchainReport frames), property-style
 // randomised keys/telemetry with a seeded RNG, strict rejection of
-// truncated/corrupted/trailing-garbage buffers and of out-of-range int
-// fields, and the version-mismatch error path.
+// truncated/corrupted/trailing-garbage buffers, of out-of-range int fields
+// and of non-canonical telemetry, the version-mismatch error path,
+// resealed mutation sweeps, sequences of minimal elements through every
+// count guard, and the pinned length and digest of every message kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,7 +141,7 @@ TEST(Wire, ResultWithCompiledFrontRoundTrips) {
     EXPECT_EQ(core::wire::encode(decoded), buffer);
 }
 
-TEST(Wire, ResultWithProfileRoundTrips) {
+core::EvaluationResult sample_profile_result() {
     core::EvaluationResult result;
     result.profile.function = "uav_detect";
     result.profile.runs = 25;
@@ -147,7 +149,11 @@ TEST(Wire, ResultWithProfileRoundTrips) {
     result.profile.energy_j = {3.0e-4, 1.0e-6, 3.2e-4, 3.3e-4};
     result.profile.cycles = {1.2e6, 3.4e3, 1.3e6, 1.31e6};
     result.leakage = 1.75;
+    return result;
+}
 
+TEST(Wire, ResultWithProfileRoundTrips) {
+    const auto result = sample_profile_result();
     const auto buffer = core::wire::encode(result);
     const auto decoded = core::wire::decode_result(buffer);
     EXPECT_EQ(decoded.front, nullptr);
@@ -165,13 +171,17 @@ TEST(Wire, ResultWithProfileRoundTrips) {
 
 // -- StageTelemetry / BatchStats ---------------------------------------------
 
-TEST(Wire, TelemetryRoundTrips) {
+core::StageTelemetry sample_telemetry() {
     core::StageTelemetry telemetry;
     telemetry.record("parse", 0.001);
     telemetry.record("parse", 0.003);
     telemetry.record("analyse", 0.25);
     telemetry.record("certify", 0.0005);
+    return telemetry;
+}
 
+TEST(Wire, TelemetryRoundTrips) {
+    const auto telemetry = sample_telemetry();
     const auto buffer = core::wire::encode(telemetry);
     const auto decoded = core::wire::decode_telemetry(buffer);
     ASSERT_EQ(decoded.stages().size(), telemetry.stages().size());
@@ -208,7 +218,7 @@ TEST(Wire, RandomisedTelemetryRoundTrips) {
     }
 }
 
-TEST(Wire, BatchStatsRoundTrip) {
+core::BatchStats sample_batch_stats() {
     core::BatchStats stats;
     stats.scenarios = 12;
     stats.workers = 5;
@@ -237,7 +247,11 @@ TEST(Wire, BatchStatsRoundTrip) {
     stats.admission.classes[2].submitted = 3;
     stats.admission.classes[2].shed = 3;
     stats.admission.remote_failures = {0, 7, 1};
+    return stats;
+}
 
+TEST(Wire, BatchStatsRoundTrip) {
+    const auto stats = sample_batch_stats();
     const auto buffer = core::wire::encode(stats);
     const auto decoded = core::wire::decode_batch_stats(buffer);
     EXPECT_EQ(decoded.scenarios, stats.scenarios);
@@ -748,13 +762,19 @@ std::size_t sweep_resealed_mutants(const Buffer& pristine, std::size_t stride,
     return accepted;
 }
 
-TEST(Wire, ResealedRequestMutantsRoundTripOrRaiseWireError) {
-    const auto app = usecases::make_uav_app("apalis-tk1");
+/// sample_request() on the UAV app on its apalis-tk1 board.
+core::ScenarioRequest uav_request() {
+    static const usecases::UseCaseApp app =
+        usecases::make_uav_app("apalis-tk1");
     auto request = sample_request();
     request.program = &app.program;
     request.platform = &app.platform;
     request.csl_source = app.csl_source;
-    const Buffer pristine = core::wire::encode(request);
+    return request;
+}
+
+TEST(Wire, ResealedRequestMutantsRoundTripOrRaiseWireError) {
+    const Buffer pristine = core::wire::encode(uav_request());
     const auto accepted = sweep_resealed_mutants(
         pristine, kRequestSweepStride,
         [](const Buffer& buffer) {
@@ -777,6 +797,431 @@ TEST(Wire, ResealedReportMutantsRoundTripOrRaiseWireError) {
             return core::wire::encode(report);
         });
     EXPECT_GT(accepted, 0U);
+}
+
+// -- pinned bytes -------------------------------------------------------------
+//
+// Length and FNV-64 digest of one encoding of each message kind.  A
+// mismatch means the wire format changed: that needs a kVersion bump, not
+// new digests.  Every value is built by hand or by a use-case constructor
+// (no analysis runs), so Debug and Release builds encode the same bytes.
+
+/// Two functions that between them use all five node kinds, an If with
+/// and without an else branch, and a static and a dynamic loop.
+ir::Program five_kind_program() {
+    using ir::Instr;
+    using ir::Node;
+    using ir::Opcode;
+    ir::Function leaf;
+    leaf.name = "leaf";
+    leaf.param_count = 1;
+    leaf.reg_count = 2;
+    leaf.ret_reg = 1;
+    std::vector<ir::NodePtr> leaf_body;
+    leaf_body.push_back(Node::block({Instr{Opcode::kAdd, 1, 0, 0}}));
+    leaf_body.push_back(Node::make_if(
+        1, Node::block({Instr{Opcode::kNeg, 1, 1}}), nullptr));
+    leaf.body = Node::seq(std::move(leaf_body));
+
+    ir::Function main_fn;
+    main_fn.name = "main_fn";
+    main_fn.reg_count = 4;
+    main_fn.ret_reg = 3;
+    std::vector<ir::NodePtr> body;
+    body.push_back(Node::block(
+        {Instr{Opcode::kMovImm, 0, ir::kNoReg, ir::kNoReg, ir::kNoReg, -7,
+               true},
+         Instr{Opcode::kLoad, 1, 0, ir::kNoReg, ir::kNoReg, 12}}));
+    body.push_back(Node::make_if(1, Node::block({Instr{Opcode::kMov, 2, 1}}),
+                                 Node::block({Instr{Opcode::kMov, 2, 0}})));
+    body.push_back(Node::loop(
+        5, 8, 2, Node::block({Instr{Opcode::kSelect, 3, 1, 2, 0}})));
+    body.push_back(Node::dynamic_loop(
+        0, 16, ir::kNoReg, Node::seq({})));
+    body.push_back(Node::call("leaf", {2}, 3));
+    main_fn.body = Node::seq(std::move(body));
+
+    ir::Program program;
+    program.memory_words = 64;
+    program.add(std::move(leaf));
+    program.add(std::move(main_fn));
+    return program;
+}
+
+compiler::TaskVersion sample_version() {
+    compiler::TaskVersion version;
+    version.config.inline_calls_pass = true;
+    version.config.licm = true;
+    version.config.unroll_factor = 4;
+    version.config.security = compiler::SecurityLevel::kLadder;
+    version.config.opp_index = 2;
+    version.analysable = true;
+    version.wcet_s = 1.25e-3;
+    version.wcec_j = 3.5e-4;
+    version.time_s = 1.0e-3;
+    version.energy_j = 3.0e-4;
+    version.energy_dynamic_j = 2.5e-4;
+    version.leakage = 0.125;
+    version.static_instrs = 42;
+    version.program = std::make_shared<const ir::Program>(five_kind_program());
+    return version;
+}
+
+core::EvaluationResult sample_front_result() {
+    core::EvaluationResult result;
+    result.front = std::make_shared<const std::vector<compiler::TaskVersion>>(
+        std::vector<compiler::TaskVersion>{sample_version(),
+                                           compiler::TaskVersion{}});
+    result.leakage = 0.5;
+    return result;
+}
+
+contracts::ProofNode proof(contracts::ProofRule rule, double value,
+                           double param, std::string note,
+                           std::vector<contracts::ProofNode> children = {}) {
+    return {rule, value, param, std::move(note), std::move(children)};
+}
+
+core::ToolchainReport sample_report() {
+    using contracts::ProofRule;
+    core::ToolchainReport report;
+    report.spec.name = "pill";
+    report.spec.platform = "pill-board";
+    report.spec.deadline_s = 0.5;
+    csl::TaskSpec capture;
+    capture.name = "capture";
+    capture.entry = "main_fn";
+    capture.period_s = 0.5;
+    capture.time_budget_s = 2e-3;
+    capture.core_class = "m0";
+    csl::TaskSpec encrypt = capture;
+    encrypt.name = "encrypt";
+    encrypt.entry = "leaf";
+    encrypt.security_hint = "ladder";
+    encrypt.deps = {"capture"};
+    report.spec.tasks = {capture, encrypt};
+    report.platform_name = "pill-board";
+
+    report.graph.app_name = "pill";
+    coordination::Task task;
+    task.name = "capture";
+    task.entry_fn = "main_fn";
+    task.period_s = 0.5;
+    task.versions["m0"] = {{1e-3, 2e-4, 0.0, 1, "fold+cse"},
+                           {8e-4, 3e-4, 0.25, 2, "unroll4"}};
+    task.versions[""] = {{2e-3, 1e-4, 0.0, 0, "profiled"}};
+    report.graph.tasks.push_back(task);
+    task.name = "encrypt";
+    task.entry_fn = "leaf";
+    task.deps = {"capture"};
+    report.graph.tasks.push_back(task);
+
+    report.schedule.entries = {{"capture", 0, 1, "m0", 0.0, 8e-4, 3e-4, 2},
+                               {"encrypt", 1, 0, "", 8e-4, 2.8e-3, 1e-4, 0}};
+    report.schedule.makespan_s = 2.8e-3;
+    report.schedule.feasible = true;
+
+    report.certificate.app = "pill";
+    report.certificate.platform = "pill-board";
+    contracts::ContractResult time;
+    time.poi = "capture";
+    time.property = contracts::Property::kTime;
+    time.budget = 2e-3;
+    time.analysed = 8e-4;
+    time.holds = true;
+    time.proof = proof(
+        ProofRule::kScale, 8e-4, 1e-8, "cycles at 100 MHz",
+        {proof(ProofRule::kSeq, 8e4, 1.0, "body",
+               {proof(ProofRule::kInstrCost, 2e4, 1.0, "block"),
+                proof(ProofRule::kLoop, 6e4, 8.0, "loop",
+                      {proof(ProofRule::kOverhead, 7.5e3, 1.0, "iter")})})});
+    contracts::ContractResult leak;
+    leak.poi = "encrypt";
+    leak.property = contracts::Property::kSecurity;
+    leak.budget = 0.5;
+    leak.analysed = 0.25;
+    leak.measured_only = true;
+    leak.proof = proof(ProofRule::kStaticLeak, 0.25, 1.0, "taint");
+    report.certificate.results = {time, leak};
+
+    report.glue_code = "/* parallel glue */";
+    report.sequential_glue = "/* sequential glue */";
+    report.fronts = {{"capture", "m0", {sample_version()}},
+                     {"encrypt", "", {}}};
+    report.rta[0] = {true, {8e-4, 2.8e-3}};
+    report.rta[3] = {false, {}};
+    report.stage_laps = {{"parse", 1e-3}, {"analyse", 0.25}};
+    return report;
+}
+
+std::uint64_t digest(const Buffer& buffer) {
+    return fnv1a(buffer.data(), buffer.size());
+}
+
+TEST(Wire, PinnedBytesOfEveryMessageKind) {
+    auto request = uav_request();
+    request.options.glue_style = coordination::GlueStyle::kPosix;
+    const struct {
+        const char* kind;
+        Buffer bytes;
+        std::size_t size;
+        std::uint64_t fnv;
+    } pinned[] = {
+        {"key", core::wire::encode(sample_key()), 61, 0x72F617E15490A845ULL},
+        {"profile result", core::wire::encode(sample_profile_result()), 142,
+         0x9CA3FA0561DDD9E3ULL},
+        {"front result", core::wire::encode(sample_front_result()), 701,
+         0x2AD654950CB3492BULL},
+        {"telemetry", core::wire::encode(sample_telemetry()), 122,
+         0xDFD2D463B6C9DCF9ULL},
+        {"batch stats", core::wire::encode(sample_batch_stats()), 395,
+         0x5E45B0A6A0E25976ULL},
+        {"uav-tk1 request", core::wire::encode(request), 8634,
+         0xE396E4BED74BD069ULL},
+        {"report", core::wire::encode(sample_report()), 1721,
+         0x3DFBDF130DA488C8ULL},
+    };
+    for (const auto& pin : pinned) {
+        EXPECT_EQ(pin.bytes.size(), pin.size) << pin.kind;
+        EXPECT_EQ(digest(pin.bytes), pin.fnv)
+            << pin.kind << ": 0x" << std::hex << digest(pin.bytes);
+    }
+}
+
+// -- sequences of minimal elements --------------------------------------------
+//
+// Each sequence-count guard assumes a minimum encoded size per element.  A
+// guard above the true minimum rejects valid frames, so every value below
+// fills one sequence with many of the smallest elements its type can
+// encode (empty strings and sub-sequences, null pointers) and keeps
+// everything after it as small as possible.
+
+constexpr std::size_t kMany = 100;
+
+/// `reencode` decodes a frame and encodes the result again; the bytes must
+/// come back unchanged.
+template <typename Reencode>
+void expect_byte_exact(const Buffer& bytes, Reencode reencode,
+                       const std::string& what) {
+    try {
+        EXPECT_TRUE(reencode(bytes) == bytes)
+            << what << " re-encodes to different bytes";
+    } catch (const core::wire::WireError& error) {
+        ADD_FAILURE() << what << ": " << error.what();
+    }
+}
+
+std::vector<std::string> distinct_names() {
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < kMany; ++i)
+        names.push_back(std::to_string(i));
+    return names;
+}
+
+TEST(Wire, SequencesOfMinimalElementsRoundTrip) {
+    const auto names = distinct_names();
+    csl::TaskSpec bare_task;
+    bare_task.security_hint = "";
+
+    expect_byte_exact(
+        core::wire::encode(core::EvaluationKey{}),
+        [](const Buffer& b) {
+            return core::wire::encode(core::wire::decode_key(b));
+        },
+        "key");
+
+    core::EvaluationResult result;
+    result.front =
+        std::make_shared<const std::vector<compiler::TaskVersion>>(kMany);
+    expect_byte_exact(
+        core::wire::encode(result),
+        [](const Buffer& b) {
+            return core::wire::encode(core::wire::decode_result(b));
+        },
+        "result front versions");
+
+    core::BatchStats stats;
+    for (const auto& name : names)
+        stats.stage_telemetry.merge(name, core::StageTelemetry::PerStage{});
+    expect_byte_exact(
+        core::wire::encode(stats.stage_telemetry),
+        [](const Buffer& b) {
+            return core::wire::encode(core::wire::decode_telemetry(b));
+        },
+        "telemetry stages");
+    stats.admission.remote_failures.assign(kMany, 0);
+    expect_byte_exact(
+        core::wire::encode(stats),
+        [](const Buffer& b) {
+            return core::wire::encode(core::wire::decode_batch_stats(b));
+        },
+        "batch stats");
+
+    const auto request_case = [](const std::string& what, auto fill) {
+        ir::Program program;
+        platform::Platform board;
+        core::ScenarioRequest request;
+        request.program = &program;
+        request.platform = &board;
+        fill(program, board, request);
+        expect_byte_exact(
+            core::wire::encode(request),
+            [](const Buffer& b) {
+                return core::wire::encode(
+                    core::wire::decode_request(b).request());
+            },
+            "request " + what);
+    };
+    const auto one_body = [](ir::Program& program, ir::NodePtr body) {
+        ir::Function fn;
+        fn.body = std::move(body);
+        program.add(std::move(fn));
+    };
+    request_case("functions", [&](auto& program, auto&, auto&) {
+        for (const auto& name : names) {
+            ir::Function fn;
+            fn.name = name;
+            program.add(std::move(fn));
+        }
+    });
+    request_case("seq children", [&](auto& program, auto&, auto&) {
+        std::vector<ir::NodePtr> children;
+        for (std::size_t i = 0; i < kMany; ++i)
+            children.push_back(ir::Node::seq({}));
+        one_body(program, ir::Node::seq(std::move(children)));
+    });
+    request_case("block instrs", [&](auto& program, auto&, auto&) {
+        one_body(program, ir::Node::block(std::vector<ir::Instr>(kMany)));
+    });
+    request_case("call args", [&](auto& program, auto&, auto&) {
+        one_body(program,
+                 ir::Node::call("", std::vector<ir::Reg>(kMany, 0), 0));
+    });
+    request_case("cores", [&](auto&, auto& board, auto&) {
+        board.cores.resize(kMany);
+    });
+    request_case("opps", [&](auto&, auto& board, auto&) {
+        board.cores.resize(1);
+        board.cores[0].opps.resize(kMany);
+    });
+    request_case("spec tasks", [&](auto&, auto&, auto& request) {
+        request.spec.emplace().tasks.assign(kMany, bare_task);
+    });
+    request_case("spec deps", [&](auto&, auto&, auto& request) {
+        request.spec.emplace().tasks = {bare_task};
+        request.spec->tasks[0].deps.assign(kMany, "");
+    });
+
+    const auto report_case = [](const std::string& what, auto fill) {
+        core::ToolchainReport report;
+        fill(report);
+        expect_byte_exact(
+            core::wire::encode(report),
+            [](const Buffer& b) {
+                return core::wire::encode(core::wire::decode_report(b));
+            },
+            "report " + what);
+    };
+    report_case("spec tasks", [&](auto& report) {
+        report.spec.tasks.assign(kMany, bare_task);
+    });
+    report_case("graph tasks",
+                [&](auto& report) { report.graph.tasks.resize(kMany); });
+    report_case("graph deps", [&](auto& report) {
+        report.graph.tasks.resize(1);
+        report.graph.tasks[0].deps.assign(kMany, "");
+    });
+    report_case("version map", [&](auto& report) {
+        report.graph.tasks.resize(1);
+        for (const auto& name : names) report.graph.tasks[0].versions[name];
+    });
+    report_case("version choices", [&](auto& report) {
+        report.graph.tasks.resize(1);
+        report.graph.tasks[0].versions[""].resize(kMany);
+    });
+    report_case("schedule entries", [&](auto& report) {
+        report.schedule.entries.resize(kMany);
+    });
+    report_case("contract results", [&](auto& report) {
+        report.certificate.results.resize(kMany);
+    });
+    report_case("proof children", [&](auto& report) {
+        report.certificate.results.resize(1);
+        report.certificate.results[0].proof.children.resize(kMany);
+    });
+    report_case("fronts", [&](auto& report) { report.fronts.resize(kMany); });
+    report_case("front versions", [&](auto& report) {
+        report.fronts.resize(1);
+        report.fronts[0].versions.resize(kMany);
+    });
+    report_case("rta map", [&](auto& report) {
+        for (std::size_t core = 0; core < kMany; ++core) report.rta[core];
+    });
+    report_case("rta responses", [&](auto& report) {
+        report.rta[0].response_times.assign(kMany, 0.0);
+    });
+    report_case("stage laps",
+                [&](auto& report) { report.stage_laps.resize(kMany); });
+}
+
+// -- canonical telemetry ------------------------------------------------------
+//
+// A decoded StageTelemetry is rebuilt by folding each stage into an empty
+// table, so a frame listing stages out of order, twice, or with values the
+// fold would change must be refused: accepting it would break
+// encode(decode(b)) == b.
+
+/// Stages "a" (0.5 s) and "b" (0.25 s).
+core::StageTelemetry two_stages() {
+    core::StageTelemetry telemetry;
+    telemetry.record("a", 0.5);
+    telemetry.record("b", 0.25);
+    return telemetry;
+}
+
+/// Offset of the one-byte stage name `name` (after its u32 length).
+std::size_t name_offset(const Buffer& frame, char name) {
+    const Buffer pattern{1, 0, 0, 0, static_cast<std::uint8_t>(name)};
+    const auto at = offsets_of(frame, pattern);
+    EXPECT_EQ(at.size(), 1U) << name;
+    return at.empty() ? 0 : at[0] + 4;
+}
+
+/// Every non-canonical variant of a frame holding two_stages().
+std::vector<Buffer> non_canonical_variants(const Buffer& frame) {
+    const std::size_t a = name_offset(frame, 'a');
+    const std::size_t b = name_offset(frame, 'b');
+    Buffer swapped = frame;
+    swapped[a] = 'b';
+    swapped[b] = 'a';
+    Buffer duplicated = frame;
+    duplicated[b] = 'a';
+    // "a"'s max_s (the f64 after its count and total) with the sign bit
+    // set: folded into an empty table it would come back as +0.0.
+    Buffer negative_max = frame;
+    negative_max[a + 1 + 8 + 8 + 7] ^= 0x80;
+    std::vector<Buffer> variants{swapped, duplicated, negative_max};
+    for (auto& variant : variants) reseal(variant);
+    return variants;
+}
+
+TEST(Wire, NonCanonicalTelemetryIsRejected) {
+    const auto frame = core::wire::encode(two_stages());
+    ASSERT_EQ(core::wire::encode(core::wire::decode_telemetry(frame)), frame);
+    for (const auto& variant : non_canonical_variants(frame))
+        EXPECT_THROW((void)core::wire::decode_telemetry(variant),
+                     core::wire::WireFormatError);
+}
+
+TEST(Wire, NonCanonicalBatchStatsTelemetryIsRejected) {
+    core::BatchStats stats = sample_batch_stats();
+    stats.stage_telemetry = two_stages();
+    const auto frame = core::wire::encode(stats);
+    ASSERT_EQ(core::wire::encode(core::wire::decode_batch_stats(frame)),
+              frame);
+    for (const auto& variant : non_canonical_variants(frame))
+        EXPECT_THROW((void)core::wire::decode_batch_stats(variant),
+                     core::wire::WireFormatError);
 }
 
 }  // namespace
