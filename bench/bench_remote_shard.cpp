@@ -3,7 +3,7 @@
 //
 // The same mixed-app arrival trace as E5 (uav/pill/rover round-robin,
 // seeded exponential gaps) is driven through three topologies: the
-// in-process engine (1 local shard), one loopback remote shard, and two
+// in-process engine, one loopback remote shard, and two
 // loopback remote shards — each remote a real ShardServer on an ephemeral
 // TCP port with the full wire path (request frame encode, length-prefixed
 // transport, strict decode, reply frame) in the loop.  Completion-latency
@@ -131,13 +131,12 @@ ReplayOutcome replay(const Trace& trace,
     return outcome;
 }
 
-/// N loopback ShardServers on ephemeral ports plus a pure front-end
-/// engine that routes everything across the wire.
+/// N loopback ShardServers on ephemeral ports plus a remote-only front
+/// that routes everything across the wire.
 ReplayOutcome replay_remote(const Trace& trace, std::size_t remote_count,
                             std::size_t workers_per_remote) {
     std::vector<std::unique_ptr<net::ShardServer>> servers;
     core::ShardedScenarioEngine::Options options;
-    options.shards = 0;
     for (std::size_t i = 0; i < remote_count; ++i) {
         net::ShardServer::Options server_options;
         server_options.engine.worker_threads = workers_per_remote;
@@ -182,15 +181,13 @@ bool run_fetch_phase(const Trace& trace,
 
     {
         core::ShardedScenarioEngine::Options warm_options;
-        warm_options.shards = 0;
         warm_options.remote_endpoints.push_back(endpoint);
         core::ShardedScenarioEngine warmer(std::move(warm_options));
         (void)replay(trace, warmer);
     }
 
     core::ShardedScenarioEngine::Options fetch_options;
-    fetch_options.shards = 1;
-    fetch_options.worker_threads = 2;
+    fetch_options.engine.worker_threads = 2;
     fetch_options.fetch_peers.push_back(endpoint);
     core::ShardedScenarioEngine fetcher(std::move(fetch_options));
     const auto fetched = replay(trace, fetcher);
@@ -232,7 +229,7 @@ bool print_table() {
                 "loopback TCP ===\n",
                 trace.requests.size());
 
-    core::ShardedScenarioEngine local({.shards = 1, .worker_threads = 4});
+    core::ShardedScenarioEngine local({.engine = {.worker_threads = 4}});
     const auto baseline = replay(trace, local);
     const auto base_stats = percentiles(baseline.latencies_s);
     std::printf("in-process:      p50 %8.2f ms, p95 %8.2f ms\n",
@@ -307,7 +304,7 @@ void BM_RemoteShardTrace(benchmark::State& state) {
             remotes == 0
                 ? [&] {
                       core::ShardedScenarioEngine engine(
-                          {.shards = 1, .worker_threads = 4});
+                          {.engine = {.worker_threads = 4}});
                       return replay(trace, engine);
                   }()
                       .latencies_s

@@ -5,10 +5,10 @@
 // scenarios arrive as a Poisson process (seeded exponential inter-arrival
 // times) and are `submit`ted the moment they arrive; per-scenario
 // completion latency (arrival -> completion callback) is sampled and the
-// p50/p95 of the trace is reported per shard count (1/2/4).  The rover
-// shares its perception kernels with the UAV, so the trace also exercises
-// cross-program memoisation under service load: the router sends both apps'
-// scenarios to the shard that already holds the shared entries.
+// p50/p95 of the trace is reported.  The rover shares its perception
+// kernels with the UAV, so the trace also exercises cross-program
+// memoisation under service load: both apps' scenarios hit the one cache
+// that already holds the shared entries.
 //
 // A second experiment replays the same trace twice against one persistent
 // result store directory — a cold service filling the store, then a
@@ -42,7 +42,7 @@
 
 #include "bench_json.hpp"
 #include "core/result_store.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/scenario_engine.hpp"
 #include "usecases/apps.hpp"
 
 using namespace teamplay;
@@ -106,15 +106,13 @@ struct ReplayResult {
     core::EvaluationCache::Stats cache;     ///< fold after the final flush
 };
 
-/// Replay the trace against a fresh sharded engine (optionally store-backed)
-/// and flush the store before sampling cache statistics, so `cache.spills`
+/// Replay the trace against a fresh engine (optionally store-backed) and
+/// flush the store before sampling cache statistics, so `cache.spills`
 /// covers the whole replay.
-ReplayResult replay(const Trace& trace, std::size_t shards,
-                    std::size_t workers,
+ReplayResult replay(const Trace& trace, std::size_t workers,
                     std::shared_ptr<core::ResultStore> store = nullptr) {
-    core::ShardedScenarioEngine engine({.shards = shards,
-                                        .worker_threads = workers,
-                                        .result_store = std::move(store)});
+    core::ScenarioEngine engine(
+        {.worker_threads = workers, .result_store = std::move(store)});
     std::mutex mutex;
     ReplayResult result;
     result.latencies_s.assign(trace.requests.size(), 0.0);
@@ -159,7 +157,7 @@ bool run_store_phases(const Trace& trace, benchjson::Object* artifact) {
     {
         auto store =
             std::make_shared<core::ResultStore>(store_dir.string());
-        cold = replay(trace, 2, 4, store);
+        cold = replay(trace, 4, store);
     }
     core::ResultStore::Stats warm_store;
     {
@@ -168,7 +166,7 @@ bool run_store_phases(const Trace& trace, benchjson::Object* artifact) {
         // verify-on-load.
         auto store =
             std::make_shared<core::ResultStore>(store_dir.string());
-        warm = replay(trace, 2, 4, store);
+        warm = replay(trace, 4, store);
         warm_store = store->stats();
     }
     fs::remove_all(store_dir, ec);
@@ -227,8 +225,7 @@ bool run_cancellation_sweep(const Trace& trace,
     benchjson::Array rows;
     bool ok = true;
     for (const int percent : {0, 10, 30}) {
-        core::ShardedScenarioEngine engine(
-            {.shards = 2, .worker_threads = 4});
+        core::ScenarioEngine engine({.worker_threads = 4});
         std::mt19937_64 rng(1234 + static_cast<std::uint64_t>(percent));
         std::bernoulli_distribution pick(percent / 100.0);
 
@@ -347,8 +344,7 @@ bool run_overload_phase(benchjson::Object* artifact) {
     std::map<std::string, std::string> baseline_certs;
     std::vector<double> baseline_latencies(trace.requests.size(), 0.0);
     {
-        core::ShardedScenarioEngine engine(
-            {.shards = 1, .worker_threads = 2});
+        core::ScenarioEngine engine({.worker_threads = 2});
         std::mutex mutex;
         std::vector<core::ScenarioTicket> tickets;
         tickets.reserve(trace.requests.size());
@@ -380,10 +376,8 @@ bool run_overload_phase(benchjson::Object* artifact) {
     // Admission run: interactive rides free (no deadline, unbounded — it
     // must complete, that is the class the p95 gate measures), batch gets
     // 400 ms and a queue of 6, background 200 ms and a queue of 3.
-    core::ShardedScenarioEngine engine(
-        {.shards = 1,
-         .worker_threads = 2,
-         .admission = {.queue_depths = {0, 6, 3}}});
+    core::ScenarioEngine engine(
+        {.worker_threads = 2, .admission = {.queue_depths = {0, 6, 3}}});
     std::mutex mutex;
     std::vector<double> interactive_latencies;
     std::vector<core::ScenarioTicket> tickets;
@@ -516,24 +510,15 @@ bool print_table() {
     std::printf("=== E5: service trace, %zu Poisson arrivals "
                 "(uav/pill/rover round-robin) ===\n",
                 trace.requests.size());
-    benchjson::Array shard_rows;
-    for (const std::size_t shards : {1UL, 2UL, 4UL}) {
-        const auto stats =
-            percentiles(replay(trace, shards, 4).latencies_s);
-        std::printf("%zu shard(s): completion latency p50 %8.2f ms, "
-                    "p95 %8.2f ms\n",
-                    shards, stats.p50_ms, stats.p95_ms);
-        shard_rows.push_back(benchjson::Value(benchjson::Object{
-            {"shards", shards},
-            {"p50_ms", stats.p50_ms},
-            {"p95_ms", stats.p95_ms},
-        }));
-    }
+    const auto stats = percentiles(replay(trace, 4).latencies_s);
+    std::printf("completion latency: p50 %8.2f ms, p95 %8.2f ms\n",
+                stats.p50_ms, stats.p95_ms);
     benchjson::Object artifact{
         {"experiment", "service_trace"},
         {"arrivals", trace.requests.size()},
         {"workers_per_replay", 4},
-        {"shard_sweep", std::move(shard_rows)},
+        {"p50_ms", stats.p50_ms},
+        {"p95_ms", stats.p95_ms},
     };
     const bool cancel_ok = run_cancellation_sweep(trace, &artifact);
     const bool store_ok = run_store_phases(trace, &artifact);
@@ -545,10 +530,9 @@ bool print_table() {
 
 void BM_ServiceTrace(benchmark::State& state) {
     const auto trace = make_trace();
-    const auto shards = static_cast<std::size_t>(state.range(0));
     std::vector<double> all;
     for (auto _ : state) {
-        const auto latencies = replay(trace, shards, 4).latencies_s;
+        const auto latencies = replay(trace, 4).latencies_s;
         all.insert(all.end(), latencies.begin(), latencies.end());
     }
     const auto stats = percentiles(std::move(all));
@@ -558,12 +542,7 @@ void BM_ServiceTrace(benchmark::State& state) {
         static_cast<double>(trace.requests.size() * state.iterations()),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ServiceTrace)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_ServiceTrace)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -16,20 +16,16 @@
 //   $ ./example_teamplay_cli rover --platform jetson-nano
 //   $ ./example_teamplay_cli --all --jobs 4 --quiet
 //   $ ./example_teamplay_cli --all --jobs 4 --stream --cache-budget 16
-//   $ ./example_teamplay_cli --all --jobs 4 --shards 2 --quiet
 //   $ ./example_teamplay_cli --serve 7791 --jobs 4
-//   $ ./example_teamplay_cli --all --shards 0 --remote 127.0.0.1:7791
+//   $ ./example_teamplay_cli --all --remote 127.0.0.1:7791
 //
-// With `--shards N`, scenarios are routed across N engine shards by the
-// structural fingerprint of their task entry kernels (same-kernel
-// scenarios land where the cache is warm); the report merges per-shard
-// cache and stage telemetry.
-//
-// `--serve <port>` turns the process into a shard server: one engine
-// behind the fabric RPC loop, until SIGINT/SIGTERM.  `--remote host:port`
-// adds that server to the routing domain of this process (with
-// `--shards 0` everything crosses the wire), and `--fetch-peer host:port`
-// consults the peer's warm cache on local misses before recomputing.
+// The process runs one engine.  `--serve <port>` turns it into a shard
+// server: that engine behind the fabric RPC loop, until SIGINT/SIGTERM.
+// `--remote host:port` (repeatable) sends every scenario over the wire
+// instead, routed across the remotes by the structural fingerprint of its
+// primary kernel, and `--fetch-peer host:port` consults the peer's warm
+// cache on local misses before recomputing.  Numeric flags take decimal
+// or 0x hex; any other value is a usage error (exit 2).
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -37,9 +33,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/advisor.hpp"
@@ -50,6 +48,7 @@
 #include "fuzz/replay.hpp"
 #include "net/shard_server.hpp"
 #include "sim/trace.hpp"
+#include "support/units.hpp"
 #include "usecases/apps.hpp"
 
 using namespace teamplay;
@@ -67,14 +66,12 @@ void usage() {
         "  --makespan          schedule for makespan instead of energy\n"
         "  --seed <n>          search seed (default 42)\n"
         "  --jobs <n>          engine worker threads (default 0 = caller)\n"
-        "  --shards <n>        split the engine into n cache shards routed\n"
-        "                      by kernel structural fingerprint (default 1)\n"
         "  --serve <port>      run as a shard server: bind the port and\n"
         "                      serve scenario RPCs until SIGINT/SIGTERM\n"
         "                      (engine flags configure the served engine)\n"
-        "  --remote <h:p>      add a remote shard server to the routing\n"
-        "                      domain (repeatable; with --shards 0 every\n"
-        "                      scenario crosses the wire)\n"
+        "  --remote <h:p>      run every scenario on remote shard servers,\n"
+        "                      routed by kernel structural fingerprint\n"
+        "                      (repeatable; no local engine is built)\n"
         "  --fetch-peer <h:p>  consult this fabric peer's cache on local\n"
         "                      misses before recomputing (repeatable)\n"
         "  --stream            submit scenarios asynchronously and print\n"
@@ -86,12 +83,11 @@ void usage() {
         "                      the next stage boundary (retryable)\n"
         "  --queue-depth <n>   bound each priority class's admission queue\n"
         "                      at n (default 0 = unbounded)\n"
-        "  --cache-budget <n>  evict evaluation-cache entries beyond n,\n"
-        "                      per shard (default 0 = unbounded)\n"
-        "  --store-dir <dir>   persistent result store shared by all\n"
-        "                      shards: misses load from it before\n"
-        "                      computing, results spill back, so a\n"
-        "                      restarted run warm-starts from disk\n"
+        "  --cache-budget <n>  evict evaluation-cache entries beyond n\n"
+        "                      (default 0 = unbounded)\n"
+        "  --store-dir <dir>   persistent result store: misses load from\n"
+        "                      it before computing, results spill back,\n"
+        "                      so a restarted run warm-starts from disk\n"
         "  --cert-dump <dir>   write each scenario's certificate text to\n"
         "                      <dir>/<label>.cert (byte-identity audits)\n"
         "  --fuzz-seed <n>     (instead of an app) replay one generated\n"
@@ -100,19 +96,17 @@ void usage() {
         "  --quiet             only print the certificate verdict");
 }
 
-void print_shard_breakdown(const core::ShardedScenarioEngine& engine) {
-    // Local shards only: a remote engine prints its own breakdown.
-    if (engine.local_shard_count() <= 1) return;
-    for (std::size_t shard = 0; shard < engine.local_shard_count();
-         ++shard) {
-        const auto stats = engine.shard_cache_stats(shard);
-        std::printf("  shard %zu: %llu hits / %llu misses, %llu evictions, "
-                    "%zu entries\n",
-                    shard, static_cast<unsigned long long>(stats.hits),
-                    static_cast<unsigned long long>(stats.misses),
-                    static_cast<unsigned long long>(stats.evictions),
-                    stats.entries);
-    }
+/// Parse a numeric flag's value (support::parse_count); on failure print
+/// a usage error naming the flag and return false.
+bool parse_flag(std::string_view flag, const char* text, std::uint64_t max,
+                std::uint64_t& value) {
+    if (support::parse_count(text, max, value)) return true;
+    std::fprintf(stderr,
+                 "error: %.*s expects a decimal or 0x count in [0, %llu], "
+                 "got \"%s\"\n",
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<unsigned long long>(max), text);
+    return false;
 }
 
 void print_result_store(const core::ShardedScenarioEngine& engine,
@@ -221,19 +215,24 @@ int main(int argc, char** argv) {
     bool makespan = false;
     bool quiet = false;
     bool stream = false;
+    constexpr auto kAnyCount = std::numeric_limits<std::uint64_t>::max();
+    // Far above any host's core count; larger values could only fail
+    // inside thread creation.
+    constexpr std::uint64_t kMaxJobs = 1024;
+    // One year: keeps now + deadline inside the steady clock's range.
+    constexpr std::uint64_t kMaxDeadlineMs = 365ULL * 24 * 3600 * 1000;
     std::uint64_t seed = 42;
-    std::size_t jobs = 0;
-    std::size_t shards = 1;
-    std::size_t cache_budget = 0;
+    std::uint64_t jobs = 0;
+    std::uint64_t cache_budget = 0;
     std::string store_dir;
     std::string cert_dump_dir;
     std::vector<std::string> remote_endpoints;
     std::vector<std::string> fetch_peers;
     core::Priority priority = core::Priority::kBatch;
     std::uint64_t deadline_ms = 0;
-    std::size_t queue_depth = 0;
+    std::uint64_t queue_depth = 0;
     bool serve = false;
-    std::uint16_t serve_port = 0;
+    std::uint64_t serve_port = 0;
     int opt_start = 2;
     if (which == "--fuzz-seed") {
         // Replay one generated scenario through the differential oracle
@@ -243,8 +242,8 @@ int main(int argc, char** argv) {
             usage();
             return 2;
         }
-        const std::uint64_t fuzz_seed =
-            std::strtoull(argv[2], nullptr, 0);
+        std::uint64_t fuzz_seed = 0;
+        if (!parse_flag(which, argv[2], kAnyCount, fuzz_seed)) return 2;
         bool loopback = false;
         for (int i = 3; i < argc; ++i)
             if (std::strcmp(argv[i], "--loopback") == 0) loopback = true;
@@ -275,9 +274,8 @@ int main(int argc, char** argv) {
             usage();
             return 2;
         }
+        if (!parse_flag(which, argv[2], 65535, serve_port)) return 2;
         serve = true;
-        serve_port =
-            static_cast<std::uint16_t>(std::strtoul(argv[2], nullptr, 10));
         opt_start = 3;
     }
     for (int i = opt_start; i < argc; ++i) {
@@ -293,11 +291,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--stream") {
             stream = true;
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_flag(arg, argv[++i], kAnyCount, seed)) return 2;
         } else if (arg == "--jobs" && i + 1 < argc) {
-            jobs = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--shards" && i + 1 < argc) {
-            shards = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_flag(arg, argv[++i], kMaxJobs, jobs)) return 2;
         } else if (arg == "--remote" && i + 1 < argc) {
             remote_endpoints.emplace_back(argv[++i]);
         } else if (arg == "--fetch-peer" && i + 1 < argc) {
@@ -311,11 +307,14 @@ int main(int argc, char** argv) {
             }
             priority = *parsed;
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            deadline_ms = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_flag(arg, argv[++i], kMaxDeadlineMs, deadline_ms))
+                return 2;
         } else if (arg == "--queue-depth" && i + 1 < argc) {
-            queue_depth = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_flag(arg, argv[++i], kAnyCount, queue_depth))
+                return 2;
         } else if (arg == "--cache-budget" && i + 1 < argc) {
-            cache_budget = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_flag(arg, argv[++i], kAnyCount, cache_budget))
+                return 2;
         } else if (arg == "--store-dir" && i + 1 < argc) {
             store_dir = argv[++i];
         } else if (arg == "--cert-dump" && i + 1 < argc) {
@@ -328,6 +327,18 @@ int main(int argc, char** argv) {
     }
 
     try {
+        // One engine configuration for both roles: the served engine, or
+        // this process's local engine.
+        std::shared_ptr<core::ResultStore> store;
+        if (!store_dir.empty())
+            store = std::make_shared<core::ResultStore>(store_dir);
+        const core::ScenarioEngine::Options engine_options{
+            .worker_threads = jobs,
+            .cache_budget = {.max_entries = cache_budget},
+            .result_store = store,
+            .admission = {.queue_depths = {queue_depth, queue_depth,
+                                           queue_depth}}};
+
         if (serve) {
             // Block the termination signals *before* the server threads
             // exist so every thread inherits the mask and sigwait below is
@@ -338,17 +349,9 @@ int main(int argc, char** argv) {
             sigaddset(&signals, SIGTERM);
             pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
-            net::ShardServer::Options server_options;
-            server_options.port = serve_port;
-            server_options.engine.worker_threads = jobs;
-            server_options.engine.cache_budget = {.max_entries =
-                                                      cache_budget};
-            if (!store_dir.empty())
-                server_options.engine.result_store =
-                    std::make_shared<core::ResultStore>(store_dir);
-            server_options.engine.admission.queue_depths = {
-                queue_depth, queue_depth, queue_depth};
-            net::ShardServer server(std::move(server_options));
+            net::ShardServer server(
+                {.port = static_cast<std::uint16_t>(serve_port),
+                 .engine = engine_options});
             std::printf("shard server: listening on port %u\n",
                         static_cast<unsigned>(server.port()));
             std::fflush(stdout);  // readiness line for scripted callers
@@ -437,18 +440,10 @@ int main(int argc, char** argv) {
             requests.push_back(std::move(request));
         }
 
-        std::shared_ptr<core::ResultStore> store;
-        if (!store_dir.empty())
-            store = std::make_shared<core::ResultStore>(store_dir);
         core::ShardedScenarioEngine engine(
-            {.shards = shards,
-             .worker_threads = jobs,
-             .cache_budget = {.max_entries = cache_budget},
-             .result_store = store,
+            {.engine = engine_options,
              .remote_endpoints = remote_endpoints,
-             .fetch_peers = fetch_peers,
-             .admission = {.queue_depths = {queue_depth, queue_depth,
-                                            queue_depth}}});
+             .fetch_peers = fetch_peers});
 
         if (stream) {
             // Service-core view: consume results in completion order via
@@ -514,13 +509,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cache.misses),
                 static_cast<unsigned long long>(cache.evictions),
                 cache.entries);
-            print_shard_breakdown(engine);
             print_result_store(engine, store);
             print_remote_fetch(engine, !fetch_peers.empty());
             print_admission(engine);
             print_trace_cache();
             if (!quiet)
-                std::printf("--- per-stage telemetry (all shards) ---\n%s",
+                std::printf("--- per-stage telemetry ---\n%s",
                             engine.stage_telemetry().to_string().c_str());
             return all_ok ? 0 : 1;
         }
@@ -540,13 +534,12 @@ int main(int argc, char** argv) {
         engine.flush_result_store();
         if (reports.size() > 1)
             std::printf("batch: %s\n", stats.to_string().c_str());
-        print_shard_breakdown(engine);
         print_result_store(engine, store);
         print_remote_fetch(engine, !fetch_peers.empty());
         print_admission(engine);
         print_trace_cache();
         if (!quiet)
-            std::printf("--- per-stage telemetry (all shards) ---\n%s",
+            std::printf("--- per-stage telemetry ---\n%s",
                         stats.stage_telemetry.to_string().c_str());
         return all_ok ? 0 : 1;
     } catch (const std::exception& error) {

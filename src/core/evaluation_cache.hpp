@@ -35,7 +35,7 @@
 // admitted exactly as if computed, so single-flight semantics, eviction
 // and determinism are untouched; entries spill to the store on LRU
 // eviction and on shutdown flush (`flush_to_store`, run by the
-// destructor).  The store is shared: several caches (engine shards) and
+// destructor).  The store is shared: several caches (engines) and
 // several processes can point at one directory, which is how a restarted
 // or sibling service warm-starts.  Store corruption is never fatal — a
 // rejected frame is counted and the entry recomputed.
@@ -184,7 +184,7 @@ public:
         }
 
         /// Fold another snapshot in (commutative, like StageTelemetry's
-        /// merge): counters and gauges sum, so per-shard snapshots
+        /// merge): counters and gauges sum, so per-remote snapshots
         /// aggregate into one service-wide view without ad-hoc summing in
         /// callers.
         void merge(const Stats& other);

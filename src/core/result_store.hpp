@@ -6,8 +6,8 @@
 // — an append-only, segment-based directory of `wire`-encoded
 // (EvaluationKey, EvaluationResult) frames, keyed by the same
 // content-addressed EvaluationKey the cache uses (ir::structural_fingerprint
-// plus options fingerprint), so an entry written by one engine, one shard
-// or one *process* warm-starts any other that derives the same key.
+// plus options fingerprint), so an entry written by one engine or one
+// *process* warm-starts any other that derives the same key.
 //
 // Segment layout (one file per writing store instance, never rewritten):
 //
@@ -31,7 +31,7 @@
 //
 // Concurrency: all index and append operations are mutex-protected; loads
 // read immutable mapped bytes (or pread the active segment below its
-// flushed offset) outside the lock, so N engine shards can spill and load
+// flushed offset) outside the lock, so several engines can spill and load
 // against one shared store concurrently (exercised under TSan).  Writing
 // is single-process per segment: each writing instance creates its own
 // exclusively-opened segment file, so two processes sharing a directory

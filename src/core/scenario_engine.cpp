@@ -1,6 +1,5 @@
 #include "core/scenario_engine.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <sstream>
@@ -169,17 +168,6 @@ bool ScenarioTicket::cancel_requested() const {
 
 // -- BatchStats ---------------------------------------------------------------
 
-void BatchStats::merge(const BatchStats& other) {
-    scenarios += other.scenarios;
-    workers += other.workers;
-    wall_s = std::max(wall_s, other.wall_s);
-    scenarios_per_s =
-        wall_s > 0.0 ? static_cast<double>(scenarios) / wall_s : 0.0;
-    cache.merge(other.cache);
-    stage_telemetry.merge(other.stage_telemetry);
-    admission.merge(other.admission);
-}
-
 std::string BatchStats::to_string() const {
     std::ostringstream os;
     os << scenarios << " scenarios in " << wall_s << " s (" << scenarios_per_s
@@ -200,9 +188,8 @@ ScenarioEngine::ScenarioEngine(Options options)
       // Lane 0 is reserved for parallel_for fan-out of running scenarios;
       // lanes 1..N map the priority classes (see thread_pool.hpp).
       pool_(options.worker_threads, kNumPriorityClasses + 1) {
-    // Materialise the trace cache up front so every stage (and, through
-    // ShardedScenarioEngine, every shard) shares one instance and its stats
-    // are observable via trace_cache().
+    // Materialise the trace cache up front so every stage shares one
+    // instance and its stats are observable via sim_options().
     if (sim_.backend == sim::SimBackend::kTrace && sim_.trace_cache == nullptr)
         sim_.trace_cache = sim::TraceCache::process_wide();
 }

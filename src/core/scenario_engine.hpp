@@ -33,9 +33,9 @@
 // certificate bytes — are identical for any worker count, any cache
 // budget, streamed or batched, and identical to the legacy
 // single-scenario workflow drivers (which are now thin wrappers over this
-// engine).  For a multi-cache service front, see ShardedScenarioEngine
-// (sharded_engine.hpp), which routes submissions across N engines by
-// kernel fingerprint.
+// engine).  A host runs one engine; ShardedScenarioEngine
+// (sharded_engine.hpp) is the service front that runs it locally or
+// routes submissions across remote shards by kernel fingerprint.
 #pragma once
 
 #include <atomic>
@@ -93,13 +93,6 @@ struct BatchStats {
     EvaluationCache::Stats cache;     ///< hits/misses/evictions of this batch
     StageTelemetry stage_telemetry;   ///< per-stage count/total/max
     AdmissionStats admission;         ///< admitted/rejected/shed per class
-
-    /// Fold another batch's statistics in (commutative): scenario and
-    /// cache counters sum, telemetry merges, and `wall_s` takes the max —
-    /// the wall-clock view of batches that ran concurrently (per-shard
-    /// batches of one service-wide submission).  Throughput is re-derived
-    /// from the folded totals.
-    void merge(const BatchStats& other);
 
     [[nodiscard]] std::string to_string() const;
 };

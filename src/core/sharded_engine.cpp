@@ -8,7 +8,7 @@
 #include "csl/csl.hpp"
 #include "ir/fingerprint.hpp"
 #include "net/remote_shard.hpp"
-#include "sim/trace.hpp"
+#include "support/units.hpp"
 
 namespace teamplay::core {
 
@@ -35,7 +35,7 @@ std::uint64_t routing_fingerprint(const ir::Program* program,
         return ir::structural_fingerprint(*program,
                                           spec->tasks.front().entry);
     // No spec available (unparsed or unparsable CSL): fall back to program
-    // content so routing stays deterministic; the shard reports any CSL
+    // content so routing stays deterministic; the remote reports any CSL
     // error through the ticket.
     return fingerprint_program(*program);
 }
@@ -47,15 +47,10 @@ net::RemoteShard::Options parse_endpoint(const std::string& endpoint) {
         throw std::invalid_argument(
             "remote shard endpoint must be host:port, got \"" + endpoint +
             "\"");
-    unsigned long port = 0;  // NOLINT(google-runtime-int)
-    try {
-        std::size_t consumed = 0;
-        port = std::stoul(endpoint.substr(colon + 1), &consumed);
-        if (consumed != endpoint.size() - colon - 1) port = 0;
-    } catch (const std::exception&) {
-        port = 0;
-    }
-    if (port == 0 || port > 65535)
+    std::uint64_t port = 0;
+    if (!support::parse_count(std::string_view(endpoint).substr(colon + 1),
+                              65535, port) ||
+        port == 0)
         throw std::invalid_argument(
             "remote shard endpoint has an invalid port: \"" + endpoint +
             "\"");
@@ -69,13 +64,9 @@ net::RemoteShard::Options parse_endpoint(const std::string& endpoint) {
 
 ShardedScenarioEngine::ShardedScenarioEngine(Options options) {
     // Validate and build the remote clients first so a malformed endpoint
-    // throws before any engine (and its pool) is spun up.  shards == 0 is
-    // only normalised to 1 when there are no remotes: with remotes it
-    // means a pure front-end that routes everything across the wire.
+    // throws before the local engine (and its pool) is spun up.
     remote_failures_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-        options.remote_endpoints.size());
-    for (std::size_t i = 0; i < options.remote_endpoints.size(); ++i)
-        remote_failures_[i].store(0, std::memory_order_relaxed);
+        options.remote_endpoints.size());  // value-initialised: all zero
     remotes_.reserve(options.remote_endpoints.size());
     for (const auto& endpoint : options.remote_endpoints)
         remotes_.push_back(
@@ -85,42 +76,24 @@ ShardedScenarioEngine::ShardedScenarioEngine(Options options) {
         fetch_peers_.push_back(
             std::make_unique<net::RemoteShard>(parse_endpoint(endpoint)));
 
-    const std::size_t shard_count =
-        options.shards == 0 && remotes_.empty() ? 1 : options.shards;
-    // One trace cache for the whole service: materialise it before the
-    // shards so every shard's engine receives the same instance.
-    if (options.sim.backend == sim::SimBackend::kTrace &&
-        options.sim.trace_cache == nullptr)
-        options.sim.trace_cache = sim::TraceCache::process_wide();
-    shards_.reserve(shard_count);
-    for (std::size_t i = 0; i < shard_count; ++i) {
-        ScenarioEngine::Options shard_options;
-        shard_options.worker_threads =
-            options.worker_threads / shard_count +
-            (i < options.worker_threads % shard_count ? 1 : 0);
-        shard_options.cache_budget = options.cache_budget;
-        shard_options.result_store = options.result_store;
-        shard_options.sim = options.sim;
-        shard_options.admission = options.admission;
-        shards_.push_back(std::make_unique<ScenarioEngine>(shard_options));
-    }
-
+    // The remotes are the whole routing domain: no local engine.
+    if (!remotes_.empty()) return;
+    engine_ = std::make_unique<ScenarioEngine>(std::move(options.engine));
     if (!fetch_peers_.empty()) {
         // First hit wins; peers never throw (transport failures are
         // swallowed into misses inside RemoteShard::fetch).  The raw
-        // pointers stay valid for the shards' whole lifetime — the peer
-        // vector is declared before the shards and destroyed after them.
+        // pointers stay valid for the engine's whole lifetime — the peer
+        // vector is declared before the engine and destroyed after it.
         std::vector<net::RemoteShard*> peers;
         peers.reserve(fetch_peers_.size());
         for (const auto& peer : fetch_peers_) peers.push_back(peer.get());
-        for (const auto& shard : shards_)
-            shard->set_remote_fetch(
-                [peers](const EvaluationKey& key)
-                    -> std::optional<EvaluationResult> {
-                    for (net::RemoteShard* peer : peers)
-                        if (auto result = peer->fetch(key)) return result;
-                    return std::nullopt;
-                });
+        engine_->set_remote_fetch(
+            [peers](const EvaluationKey& key)
+                -> std::optional<EvaluationResult> {
+                for (net::RemoteShard* peer : peers)
+                    if (auto result = peer->fetch(key)) return result;
+                return std::nullopt;
+            });
     }
 }
 
@@ -129,22 +102,21 @@ ShardedScenarioEngine::~ShardedScenarioEngine() = default;
 std::size_t ShardedScenarioEngine::shard_of(
     const ScenarioRequest& request) const {
     // Nothing to route with one shard: skip the transient parse and the
-    // fingerprint walk entirely (the CLI default).
+    // fingerprint walk entirely (the local engine, the CLI default).
     if (shard_count() == 1) return 0;
     // A malformed request is pinned to shard 0, which reports the error
     // through its ticket.
     if (request.program == nullptr) return 0;
     // A request carrying only CSL source is parsed into a transient spec
     // for routing; the request itself is forwarded untouched, so the
-    // scenario's own parse runs inside its shard's ParseStage (identical
-    // stage telemetry and error surface to the single engine).  A
-    // malformed source routes on program content and the shard raises the
-    // CslError into the ticket.
+    // scenario's own parse runs inside the remote engine's ParseStage
+    // (identical stage telemetry and error surface to a local engine).
+    // A malformed source routes on program content and the remote raises
+    // the CslError into the ticket.
     const csl::AppSpec* spec =
         request.spec.has_value() ? &*request.spec : nullptr;
     std::optional<csl::AppSpec> transient;
-    if (spec == nullptr && request.program != nullptr &&
-        !request.csl_source.empty()) {
+    if (spec == nullptr && !request.csl_source.empty()) {
         try {
             transient = csl::parse(request.csl_source);
             spec = &*transient;
@@ -157,33 +129,29 @@ std::size_t ShardedScenarioEngine::shard_of(
 
 ScenarioTicket ShardedScenarioEngine::submit(ScenarioRequest request,
                                              Completion on_complete) {
-    const std::size_t shard = shard_of(request);
-    if (shard < shards_.size())
-        return shards_[shard]->submit(std::move(request),
-                                      std::move(on_complete));
-    const std::size_t remote = shard - shards_.size();
+    if (engine_ != nullptr)
+        return engine_->submit(std::move(request), std::move(on_complete));
+    const std::size_t remote = shard_of(request);
     // Health bookkeeping rides the completion: a transport failure
     // (RemoteShardError) bumps the remote's consecutive-failure gauge;
     // any completed exchange — a report, a server-side shed, a cancel,
     // even a server error reply — proves the remote alive and resets it.
+    // A request refused before it was sent (std::invalid_argument) says
+    // nothing about the remote.
     std::atomic<std::uint64_t>* failures = &remote_failures_[remote];
     return remotes_[remote]->submit(
         std::move(request),
         [failures, on_complete = std::move(on_complete)](
             const ScenarioOutcome& outcome) {
-            bool transport_failure = false;
-            if (outcome.error) {
-                try {
-                    std::rethrow_exception(outcome.error);
-                } catch (const net::RemoteShardError&) {
-                    transport_failure = true;
-                } catch (...) {
-                }
-            }
-            if (transport_failure)
-                failures->fetch_add(1, std::memory_order_relaxed);
-            else
+            try {
+                if (outcome.error) std::rethrow_exception(outcome.error);
                 failures->store(0, std::memory_order_relaxed);
+            } catch (const net::RemoteShardError&) {
+                failures->fetch_add(1, std::memory_order_relaxed);
+            } catch (const std::invalid_argument&) {
+            } catch (...) {
+                failures->store(0, std::memory_order_relaxed);
+            }
             if (on_complete) on_complete(outcome);
         });
 }
@@ -194,19 +162,12 @@ ToolchainReport ShardedScenarioEngine::run(const ScenarioRequest& request) {
 
 std::vector<ToolchainReport> ShardedScenarioEngine::run_all(
     std::span<const ScenarioRequest> requests, BatchStats* stats) {
-    std::vector<EvaluationCache::Stats> before;
-    std::vector<AdmissionStats> admission_before;
-    std::vector<std::optional<BatchStats>> remote_before;
+    if (engine_ != nullptr) return engine_->run_all(requests, stats);
+
+    std::vector<std::optional<BatchStats>> before;
     if (stats != nullptr) {
-        before.reserve(shards_.size());
-        admission_before.reserve(shards_.size());
-        for (const auto& shard : shards_) {
-            before.push_back(shard->cache_stats());
-            admission_before.push_back(shard->admission_stats());
-        }
-        remote_before.reserve(remotes_.size());
-        for (const auto& remote : remotes_)
-            remote_before.push_back(remote->stats());
+        before.reserve(remotes_.size());
+        for (const auto& remote : remotes_) before.push_back(remote->stats());
     }
     const auto start = std::chrono::steady_clock::now();
 
@@ -234,26 +195,18 @@ std::vector<ToolchainReport> ShardedScenarioEngine::run_all(
             stats->wall_s > 0.0
                 ? static_cast<double>(requests.size()) / stats->wall_s
                 : 0.0;
-        // Per-shard counter deltas fold into one batch-wide view; entries/
-        // resident_cost are end-of-batch gauges, summed across shards.
-        // Remote shards contribute the delta of two stats RPCs; a remote
+        // Each remote contributes the delta of two stats RPCs; a remote
         // that was unreachable at either edge contributes nothing rather
         // than a bogus delta.
         stats->cache = {};
         stats->admission = {};
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            stats->cache.merge(shards_[i]->cache_stats().since(before[i]));
-            stats->admission.merge(
-                shards_[i]->admission_stats().since(admission_before[i]));
-        }
         for (std::size_t i = 0; i < remotes_.size(); ++i) {
-            if (!remote_before[i].has_value()) continue;
+            if (!before[i].has_value()) continue;
             const auto after = remotes_[i]->stats();
             if (after.has_value()) {
-                stats->cache.merge(
-                    after->cache.since(remote_before[i]->cache));
-                stats->admission.merge(after->admission.since(
-                    remote_before[i]->admission));
+                stats->cache.merge(after->cache.since(before[i]->cache));
+                stats->admission.merge(
+                    after->admission.since(before[i]->admission));
             }
         }
         // The per-remote consecutive-failure gauges ride along so a batch
@@ -275,42 +228,35 @@ std::vector<ToolchainReport> ShardedScenarioEngine::run_all(
 }
 
 AdmissionStats ShardedScenarioEngine::admission_stats() const {
+    if (engine_ != nullptr) return engine_->admission_stats();
     AdmissionStats folded;
-    for (const auto& shard : shards_)
-        folded.merge(shard->admission_stats());
     for (const auto& remote : remotes_)
         if (const auto stats = remote->stats())
             folded.merge(stats->admission);
-    // This front-end's transport-health gauges, in endpoint order.  The
-    // merge above sums element-wise, so remote-side entries (normally
-    // empty — a server engine has no remotes) would stack under ours;
-    // acceptable for a gauge vector documented as "this engine's view".
-    AdmissionStats local;
-    local.remote_failures.reserve(remotes_.size());
+    // This front's transport-health gauges, in endpoint order.  The merge
+    // above sums element-wise, so remote-side entries (normally empty — a
+    // server engine has no remotes) would stack under ours; acceptable
+    // for a gauge vector documented as "this front's view".
+    AdmissionStats gauges;
+    gauges.remote_failures.reserve(remotes_.size());
     for (std::size_t i = 0; i < remotes_.size(); ++i)
-        local.remote_failures.push_back(
+        gauges.remote_failures.push_back(
             remote_failures_[i].load(std::memory_order_relaxed));
-    folded.merge(local);
+    folded.merge(gauges);
     return folded;
 }
 
 EvaluationCache::Stats ShardedScenarioEngine::cache_stats() const {
+    if (engine_ != nullptr) return engine_->cache_stats();
     EvaluationCache::Stats folded;
-    for (const auto& shard : shards_) folded.merge(shard->cache_stats());
     for (const auto& remote : remotes_)
-        if (const auto stats = remote->stats())
-            folded.merge(stats->cache);
+        if (const auto stats = remote->stats()) folded.merge(stats->cache);
     return folded;
 }
 
-EvaluationCache::Stats ShardedScenarioEngine::shard_cache_stats(
-    std::size_t shard) const {
-    return shards_.at(shard)->cache_stats();
-}
-
 StageTelemetry ShardedScenarioEngine::stage_telemetry() const {
+    if (engine_ != nullptr) return engine_->stage_telemetry();
     StageTelemetry folded;
-    for (const auto& shard : shards_) folded.merge(shard->stage_telemetry());
     for (const auto& remote : remotes_) {
         // Server-side pipeline stages and client-side transport hops are
         // disjoint lap sets (net/* laps are only ever recorded on this
@@ -323,19 +269,19 @@ StageTelemetry ShardedScenarioEngine::stage_telemetry() const {
 }
 
 std::size_t ShardedScenarioEngine::concurrency() const {
+    if (engine_ != nullptr) return engine_->concurrency();
     std::size_t total = 0;
-    for (const auto& shard : shards_) total += shard->concurrency();
     for (const auto& remote : remotes_)
         if (const auto stats = remote->stats()) total += stats->workers;
     return total;
 }
 
 void ShardedScenarioEngine::flush_result_store() {
-    for (const auto& shard : shards_) shard->flush_result_store();
+    if (engine_ != nullptr) engine_->flush_result_store();
 }
 
 void ShardedScenarioEngine::clear_caches() {
-    for (const auto& shard : shards_) shard->clear_cache();
+    if (engine_ != nullptr) engine_->clear_cache();
 }
 
 }  // namespace teamplay::core

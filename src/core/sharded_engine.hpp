@@ -1,35 +1,32 @@
-// Sharded service core: N in-process ScenarioEngines behind a
-// structural-fingerprint router.
+// Service front: one local ScenarioEngine per host, or a
+// structural-fingerprint router over remote shards (DESIGN.md §8).
 //
-// One engine means one cache and one pool; a service that wants cache
-// locality *and* isolation between tenants of the evaluation cache runs N
-// shards instead.  The router hashes the canonical structural fingerprint
-// of a scenario's *primary kernel* — its first task's entry function
+// A host runs exactly one engine — one cache and one pool.  Splitting them
+// across in-process shards never won: every local shard count above one
+// measured slower on batches and no faster on service traces, because the
+// worker split idles threads that one shared pool would use (DESIGN.md
+// §8).  The routing domain earns its keep across hosts instead: with
+// remote endpoints configured, the remotes are the whole domain and every
+// scenario crosses the wire to one of them.
+//
+// The router hashes the canonical structural fingerprint of a scenario's
+// *primary kernel* — its first task's entry function
 // (ir::structural_fingerprint, the same quantity the EvaluationCache keys
 // on) — so every scenario that analyses the same kernels lands on the
-// shard whose cache is already warm, whatever application, platform or
+// remote whose cache is already warm, whatever application, platform or
 // options it arrives with; two applications sharing their pipeline front
 // (UAV and rover) colocate even though their tails differ.  Routing is a
-// pure function of the request's program + spec: it is stable across
-// processes and restarts, which is exactly the property the cross-host RPC
-// follow-on needs (DESIGN.md §8).
+// pure function of the request's program + spec, so it is stable across
+// processes and restarts.
 //
-// The sharded engine keeps the single-engine service surface:
-//
-//   * `submit` returns the same ScenarioTicket (cancellation, completion
-//     callbacks, caller help-drain) — a ticket is bound to its shard's pool
-//     and never observes the router;
-//   * `run` / `run_all` are thin wrappers over submission, with BatchStats
-//     whose cache counters are the fold of per-shard deltas;
-//   * per-shard cache budgets bound every shard's footprint independently;
-//   * `cache_stats` / `stage_telemetry` are commutative folds over shard
-//     snapshots (EvaluationCache::Stats::merge / StageTelemetry::merge).
+// The front keeps the single-engine service surface: `submit` returns the
+// local engine's own ScenarioTicket or the in-flight RPC of the remote it
+// routes to; `run` / `run_all` wrap submission; the stats accessors are
+// the local engine's, or commutative folds over the remotes' stats RPCs.
 //
 // Determinism: every cache key folds in every byte that can influence
-// engine output, so whichever shard (and whichever scenario within it)
-// computes a key first, the observable report bytes are identical —
-// certificates from any shard count and any cache budget are byte-identical
-// to the single-engine output on the same batch.
+// engine output, so whichever remote computes a key, the observable report
+// bytes are identical to a local engine's on the same batch.
 #pragma once
 
 #include <atomic>
@@ -37,9 +34,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "core/scenario_engine.hpp"
 
@@ -52,44 +48,21 @@ namespace teamplay::core {
 class ShardedScenarioEngine {
 public:
     struct Options {
-        /// Number of shards; 0 is normalised to 1 (a sharded engine with
-        /// one shard behaves exactly like a plain ScenarioEngine).
-        std::size_t shards = 1;
-        /// Total extra worker threads, distributed across shards (shard i
-        /// gets floor(n/shards) plus one of the first n%shards remainders);
-        /// 0 = every shard runs caller-only.
-        std::size_t worker_threads = 0;
-        /// Evaluation-cache retention budget *per shard*.
-        EvaluationCache::Budget cache_budget;
-        /// One persistent result store shared by *all* shards (unlike the
-        /// per-shard caches): an entry computed by shard A warm-starts
-        /// shard B — and, through the same directory, a restarted process
-        /// or a sibling service.  Null = in-memory caches only.
-        std::shared_ptr<ResultStore> result_store;
-        /// Simulator tier shared by every shard.  With the trace backend
-        /// and no explicit cache, one TraceCache is materialised here and
-        /// shared across shards: unlike the evaluation caches (isolated per
-        /// shard on purpose), compiled traces are immutable and
-        /// model-keyed, so sharing them is pure win.
-        sim::SimOptions sim;
+        /// The local engine: workers, cache budget, result store,
+        /// simulator tier and admission.  Unused when remote endpoints are
+        /// set — each remote's server configures its own engine (deadlines
+        /// travel with the request, queue depths do not).
+        ScenarioEngine::Options engine;
         /// Cross-host shards, "host:port" each (a ShardServer per entry).
-        /// They are appended *after* the local shards in the routing
-        /// domain, so the fingerprint router treats local and remote
-        /// uniformly and routing stays a pure function of the request.
-        /// `shards == 0` with remote endpoints set is a pure front-end:
-        /// every scenario crosses the wire.
+        /// When set they are the whole routing domain: no local engine or
+        /// pool is built and every scenario crosses the wire.
         std::vector<std::string> remote_endpoints;
-        /// Fabric peers whose caches are consulted (first hit wins) when a
-        /// local shard misses both its memory tier and the result store —
+        /// Fabric peers whose caches the local engine consults (first hit
+        /// wins) when it misses both its memory tier and the result store —
         /// before recomputing.  A warm peer therefore turns a cold local
         /// miss into a remote hit with zero recomputes.  Peers are *not*
         /// routing targets; unreachable peers degrade to misses.
         std::vector<std::string> fetch_peers;
-        /// Admission control applied *per shard* (each shard's controller
-        /// bounds its own queues).  Remote shards enforce their server's
-        /// configuration — deadlines travel with the request, queue depths
-        /// do not.
-        AdmissionController::Options admission;
     };
 
     using Completion = ScenarioEngine::Completion;
@@ -104,76 +77,66 @@ public:
     ShardedScenarioEngine(const ShardedScenarioEngine&) = delete;
     ShardedScenarioEngine& operator=(const ShardedScenarioEngine&) = delete;
 
-    /// Route one scenario to its shard and enqueue it there.  Same contract
-    /// as ScenarioEngine::submit: the request is forwarded untouched (a
+    /// Route one scenario and enqueue it.  Same contract as
+    /// ScenarioEngine::submit: the request is forwarded untouched (a
     /// CSL-only request is parsed transiently for routing, then parsed for
-    /// real inside the shard's ParseStage, so stage telemetry and the
-    /// error surface match the single engine; malformed CSL is accepted
-    /// here and surfaces through the ticket).
+    /// real inside the engine's ParseStage, so stage telemetry and the
+    /// error surface match the local engine; malformed CSL and a missing
+    /// program surface through the ticket).
     [[nodiscard]] ScenarioTicket submit(ScenarioRequest request,
                                         Completion on_complete = {});
 
     /// Execute one scenario synchronously (wrapper over `submit`).
     [[nodiscard]] ToolchainReport run(const ScenarioRequest& request);
 
-    /// Execute a batch across all shards.  Reports come back in request
-    /// order; the first scenario error is rethrown after the batch drains.
-    /// `stats` aggregates the whole batch: cache counters are the fold of
-    /// per-shard deltas, telemetry the fold of per-report laps.
+    /// Execute a batch.  Reports come back in request order; the first
+    /// scenario error is rethrown after the batch drains.  Across remotes,
+    /// `stats` cache and admission counters are the fold of per-remote
+    /// deltas and telemetry the fold of per-report laps.
     [[nodiscard]] std::vector<ToolchainReport> run_all(
         std::span<const ScenarioRequest> requests,
         BatchStats* stats = nullptr);
 
-    /// Size of the routing domain: local shards plus remote shards.
+    /// Size of the routing domain: the remote count, or 1 for the local
+    /// engine.
     [[nodiscard]] std::size_t shard_count() const {
-        return shards_.size() + remotes_.size();
-    }
-    [[nodiscard]] std::size_t local_shard_count() const {
-        return shards_.size();
-    }
-    [[nodiscard]] std::size_t remote_shard_count() const {
-        return remotes_.size();
+        return remotes_.empty() ? 1 : remotes_.size();
     }
 
     /// The shard `request` routes to — a pure function of the request's
     /// program and task entries (exposed so benches and tests can attribute
-    /// per-shard behaviour).  Indices `>= local_shard_count()` name remote
-    /// shards in endpoint order.
+    /// per-remote behaviour); remotes are numbered in endpoint order.
     [[nodiscard]] std::size_t shard_of(const ScenarioRequest& request) const;
 
-    /// Fold of every shard's admission counters.  Remote shards contribute
-    /// their server-side counters via the stats RPC (an unreachable remote
-    /// contributes nothing); `remote_failures[i]` carries this front-end's
-    /// consecutive-transport-failure gauge for remote i, in endpoint order —
-    /// groundwork for health-checked rerouting.
+    /// Admission counters.  Across remotes: the fold of their server-side
+    /// counters via the stats RPC (an unreachable remote contributes
+    /// nothing), and `remote_failures[i]` carries this front's
+    /// consecutive-transport-failure gauge for remote i, in endpoint
+    /// order — groundwork for health-checked rerouting.
     [[nodiscard]] AdmissionStats admission_stats() const;
 
-    /// Fold of every shard's cache snapshot.  Remote shards contribute
-    /// their server-side counters via the stats RPC; an unreachable remote
-    /// contributes nothing.
+    /// Cache snapshot.  Across remotes: the fold of their server-side
+    /// counters via the stats RPC; an unreachable remote contributes
+    /// nothing.
     [[nodiscard]] EvaluationCache::Stats cache_stats() const;
-    /// Local shards only (remote engines own their per-shard breakdown).
-    [[nodiscard]] EvaluationCache::Stats shard_cache_stats(
-        std::size_t shard) const;
 
-    /// Fold of every shard's cumulative per-stage telemetry.  For remote
-    /// shards this folds the server-side stage laps (stats RPC) *and* the
-    /// client-side transport laps (net/encode, net/rtt, net/decode) — the
-    /// transport laps exist only on this side, so nothing double-counts.
+    /// Cumulative per-stage telemetry.  Across remotes this folds the
+    /// server-side stage laps (stats RPC) *and* the client-side transport
+    /// laps (net/encode, net/rtt, net/decode) — the transport laps exist
+    /// only on this side, so nothing double-counts.
     [[nodiscard]] StageTelemetry stage_telemetry() const;
 
-    /// Spill every *local* shard's completed cache entries to the shared
-    /// result store (no-op without one); the store deduplicates, so
-    /// entries two shards both hold are written once.  Remote shards flush
-    /// into their own stores on their side of the wire.
+    /// Spill the local engine's completed cache entries to its result
+    /// store (no-op without one).  Remotes flush into their own stores on
+    /// their side of the wire.
     void flush_result_store();
 
-    /// Threads that can execute work across all shards: local workers plus
-    /// each local shard's calling thread, plus every reachable remote's
-    /// advertised worker count.
+    /// Threads that can execute work: the local engine's workers plus the
+    /// caller, or every reachable remote's advertised worker count.
     [[nodiscard]] std::size_t concurrency() const;
 
-    /// Local shards only; remote caches belong to their process.
+    /// The local engine's cache only; remote caches belong to their
+    /// process.
     void clear_caches();
 
 private:
@@ -183,12 +146,13 @@ private:
     /// outlives the remotes' reader threads, whose completion callbacks
     /// update it during teardown.
     std::unique_ptr<std::atomic<std::uint64_t>[]> remote_failures_;
-    /// Remotes and fetch peers are declared before the local shards so the
-    /// shards are destroyed *first*: a draining local scenario may still
+    /// Remotes and fetch peers are declared before the engine so the
+    /// engine is destroyed *first*: a draining local scenario may still
     /// consult a fetch peer from its compute path.
     std::vector<std::unique_ptr<net::RemoteShard>> remotes_;
     std::vector<std::unique_ptr<net::RemoteShard>> fetch_peers_;
-    std::vector<std::unique_ptr<ScenarioEngine>> shards_;
+    /// The local engine; null when remote endpoints are set.
+    std::unique_ptr<ScenarioEngine> engine_;
 };
 
 }  // namespace teamplay::core

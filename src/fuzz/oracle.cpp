@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/sharded_engine.hpp"
 #include "core/wire.hpp"
 #include "net/remote_shard.hpp"
 #include "net/shard_server.hpp"
@@ -104,14 +103,6 @@ OracleResult DifferentialOracle::check(
         core::ScenarioEngine::Options options;
         options.worker_threads = config_.threads;
         core::ScenarioEngine engine(options);
-        return canonical_bytes(engine.run(request));
-    });
-
-    run_tier("engine/sharded", [&] {
-        core::ShardedScenarioEngine::Options options;
-        options.shards = config_.shards;
-        options.worker_threads = config_.threads;
-        core::ShardedScenarioEngine engine(options);
         return canonical_bytes(engine.run(request));
     });
 

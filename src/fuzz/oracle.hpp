@@ -2,10 +2,10 @@
 // (DESIGN.md §13): the engine's determinism contract, weaponised.
 //
 // Every tier of the stack promises the same observable bytes for the same
-// scenario: worker counts, shard counts, the simulator tier, a wire v4
-// round-trip and a loopback fabric hop are all *representation* choices
-// that must never reach the report.  The oracle runs one generated
-// scenario through each tier and compares the canonical report encoding
+// scenario: worker counts, the simulator tier, a wire v4 round-trip and a
+// loopback fabric hop are all *representation* choices that must never
+// reach the report.  The oracle runs one generated scenario through each
+// tier and compares the canonical report encoding
 // (wire::encode with the non-deterministic stage laps stripped) against
 // the reference tier byte for byte — ΔELTA's differential-comparison idea
 // (PAPERS.md) applied to this engine's own tiers.  Any first differing
@@ -15,7 +15,6 @@
 // Tier list (reference first):
 //   engine/single    caller-only ScenarioEngine, trace-tier sim
 //   engine/threads   worker pool exercised (scenario + tuple parallelism)
-//   engine/sharded   ShardedScenarioEngine, fingerprint-routed shards
 //   sim/interp       reference interpreter tier, selected explicitly
 //   wire/request     request survives encode→decode, then runs; the
 //                    re-encode must also be byte-identical to the first
@@ -40,8 +39,6 @@ struct OracleConfig {
     core::WorkflowOptions options;
     /// Worker threads of the engine/threads tier.
     std::size_t threads = 2;
-    /// Shard count of the engine/sharded tier.
-    std::size_t shards = 2;
     /// Run the net/loopback tier (a real ShardServer + RemoteShard pair on
     /// 127.0.0.1).  Costs a TCP listener per scenario; off by default so
     /// the bounded tier-1 pass stays fast — the sweep and a test subset

@@ -46,12 +46,24 @@ core::ScenarioTicket RemoteShard::submit(
     core::ScenarioRequest request, core::ScenarioEngine::Completion on_complete) {
     const std::uint64_t id =
         next_id_.fetch_add(1, std::memory_order_relaxed);
+    if (request.program == nullptr || request.platform == nullptr) {
+        // Fail the ticket, not the call, exactly as the engine does; the
+        // request never reaches the wire.
+        auto state = core::detail::make_external_ticket(
+            id, std::move(request), std::move(on_complete), {});
+        core::detail::complete_external_ticket(
+            *state, {},
+            std::make_exception_ptr(std::invalid_argument(
+                "ScenarioRequest requires a program and a platform")),
+            /*cancelled=*/false);
+        return core::detail::wrap_external_ticket(state);
+    }
 
     const auto encode_start = Clock::now();
     Envelope envelope;
     envelope.id = id;
     envelope.type = MsgType::kSubmit;
-    envelope.payload = core::wire::encode(request);  // throws on null program
+    envelope.payload = core::wire::encode(request);
     const double encode_s = seconds_since(encode_start);
     const auto frame = encode_envelope(envelope);
 

@@ -13,8 +13,8 @@
 // Every completed round trip records three per-hop laps — "net/encode"
 // (request serialisation), "net/rtt" (frame out to reply frame in) and
 // "net/decode" (report deserialisation) — into the returned report's
-// stage_laps and into `transport_telemetry()`, which
-// ShardedScenarioEngine folds into its service-wide StageTelemetry.
+// stage_laps and into `transport_telemetry()`, which a remote-only
+// ShardedScenarioEngine front folds into its service-wide StageTelemetry.
 #pragma once
 
 #include <chrono>
@@ -65,9 +65,10 @@ public:
     /// exactly like a local one (wait/get/cancel, completion callback on
     /// the reader thread).  The request's program and platform must stay
     /// alive until the ticket completes, as with ScenarioEngine::submit.
-    /// Throws std::invalid_argument for a request without program or
-    /// platform (same contract as the engine); transport failures surface
-    /// through the ticket, not here.
+    /// Never throws: a request without program or platform fails its
+    /// ticket with std::invalid_argument before anything is sent (same
+    /// contract as the engine), and transport failures fail it with
+    /// RemoteShardError.
     [[nodiscard]] core::ScenarioTicket submit(
         core::ScenarioRequest request,
         core::ScenarioEngine::Completion on_complete = {});

@@ -113,4 +113,22 @@ bool parse_energy(std::string_view text, double& joules) {
     return true;
 }
 
+bool parse_count(std::string_view text, std::uint64_t max,
+                 std::uint64_t& value) {
+    int base = 10;
+    if (text.starts_with("0x")) {
+        base = 16;
+        text.remove_prefix(2);
+    }
+    // from_chars on an unsigned type takes no sign and skips no
+    // whitespace, so anything but bare digits fails or leaves a tail.
+    std::uint64_t parsed = 0;
+    const auto* end = text.data() + text.size();
+    const auto result = std::from_chars(text.data(), end, parsed, base);
+    if (result.ec != std::errc{} || result.ptr != end || parsed > max)
+        return false;
+    value = parsed;
+    return true;
+}
+
 }  // namespace teamplay::support

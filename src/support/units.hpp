@@ -5,6 +5,7 @@
 // output reads like the paper's prose.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -32,5 +33,11 @@ namespace teamplay::support {
 /// Parse an energy literal such as "0.5mJ", "200uJ", "1J" into joules.
 /// Returns false on malformed input.
 [[nodiscard]] bool parse_energy(std::string_view text, double& joules);
+
+/// Parse a count such as a worker number, port or seed: decimal digits, or
+/// hex after "0x".  Returns false — leaving `value` untouched — on a sign,
+/// whitespace, trailing characters, overflow or a value above `max`.
+[[nodiscard]] bool parse_count(std::string_view text, std::uint64_t max,
+                               std::uint64_t& value);
 
 }  // namespace teamplay::support

@@ -347,16 +347,12 @@ TEST(Net, ShardedEngineRoutesOverTheFabric) {
     const auto server_a = make_server();
     const auto server_b = make_server();
     core::ShardedScenarioEngine::Options options;
-    options.shards = 1;
-    options.worker_threads = 2;
     options.remote_endpoints = {
         "127.0.0.1:" + std::to_string(server_a->port()),
         "127.0.0.1:" + std::to_string(server_b->port()),
     };
     core::ShardedScenarioEngine engine(std::move(options));
-    EXPECT_EQ(engine.shard_count(), 3U);
-    EXPECT_EQ(engine.local_shard_count(), 1U);
-    EXPECT_EQ(engine.remote_shard_count(), 2U);
+    EXPECT_EQ(engine.shard_count(), 2U);  // the remotes are the domain
 
     const auto report = engine.run(light_request());
     core::ScenarioEngine reference;
@@ -422,8 +418,7 @@ TEST(Net, HealthyProbeDistinguishesLiveFromUnreachable) {
 
 TEST(Net, ConsecutiveRemoteFailureGaugeCountsTransportLoss) {
     core::ShardedScenarioEngine::Options options;
-    options.shards = 0;  // pure front-end: everything crosses the wire
-    options.remote_endpoints = {"127.0.0.1:1"};
+    options.remote_endpoints = {"127.0.0.1:1"};  // everything crosses the wire
     core::ShardedScenarioEngine engine(std::move(options));
 
     auto first = engine.submit(light_request("pill#gauge_a"));
@@ -439,7 +434,7 @@ TEST(Net, ConsecutiveRemoteFailureGaugeCountsTransportLoss) {
 TEST(Net, MalformedEndpointsAreRejected) {
     for (const std::string endpoint :
          {"nocolon", ":7791", "host:", "host:0", "host:99999",
-          "host:7x91"}) {
+          "host:7x91", "host:+80", "host: 80"}) {
         core::ShardedScenarioEngine::Options options;
         options.remote_endpoints = {endpoint};
         EXPECT_THROW(core::ShardedScenarioEngine{std::move(options)},

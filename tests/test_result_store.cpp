@@ -4,21 +4,23 @@
 // corruption surface — truncated final frame, byte-flipped payload, stale
 // frame and segment versions, empty and foreign files — each skipped and
 // counted, never fatal, with recomputed results byte-identical to the
-// originals.  Ends with warm-started engines (sharded, shared store)
-// proving zero recomputes and byte-identical certificates.
+// originals.  Ends with warm-started engines (and two engines sharing one
+// store concurrently) proving zero recomputes and byte-identical
+// certificates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/result_store.hpp"
-#include "core/sharded_engine.hpp"
+#include "core/scenario_engine.hpp"
 #include "core/wire.hpp"
 #include "usecases/apps.hpp"
 
@@ -447,16 +449,14 @@ TEST_F(ResultStoreTest, WarmEngineServesIdenticalCertificatesWithoutRecompute) {
     const auto fleet = make_fleet();
     std::vector<std::string> cold_certs;
     {
-        core::ShardedScenarioEngine engine(
-            {.shards = 2,
-             .worker_threads = 2,
+        core::ScenarioEngine engine(
+            {.worker_threads = 2,
              .result_store = std::make_shared<core::ResultStore>(dir_)});
         cold_certs = certificate_texts(engine.run_all(fleet.requests));
-        // Engine destruction flushes every shard's cache to the store.
+        // Engine destruction flushes the cache to the store.
     }
-    core::ShardedScenarioEngine warm(
-        {.shards = 2,
-         .worker_threads = 2,
+    core::ScenarioEngine warm(
+        {.worker_threads = 2,
          .result_store = std::make_shared<core::ResultStore>(dir_)});
     const auto warm_certs = certificate_texts(warm.run_all(fleet.requests));
 
@@ -466,7 +466,7 @@ TEST_F(ResultStoreTest, WarmEngineServesIdenticalCertificatesWithoutRecompute) {
     EXPECT_EQ(stats.store_misses, 0U);  // zero analysis recomputes
 }
 
-TEST_F(ResultStoreTest, WarmStartIsBudgetAndShardInvariant) {
+TEST_F(ResultStoreTest, WarmStartIsBudgetInvariant) {
     const auto fleet = make_fleet();
     std::vector<std::string> reference;
     {
@@ -474,18 +474,16 @@ TEST_F(ResultStoreTest, WarmStartIsBudgetAndShardInvariant) {
         reference = certificate_texts(engine.run_all(fleet.requests));
     }
     {
-        core::ShardedScenarioEngine cold(
-            {.shards = 3,
-             .worker_threads = 4,
+        core::ScenarioEngine cold(
+            {.worker_threads = 4,
              .result_store = std::make_shared<core::ResultStore>(dir_)});
         EXPECT_EQ(certificate_texts(cold.run_all(fleet.requests)),
                   reference);
     }
     // Warm restart under a hostile budget: every miss spills immediately,
     // loads and recomputes interleave, bytes must not move.
-    core::ShardedScenarioEngine warm(
-        {.shards = 1,
-         .worker_threads = 4,
+    core::ScenarioEngine warm(
+        {.worker_threads = 4,
          .cache_budget = {.max_entries = 1},
          .result_store = std::make_shared<core::ResultStore>(dir_)});
     EXPECT_EQ(certificate_texts(warm.run_all(fleet.requests)), reference);
@@ -493,17 +491,24 @@ TEST_F(ResultStoreTest, WarmStartIsBudgetAndShardInvariant) {
 }
 
 TEST_F(ResultStoreTest, ConcurrentShardsShareOneStore) {
-    // TSan coverage: four shards, workers, a tiny budget (eviction spills
-    // race with loads) and two passes over one shared directory.
+    // TSan coverage: two engines on two threads, each with workers and a
+    // tiny budget, spill into and load from one store instance at once
+    // (eviction spills of one cache race with loads of the other).
     const auto fleet = make_fleet();
     auto store = std::make_shared<core::ResultStore>(dir_);
-    core::ShardedScenarioEngine engine(
-        {.shards = 4,
-         .worker_threads = 4,
-         .cache_budget = {.max_entries = 2},
-         .result_store = store});
-    const auto first = certificate_texts(engine.run_all(fleet.requests));
-    const auto second = certificate_texts(engine.run_all(fleet.requests));
+    const auto run_fleet = [&](std::vector<std::string>& certs) {
+        core::ScenarioEngine engine({.worker_threads = 2,
+                                     .cache_budget = {.max_entries = 2},
+                                     .result_store = store});
+        certs = certificate_texts(engine.run_all(fleet.requests));
+    };
+    std::vector<std::string> first;
+    std::vector<std::string> second;
+    // A std::async future joins in its destructor, also when this thread's
+    // run throws, and get() rethrows the other thread's failure.
+    auto other = std::async(std::launch::async, [&] { run_fleet(second); });
+    run_fleet(first);
+    other.get();
     EXPECT_EQ(first, second);
     EXPECT_GT(store->stats().appended, 0U);
 }

@@ -1,11 +1,10 @@
 // ShardedScenarioEngine (core/sharded_engine.hpp): fingerprint routing
-// stability, byte-identical certificates versus the single engine for any
-// shard count and cache budget, cross-program colocation, fold-based
-// merges of cache stats / telemetry / BatchStats, cancellation through the
-// router, and the error surface of malformed requests.
+// stability and cross-program colocation across a remote domain,
+// byte-identical certificates from a local front versus the engine,
+// telemetry through the front, cancellation, and the error surface of
+// malformed requests on a local and on a remote-only front.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -62,9 +61,17 @@ Fleet make_fleet() {
 
 // -- routing ------------------------------------------------------------------
 
+/// A routing domain of four remote shards.  Nothing listens on these
+/// reserved ports, but connections are lazy, so routing needs no server.
+core::ShardedScenarioEngine::Options remote_domain() {
+    return {.remote_endpoints = {"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3",
+                                 "127.0.0.1:4"}};
+}
+
 TEST(ShardRouter, StableAndSpecRepresentationIndependent) {
     const auto uav = usecases::make_uav_app("apalis-tk1");
-    const core::ShardedScenarioEngine engine({.shards = 4});
+    const core::ShardedScenarioEngine engine(remote_domain());
+    ASSERT_EQ(engine.shard_count(), 4U);
 
     const auto from_source = request_for(uav);
     auto pre_parsed = request_for(uav);
@@ -80,106 +87,48 @@ TEST(ShardRouter, SameKernelScenariosColocate) {
     // Option/label/scheduler variations of the same application analyse
     // the same kernels, so they must land where the cache is warm.
     const auto uav = usecases::make_uav_app("apalis-tk1");
-    const core::ShardedScenarioEngine engine({.shards = 4});
+    const core::ShardedScenarioEngine engine(remote_domain());
     auto variant = request_for(uav, "variant");
     variant.options.scheduler.seed = 99;
     variant.options.profile_runs = 7;
     EXPECT_EQ(engine.shard_of(request_for(uav)), engine.shard_of(variant));
 }
 
-TEST(ShardRouter, ShardCountZeroIsNormalisedToOne) {
-    const core::ShardedScenarioEngine engine({.shards = 0});
-    EXPECT_EQ(engine.shard_count(), 1U);
-}
-
-TEST(ShardRouter, WorkerThreadsDistributeAcrossShards) {
-    const core::ShardedScenarioEngine engine(
-        {.shards = 4, .worker_threads = 6});
-    // 6 workers split 2/2/1/1 plus one calling thread per shard.
-    EXPECT_EQ(engine.concurrency(), 10U);
+TEST(ShardRouter, UavAndRoverColocate) {
+    // The UAV and the rover share their primary kernel (uav_capture), so
+    // the router sends both to the remote whose cache holds it.
+    const auto uav = usecases::make_uav_app("apalis-tk1");
+    const auto rover = usecases::make_rover_app("apalis-tk1");
+    const core::ShardedScenarioEngine engine(remote_domain());
+    EXPECT_EQ(engine.shard_of(request_for(uav)),
+              engine.shard_of(request_for(rover)));
 }
 
 // -- determinism: the acceptance criterion ------------------------------------
 
-TEST(ShardedEngine, CertificatesByteIdenticalForAnyShardCountAndBudget) {
+TEST(ShardedEngine, LocalFrontIsByteIdenticalToTheEngine) {
     const auto fleet = make_fleet();
 
     core::ScenarioEngine reference;
     const auto baseline = reference.run_all(fleet.requests);
 
-    for (const std::size_t shards : {1U, 2U, 4U}) {
-        for (const std::size_t budget : {0U, 3U}) {
-            core::ShardedScenarioEngine engine(
-                {.shards = shards,
-                 .worker_threads = 2,
-                 .cache_budget = {.max_entries = budget}});
-            const auto reports = engine.run_all(fleet.requests);
-            ASSERT_EQ(reports.size(), baseline.size());
-            for (std::size_t i = 0; i < reports.size(); ++i) {
-                EXPECT_EQ(reports[i].certificate.to_text(),
-                          baseline[i].certificate.to_text())
-                    << "shards=" << shards << " budget=" << budget
-                    << " scenario=" << fleet.requests[i].label;
-                EXPECT_EQ(reports[i].summary(), baseline[i].summary())
-                    << "shards=" << shards << " budget=" << budget;
-                EXPECT_EQ(reports[i].glue_code, baseline[i].glue_code);
-            }
-        }
+    core::ShardedScenarioEngine front({.engine = {.worker_threads = 2}});
+    EXPECT_EQ(front.shard_count(), 1U);
+    EXPECT_EQ(front.concurrency(), 3U);  // two workers plus the caller
+    const auto reports = front.run_all(fleet.requests);
+    ASSERT_EQ(reports.size(), baseline.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_EQ(reports[i].certificate.to_text(),
+                  baseline[i].certificate.to_text())
+            << "scenario=" << fleet.requests[i].label;
+        EXPECT_EQ(reports[i].summary(), baseline[i].summary());
+        EXPECT_EQ(reports[i].glue_code, baseline[i].glue_code);
     }
-}
-
-TEST(ShardedEngine, CrossProgramHitsSurviveSharding) {
-    // The UAV and the rover share their primary kernel (uav_capture), so
-    // the router colocates them at any shard count and the mixed batch
-    // does strictly less work than isolated runs.
-    const auto uav = usecases::make_uav_app("apalis-tk1");
-    const auto rover = usecases::make_rover_app("apalis-tk1");
-
-    const core::ShardedScenarioEngine router({.shards = 4});
-    ASSERT_EQ(router.shard_of(request_for(uav)),
-              router.shard_of(request_for(rover)));
-
-    core::ScenarioEngine uav_alone;
-    (void)uav_alone.run(request_for(uav));
-    core::ScenarioEngine rover_alone;
-    (void)rover_alone.run(request_for(rover));
-    const auto isolated = uav_alone.cache_stats().misses +
-                          rover_alone.cache_stats().misses;
-
-    core::ShardedScenarioEngine engine({.shards = 4});
-    std::vector<core::ScenarioRequest> requests{request_for(uav),
-                                                request_for(rover)};
-    core::BatchStats stats;
-    (void)engine.run_all(requests, &stats);
-    EXPECT_LT(stats.cache.misses, isolated);
-    EXPECT_GT(stats.cache.hits, 0U);
-}
-
-// -- folds --------------------------------------------------------------------
-
-TEST(ShardedEngine, CacheStatsAreTheFoldOfShardSnapshots) {
-    const auto fleet = make_fleet();
-    core::ShardedScenarioEngine engine({.shards = 2});
-    (void)engine.run_all(fleet.requests);
-
-    core::EvaluationCache::Stats folded;
-    for (std::size_t shard = 0; shard < engine.shard_count(); ++shard)
-        folded.merge(engine.shard_cache_stats(shard));
-
-    const auto merged = engine.cache_stats();
-    EXPECT_EQ(merged.hits, folded.hits);
-    EXPECT_EQ(merged.misses, folded.misses);
-    EXPECT_EQ(merged.evictions, folded.evictions);
-    EXPECT_EQ(merged.entries, folded.entries);
-    EXPECT_EQ(merged.resident_cost, folded.resident_cost);
-    // Work actually happened, and both shards saw some of it (the fleet
-    // spans kernels with different fingerprints).
-    EXPECT_GT(merged.misses, 0U);
 }
 
 TEST(ShardedEngine, TelemetryFoldCountsEveryStageOfEveryScenario) {
     const auto fleet = make_fleet();
-    core::ShardedScenarioEngine engine({.shards = 4});
+    core::ShardedScenarioEngine engine;
     core::BatchStats stats;
     (void)engine.run_all(fleet.requests, &stats);
 
@@ -192,46 +141,15 @@ TEST(ShardedEngine, TelemetryFoldCountsEveryStageOfEveryScenario) {
         EXPECT_EQ(stage.count, fleet.requests.size()) << name;
 }
 
-TEST(ShardedEngine, BatchStatsMergeFoldsCountersAndTakesMaxWall) {
-    core::BatchStats a;
-    a.scenarios = 4;
-    a.workers = 2;
-    a.wall_s = 2.0;
-    a.cache.hits = 10;
-    a.cache.misses = 5;
-    a.stage_telemetry.record("parse", 0.5);
-
-    core::BatchStats b;
-    b.scenarios = 6;
-    b.workers = 3;
-    b.wall_s = 1.0;
-    b.cache.hits = 1;
-    b.cache.evictions = 2;
-    b.stage_telemetry.record("parse", 0.25);
-    b.stage_telemetry.record("certify", 0.125);
-
-    a.merge(b);
-    EXPECT_EQ(a.scenarios, 10U);
-    EXPECT_EQ(a.workers, 5U);
-    EXPECT_EQ(a.wall_s, 2.0);            // concurrent batches: max
-    EXPECT_EQ(a.scenarios_per_s, 5.0);   // re-derived from folded totals
-    EXPECT_EQ(a.cache.hits, 11U);
-    EXPECT_EQ(a.cache.misses, 5U);
-    EXPECT_EQ(a.cache.evictions, 2U);
-    EXPECT_EQ(a.stage_telemetry.stages().at("parse").count, 2U);
-    EXPECT_EQ(a.stage_telemetry.stages().at("parse").max_s, 0.5);
-    EXPECT_EQ(a.stage_telemetry.stages().at("certify").count, 1U);
-}
-
 // -- service surface ----------------------------------------------------------
 
 TEST(ShardedEngine, StreamingCompletionAndCancellation) {
     const auto pill = usecases::make_camera_pill_app();
     const auto space = usecases::make_space_app();
-    core::ShardedScenarioEngine engine({.shards = 2});  // caller-only
+    core::ShardedScenarioEngine engine;  // caller-only
 
     auto doomed = engine.submit(request_for(space));
-    doomed.cancel();  // before anything drains its shard
+    doomed.cancel();  // before anything drains the engine
 
     std::vector<std::string> completed;
     auto ticket = engine.submit(
@@ -251,7 +169,7 @@ TEST(ShardedEngine, StreamingCompletionAndCancellation) {
 TEST(ShardedEngine, MalformedRequestsSurfaceThroughTickets) {
     const auto pill = usecases::make_camera_pill_app();
 
-    core::ShardedScenarioEngine engine({.shards = 2});
+    core::ShardedScenarioEngine engine;
     auto bad_csl = request_for(pill);
     bad_csl.csl_source = "app broken on nothing {";
     auto csl_ticket = engine.submit(bad_csl);
@@ -262,11 +180,17 @@ TEST(ShardedEngine, MalformedRequestsSurfaceThroughTickets) {
     no_program.csl_source = pill.csl_source;
     auto program_ticket = engine.submit(no_program);
     EXPECT_THROW((void)program_ticket.get(), std::invalid_argument);
+
+    // A remote-only front fails the ticket the same way, before it
+    // connects to anything.
+    core::ShardedScenarioEngine remote_front(remote_domain());
+    auto remote_ticket = remote_front.submit(no_program);
+    EXPECT_THROW((void)remote_ticket.get(), std::invalid_argument);
 }
 
 TEST(ShardedEngine, ClearCachesResetsEveryShard) {
     const auto fleet = make_fleet();
-    core::ShardedScenarioEngine engine({.shards = 2});
+    core::ShardedScenarioEngine engine;
     (void)engine.run_all(fleet.requests);
     ASSERT_GT(engine.cache_stats().entries, 0U);
     engine.clear_caches();

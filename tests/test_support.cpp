@@ -2,6 +2,8 @@
 // least-squares fitting, units parsing/formatting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -229,6 +231,49 @@ TEST(Units, ParseRejectsGarbage) {
     EXPECT_FALSE(parse_time("2parsecs", v));
     EXPECT_FALSE(parse_energy("lots", v));
     EXPECT_FALSE(parse_energy("3volts", v));
+}
+
+TEST(Units, ParseCountAcceptsDecimalOrHexDigitsOnly) {
+    constexpr auto kAny = std::numeric_limits<std::uint64_t>::max();
+    const struct {
+        const char* text;
+        std::uint64_t max;
+        std::uint64_t expected;
+    } accepted[] = {
+        {"0", kAny, 0},
+        {"42", kAny, 42},
+        {"007", kAny, 7},  // decimal, not octal
+        {"0x2A", kAny, 42},
+        {"0xff", kAny, 255},
+        {"0x0", kAny, 0},
+        {"65535", 65535, 65535},
+        {"18446744073709551615", kAny, kAny},
+    };
+    for (const auto& row : accepted) {
+        std::uint64_t value = 7;
+        EXPECT_TRUE(parse_count(row.text, row.max, value)) << row.text;
+        EXPECT_EQ(value, row.expected) << row.text;
+    }
+
+    const struct {
+        const char* text;
+        std::uint64_t max;
+    } rejected[] = {
+        {"", kAny},      {"-1", kAny},    {"+80", kAny},
+        {" 80", kAny},   {"80 ", kAny},   {"2x", kAny},
+        {"abc", kAny},   {"1.5", kAny},   {"1e3", kAny},
+        {"0x", kAny},    {"0x-1", kAny},  {"0x+1", kAny},
+        {"0X10", kAny},  {"0xg", kAny},   {"70000", 65535},
+        {"0x10000", 65535},
+        {"18446744073709551616", kAny},  // 2^64: overflow
+        {"0x10000000000000000", kAny},
+    };
+    for (const auto& row : rejected) {
+        std::uint64_t value = 7;
+        EXPECT_FALSE(parse_count(row.text, row.max, value)) << row.text;
+        EXPECT_EQ(value, 7U) << "rejected input wrote the value: "
+                             << row.text;
+    }
 }
 
 }  // namespace

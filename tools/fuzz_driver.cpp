@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "ir/fingerprint.hpp"
 #include "ir/validate.hpp"
 #include "support/rng.hpp"
+#include "support/units.hpp"
 
 namespace {
 
@@ -38,7 +40,7 @@ using namespace teamplay;
 
 struct DriverOptions {
     std::uint64_t base_seed = 1;
-    std::size_t count = 1;
+    std::uint64_t count = 1;
     double budget_s = 0.0;  ///< 0 = no wall-clock budget (count rules)
     std::string log_path;
     bool loopback = false;
@@ -48,14 +50,6 @@ void usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--seed S] [--count N] [--budget-s T] [--log FILE]"
                  " [--loopback]\n";
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-    try {
-        return std::stoull(text, nullptr, 0);  // base 0: 0x... or decimal
-    } catch (const std::exception&) {
-        return std::nullopt;
-    }
 }
 
 /// Entry fingerprints of a scenario's program, in task order.
@@ -159,22 +153,28 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) return std::nullopt;
             return std::string(argv[++i]);
         };
+        // Decimal or 0x hex, nothing else: "2x" is an error, not 2.
+        const auto count_value = [&](std::uint64_t& out) {
+            const auto text = value();
+            if (text && support::parse_count(
+                            *text, std::numeric_limits<std::uint64_t>::max(),
+                            out))
+                return true;
+            std::cerr << argv[0] << ": " << arg
+                      << " expects a decimal or 0x count, got \""
+                      << text.value_or("") << "\"\n";
+            return false;
+        };
         if (arg == "--seed") {
-            const auto text = value();
-            const auto seed = text ? parse_u64(*text) : std::nullopt;
-            if (!seed) {
+            if (!count_value(options.base_seed)) {
                 usage(argv[0]);
                 return 2;
             }
-            options.base_seed = *seed;
         } else if (arg == "--count") {
-            const auto text = value();
-            const auto count = text ? parse_u64(*text) : std::nullopt;
-            if (!count) {
+            if (!count_value(options.count)) {
                 usage(argv[0]);
                 return 2;
             }
-            options.count = static_cast<std::size_t>(*count);
             explicit_count = true;
         } else if (arg == "--budget-s") {
             const auto text = value();
