@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
 #include "wcet/analyser.hpp"
@@ -39,11 +39,14 @@ PillComparison run_comparison() {
     const compiler::MultiCriteriaCompiler mcc(app.program, m0);
 
     // TeamPlay: the full predictable workflow.
-    core::PredictableWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.compiler.population = 12;
     options.compiler.iterations = 12;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     result.certificate_ok = report.certificate.all_hold() &&
                             contracts::verify_certificate(report.certificate);
 

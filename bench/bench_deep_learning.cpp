@@ -15,7 +15,7 @@
 #include <map>
 #include <memory>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "coordination/runtime.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
@@ -58,13 +58,16 @@ void print_tk1_parity() {
     // PowProfiler plays that role).  The hand-tuned deployment targets
     // latency, so the fair generated counterpart uses the makespan
     // objective.
-    core::ComplexWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.profile_runs = 15;
     options.scheduler.objective =
         coordination::Scheduler::Objective::kMakespan;
     options.scheduler.anneal = false;
-    const auto generated = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto generated = engine.run({.program = &app.program,
+                                       .platform = &app.platform,
+                                       .spec = spec,
+                                       .options = options});
 
     // Human-optimised mapping: an engineer pins the whole network to one
     // big core at maximum frequency (the classic hand-tuned deployment) and

@@ -3,11 +3,11 @@
 // Runs a mixed batch of predictable (Fig. 1) and complex (Fig. 2) scenarios
 // — every built-in use case times several option variants — through
 // `ScenarioEngine::run_all` with a worker pool and a shared evaluation
-// cache, against the sequential legacy path (one fresh single-scenario
-// driver per request, no sharing).  Reports scenarios/sec for both, the
-// speedup, the cache hit ratio, and verifies that every certificate is
-// byte-identical between the two paths — the engine accelerates the
-// toolchain without changing a single analysed bound.
+// cache, against the sequential path (one fresh caller-only engine per
+// request, no sharing).  Reports scenarios/sec for both, the speedup, the
+// cache hit ratio, and verifies that every certificate is byte-identical
+// between the two paths — sharing accelerates the toolchain without
+// changing a single analysed bound.
 //
 // Future PRs extend this batch (more platforms, sharded sweeps) and track
 // the scenarios/sec trajectory.
@@ -77,16 +77,16 @@ bool print_table() {
     std::printf("=== E1: engine batch, %zu mixed scenarios ===\n",
                 requests.size());
 
-    // Sequential legacy path: the thin wrappers, one at a time, no sharing.
-    const auto t_legacy = std::chrono::steady_clock::now();
-    std::vector<core::ToolchainReport> legacy;
-    legacy.reserve(requests.size());
-    for (const auto& request : requests)
-        legacy.push_back(core::run_toolchain(*request.program,
-                                             *request.platform,
-                                             csl::parse(request.csl_source),
-                                             request.options));
-    const double legacy_s = seconds_since(t_legacy);
+    // Sequential path: one fresh caller-only engine per scenario, one at a
+    // time, no sharing.
+    const auto t_sequential = std::chrono::steady_clock::now();
+    std::vector<core::ToolchainReport> sequential;
+    sequential.reserve(requests.size());
+    for (const auto& request : requests) {
+        core::ScenarioEngine fresh;
+        sequential.push_back(fresh.run(request));
+    }
+    const double sequential_s = seconds_since(t_sequential);
 
     // Engine path: 4 workers, shared cache.
     core::ScenarioEngine engine({.worker_threads = 4});
@@ -98,15 +98,16 @@ bool print_table() {
     std::size_t identical = 0;
     for (std::size_t i = 0; i < reports.size(); ++i)
         if (reports[i].certificate.to_text() ==
-            legacy[i].certificate.to_text())
+            sequential[i].certificate.to_text())
             ++identical;
 
-    std::printf("legacy sequential: %7.3f s  (%5.2f scenarios/s)\n",
-                legacy_s, static_cast<double>(requests.size()) / legacy_s);
+    std::printf("sequential:        %7.3f s  (%5.2f scenarios/s)\n",
+                sequential_s,
+                static_cast<double>(requests.size()) / sequential_s);
     std::printf("engine run_all:    %7.3f s  (%5.2f scenarios/s)\n",
                 engine_s, stats.scenarios_per_s);
     std::printf("speedup:           %6.2fx  (%zu threads)\n",
-                legacy_s / engine_s, stats.workers);
+                sequential_s / engine_s, stats.workers);
     std::printf("cache:             %llu hits / %llu misses (%.0f%% hit "
                 "ratio, %llu evictions, %zu entries)\n",
                 static_cast<unsigned long long>(stats.cache.hits),
@@ -114,7 +115,7 @@ bool print_table() {
                 100.0 * stats.cache.hit_ratio(),
                 static_cast<unsigned long long>(stats.cache.evictions),
                 stats.cache.entries);
-    std::printf("certificates byte-identical to legacy: %zu/%zu %s\n",
+    std::printf("certificates byte-identical to sequential: %zu/%zu %s\n",
                 identical, reports.size(),
                 identical == reports.size() ? "(OK)" : "(MISMATCH!)");
     std::printf("per-stage telemetry (engine path):\n%s\n",
@@ -127,9 +128,9 @@ bool print_table() {
         Value(Object{
             {"experiment", "engine_batch"},
             {"scenarios", requests.size()},
-            {"legacy_s", legacy_s},
+            {"sequential_s", sequential_s},
             {"engine_s", engine_s},
-            {"speedup", legacy_s / engine_s},
+            {"speedup", sequential_s / engine_s},
             {"workers", stats.workers},
             {"scenarios_per_s", stats.scenarios_per_s},
             {"cache", Value(Object{{"hits", stats.cache.hits},
@@ -175,8 +176,8 @@ BENCHMARK(BM_EngineBatchWarm)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 int main(int argc, char** argv) {
     // A certificate mismatch must fail the process: the CI bench-smoke
-    // step relies on this table as the engine-vs-legacy byte-identity
-    // gate.
+    // step relies on this table as the shared-vs-fresh-engine
+    // byte-identity gate.
     const bool identical = print_table();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

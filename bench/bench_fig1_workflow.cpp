@@ -104,7 +104,7 @@ void BM_Fig1EndToEnd(benchmark::State& state) {
     request.options.compiler.iterations = static_cast<int>(state.range(0));
     for (auto _ : state) {
         // A fresh engine per iteration: cold evaluation cache, so this
-        // measures the full analysis cost like the legacy driver did.
+        // measures the full analysis cost of one scenario.
         core::ScenarioEngine engine;
         benchmark::DoNotOptimize(engine.run(request));
     }

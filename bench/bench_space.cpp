@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "coordination/runtime.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
@@ -27,11 +27,14 @@ void print_table() {
     const coordination::Scheduler scheduler(app.platform);
 
     // TeamPlay: full workflow (multi-version compile + energy schedule).
-    core::PredictableWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.compiler.population = 10;
     options.compiler.iterations = 10;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
 
     // Traditional: same graph but restricted to the traditional version at
     // max frequency, single core (core_class pinning to one core via
@@ -103,12 +106,16 @@ void print_table() {
 void BM_SpaceSchedule(benchmark::State& state) {
     const auto app = make_space_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
-    core::WorkflowOptions options;
-    options.compiler.population = 6;
-    options.compiler.iterations = 6;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(workflow.run(spec, options));
+    core::ScenarioRequest request{.program = &app.program,
+                                  .platform = &app.platform,
+                                  .spec = spec};
+    request.options.compiler.population = 6;
+    request.options.compiler.iterations = 6;
+    for (auto _ : state) {
+        // A fresh engine per iteration: cold evaluation cache.
+        core::ScenarioEngine engine;
+        benchmark::DoNotOptimize(engine.run(request));
+    }
 }
 BENCHMARK(BM_SpaceSchedule)->Unit(benchmark::kMillisecond);
 

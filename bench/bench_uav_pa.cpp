@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "energy/component_model.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
@@ -82,10 +82,13 @@ double payload_power_w(const core::ToolchainReport& report,
 void print_table() {
     const auto app = make_uav_app("jetson-tx2");
     const auto spec = csl::parse(app.csl_source);
-    core::ComplexWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.profile_runs = 15;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
 
     std::puts("=== R4: PA UAV payload power band on Jetson TX2 (Sec. IV-C) ===");
     std::printf("%-34s %12s %16s\n", "software configuration", "power",

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
 
@@ -42,11 +42,14 @@ int main() {
     // -- toolchain run --------------------------------------------------------
     std::puts("\n== TeamPlay toolchain (Fig. 1) ==");
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.compiler.population = 10;
     options.compiler.iterations = 10;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     std::cout << report.summary();
 
     // -- traditional comparison ----------------------------------------------

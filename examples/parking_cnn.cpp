@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
 
@@ -54,10 +54,13 @@ int main() {
     std::puts("\n== TK1: coordination layer with profiled estimates ==");
     const auto tk1_app = make_parking_app(/*on_m0=*/false);
     const auto spec = csl::parse(tk1_app.csl_source);
-    core::ComplexWorkflow workflow(tk1_app.program, tk1_app.platform);
     core::WorkflowOptions wf_options;
     wf_options.profile_runs = 10;
-    const auto report = workflow.run(spec, wf_options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &tk1_app.program,
+                                    .platform = &tk1_app.platform,
+                                    .spec = spec,
+                                    .options = wf_options});
     std::cout << report.schedule.to_string();
     std::printf("certificate: %s\n",
                 report.certificate.all_hold() ? "all contracts hold"

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "support/units.hpp"
@@ -55,11 +55,14 @@ app quickstart on nucleo-f091 deadline 50ms {
     // 3. Run the toolchain: multi-criteria compilation, scheduling, glue
     //    code, contract proofs.
     const auto platform = platform::nucleo_f091();
-    core::PredictableWorkflow workflow(program, platform);
     core::WorkflowOptions options;
     options.compiler.population = 8;
     options.compiler.iterations = 8;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &program,
+                                    .platform = &platform,
+                                    .spec = spec,
+                                    .options = options});
 
     // 4. Inspect the results.
     std::cout << report.summary() << "\n";

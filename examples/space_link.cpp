@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "coordination/runtime.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
@@ -18,13 +18,16 @@ int main() {
     const auto app = make_space_app();
     const auto spec = csl::parse(app.csl_source);
 
-    core::PredictableWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.compiler.population = 8;
     options.compiler.iterations = 8;
     options.scheduler.objective =
         coordination::Scheduler::Objective::kEnergy;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
 
     std::cout << report.summary() << "\n";
 

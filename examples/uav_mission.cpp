@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "coordination/runtime.hpp"
 #include "energy/component_model.hpp"
 #include "support/units.hpp"
@@ -20,10 +20,13 @@ int main() {
     const auto spec = csl::parse(app.csl_source);
 
     std::puts("== pass 1+2: complex-architecture workflow (Fig. 2) ==");
-    core::ComplexWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.profile_runs = 15;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     std::cout << report.summary();
 
     std::puts("\n--- pass-1 sequential profiling driver (excerpt) ---");

@@ -291,7 +291,9 @@ Schedule Scheduler::schedule(const TaskGraph& graph,
         throw std::runtime_error("invalid task graph: " + errors.front());
 
     Schedule best = build(graph, {}, options);
-    if (!options.anneal || options.objective != Objective::kEnergy)
+    // An empty graph has nothing to perturb: its greedy schedule is final.
+    if (!options.anneal || options.objective != Objective::kEnergy ||
+        graph.tasks.empty())
         return best;
 
     // Simulated-annealing refinement over (core, version) assignments.

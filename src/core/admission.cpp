@@ -229,13 +229,6 @@ void AdmissionController::enforce_budget(
     throw ShedError(ShedError::Reason::kBudgetExhausted, label, detail.str());
 }
 
-double AdmissionController::estimated_total_s() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    double estimate_s = 0.0;
-    for (const auto& [name, mean] : stage_means_) estimate_s += mean.mean_s;
-    return estimate_s;
-}
-
 AdmissionStats AdmissionController::stats() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return stats_;

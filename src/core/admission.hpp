@@ -194,9 +194,6 @@ public:
                         std::span<const std::string_view> remaining_stages,
                         const std::string& label) const;
 
-    /// Rolling estimate of a full pipeline run (sum of per-stage means).
-    [[nodiscard]] double estimated_total_s() const;
-
     [[nodiscard]] AdmissionStats stats() const;
 
 private:

@@ -202,9 +202,8 @@ void EvaluationCache::admit(const EvaluationKey& key, double cost) {
 }
 
 void EvaluationCache::evict_over_budget_locked(Spillage* spillage) {
-    while (!lru_.empty() &&
-           ((budget_.max_entries > 0 && lru_.size() > budget_.max_entries) ||
-            (budget_.max_cost > 0.0 && resident_cost_ > budget_.max_cost))) {
+    while (!lru_.empty() && budget_.max_entries > 0 &&
+           lru_.size() > budget_.max_entries) {
         const auto victim = entries_.find(lru_.back());
         // Spill-on-evict: the value future is ready (eviction only touches
         // completed entries), so get() is a lock-free read here.

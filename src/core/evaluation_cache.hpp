@@ -123,16 +123,10 @@ public:
     using RemoteFetch =
         std::function<std::optional<EvaluationResult>(const EvaluationKey&)>;
 
-    /// Retention budget; 0 means unbounded on that axis.  `max_entries`
-    /// bounds completed resident entries, `max_cost` bounds their summed
-    /// `evaluation_result_cost`.
+    /// Retention budget: `max_entries` bounds completed resident entries
+    /// (0 = unbounded).
     struct Budget {
         std::size_t max_entries = 0;
-        double max_cost = 0.0;
-
-        [[nodiscard]] bool bounded() const {
-            return max_entries > 0 || max_cost > 0.0;
-        }
     };
 
     EvaluationCache() = default;
@@ -196,7 +190,6 @@ public:
     };
 
     [[nodiscard]] Stats stats() const;
-    [[nodiscard]] Budget budget() const { return budget_; }
 
     /// Install (or clear, with an empty function) the remote cache tier.
     /// Consulted on the owner path of a miss *after* the store consult and

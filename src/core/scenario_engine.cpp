@@ -183,8 +183,6 @@ ScenarioEngine::ScenarioEngine(Options options)
     : cache_(options.cache_budget, std::move(options.result_store)),
       sim_(std::move(options.sim)),
       admission_(options.admission),
-      predictable_stages_(predictable_stage_configuration()),
-      complex_stages_(complex_stage_configuration()),
       // Lane 0 is reserved for parallel_for fan-out of running scenarios;
       // lanes 1..N map the priority classes (see thread_pool.hpp).
       pool_(options.worker_threads, kNumPriorityClasses + 1) {
@@ -199,46 +197,36 @@ ScenarioEngine::~ScenarioEngine() {
     // dereference go away: a caller-only engine drains them here, and a
     // worker pool finishes the rest inside ~ThreadPool — which runs first
     // (pool_ is the last-declared member) and joins every worker while the
-    // stages, cache and telemetry are still alive.  Cancelled tickets exit
-    // at their first stage boundary.
+    // cache and telemetry are still alive.  Cancelled tickets exit at their
+    // first stage boundary.
     while (pool_.try_run_one()) {
     }
 }
 
 ToolchainReport ScenarioEngine::run_scenario(
-    const ScenarioRequest& request, const std::atomic<bool>* cancelled) {
+    const ScenarioRequest& request, const std::atomic<bool>& cancelled) {
     if (request.program == nullptr || request.platform == nullptr)
         throw std::invalid_argument(
             "ScenarioRequest requires a program and a platform");
+    const auto program_fp = fingerprint_program(*request.program);
     ScenarioContext context;
     context.request = &request;
     context.program = request.program;
-    context.program_fp = fingerprint_program(*request.program);
     context.platform = request.platform;
     context.options = request.options;
     context.cache = &cache_;
     context.pool = &pool_;
     context.sim = sim_;
-    context.cancelled = cancelled;
     {
         const std::lock_guard<std::mutex> lock(validated_mutex_);
-        context.program_validated =
-            validated_programs_.contains(context.program_fp);
+        context.program_validated = validated_programs_.contains(program_fp);
     }
 
-    const auto& stages = request.platform->predictable()
-                             ? predictable_stages_
-                             : complex_stages_;
-    std::vector<std::string_view> stage_names;
-    stage_names.reserve(stages.size());
-    for (const auto& stage : stages) stage_names.push_back(stage->name());
-    for (std::size_t i = 0; i < stages.size(); ++i) {
-        const auto& stage = stages[i];
+    for (std::size_t i = 0; i < kStageNames.size(); ++i) {
         // Cooperative cancellation, checked at every stage boundary: work
         // already handed to the cache completes (single-flight slots are
         // never abandoned), so a cancelled request stays retryable.
-        if (cancelled != nullptr &&
-            cancelled->load(std::memory_order_relaxed))
+        if (cancelled.load(std::memory_order_relaxed))
             throw CancelledError(request.label);
         // Deadline budget, enforced at the same boundaries: shed (throws
         // ShedError, equally retryable) once the rolling estimate of the
@@ -246,22 +234,22 @@ ToolchainReport ScenarioEngine::run_scenario(
         if (request.deadline.has_value())
             admission_.enforce_budget(
                 request.priority, *request.deadline,
-                std::span<const std::string_view>(stage_names).subspan(i),
+                std::span<const std::string_view>(kStageNames).subspan(i),
                 request.label);
         const auto lap_start = std::chrono::steady_clock::now();
-        stage->run(context);
+        run_stage(i, context);
         context.report.stage_laps.push_back(
-            {std::string(stage->name()),
+            {std::string(kStageNames[i]),
              std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            lap_start)
                  .count()});
     }
-    // Record only after the pipeline (and thus ParseStage's validation)
+    // Record only after the pipeline (and thus parse's validation)
     // succeeded, so an invalid program is re-validated — and re-rejected —
     // on every attempt.
     {
         const std::lock_guard<std::mutex> lock(validated_mutex_);
-        validated_programs_.insert(context.program_fp);
+        validated_programs_.insert(program_fp);
     }
     {
         const std::lock_guard<std::mutex> lock(telemetry_mutex_);
@@ -278,7 +266,7 @@ void ScenarioEngine::execute(detail::TicketState& state) {
     bool cancelled = false;
     bool shed = false;
     try {
-        report = run_scenario(state.request, &state.cancel);
+        report = run_scenario(state.request, state.cancel);
         admission_.on_completed(state.request.priority, report.stage_laps);
     } catch (const ShedError&) {
         shed = true;

@@ -2,20 +2,19 @@
 // flows of the paper, structured as an async streaming service core.
 //
 // A scenario is one (application program, platform, CSL spec, options)
-// tuple.  The engine runs it through a fixed pipeline of composable stages
-// (ParseStage -> AnalyseStage -> ScheduleStage -> ContractStage ->
-// CertifyStage, see stages.hpp); the predictable flow of Fig. 1 and the
-// complex flow of Fig. 2 are two *configurations* of that pipeline — a
-// static-analysis AnalyseStage/ContractStage versus a profiling one — not
-// two code paths.
+// tuple.  The engine runs it through a fixed table of five stage functions
+// (parse -> analyse -> schedule -> contract -> certify, see stages.hpp);
+// the predictable flow of Fig. 1 and the complex flow of Fig. 2 are one
+// pipeline whose analyse and contract stages branch on the platform class
+// — static analysis versus profiling — not two code paths.
 //
 // Submission model (DESIGN.md §7): `submit(request)` enqueues one scenario
 // and returns a ScenarioTicket immediately — a per-scenario future with
 // cooperative cancellation (checked at every stage boundary) and an
 // optional completion callback, so a service consumes results as they
 // finish instead of waiting for a whole batch to drain.  `run` and
-// `run_all` are thin wrappers over submission; the legacy workflow
-// drivers, the CLI and the benches all ride the same path.
+// `run_all` are thin wrappers over submission; the CLI, the examples and
+// the benches all ride the same path.
 //
 // Scale machinery:
 //   * an EvaluationCache memoises every per-(task entry, core class, OPP)
@@ -23,17 +22,16 @@
 //     an optional LRU budget for long-lived service use;
 //   * a support::ThreadPool evaluates independent tuples concurrently and
 //     runs whole scenarios in parallel (streamed or batched);
-//   * every Stage::run is wrapped in a monotonic lap timer; laps aggregate
-//     into StageTelemetry (per-stage count/total/max) in BatchStats and
-//     per report, so a regression in one stage is attributable.
+//   * every stage runs inside a monotonic lap timer; laps aggregate into
+//     StageTelemetry (per-stage count/total/max) in BatchStats and per
+//     report, so a regression in one stage is attributable.
 //
 // Determinism: every parallel unit is seeded from its own key and writes to
 // its own slot, and every cache key (ir::structural_fingerprint + options)
 // covers all bytes that can influence output, so reports — including
 // certificate bytes — are identical for any worker count, any cache
-// budget, streamed or batched, and identical to the legacy
-// single-scenario workflow drivers (which are now thin wrappers over this
-// engine).  A host runs one engine; ShardedScenarioEngine
+// budget, streamed or batched, and for a fresh caller-only engine per
+// scenario.  A host runs one engine; ShardedScenarioEngine
 // (sharded_engine.hpp) is the service front that runs it locally or
 // routes submissions across remote shards by kernel fingerprint.
 #pragma once
@@ -59,7 +57,6 @@
 
 namespace teamplay::core {
 
-class Stage;
 class ScenarioEngine;
 
 // CancelledError / ShedError / Priority live in core/admission.hpp (the
@@ -266,7 +263,7 @@ public:
 
 private:
     [[nodiscard]] ToolchainReport run_scenario(
-        const ScenarioRequest& request, const std::atomic<bool>* cancelled);
+        const ScenarioRequest& request, const std::atomic<bool>& cancelled);
     void execute(detail::TicketState& state);
 
     EvaluationCache cache_;
@@ -279,11 +276,9 @@ private:
     StageTelemetry telemetry_;
     AdmissionController admission_;
     std::atomic<std::size_t> next_ticket_id_{0};
-    std::vector<std::unique_ptr<const Stage>> predictable_stages_;
-    std::vector<std::unique_ptr<const Stage>> complex_stages_;
     /// Declared last on purpose: the pool is destroyed *first*, which joins
     /// the workers (and lets them drain still-queued submissions) while the
-    /// stages, cache and telemetry those tasks dereference are still alive.
+    /// cache and telemetry those tasks dereference are still alive.
     support::ThreadPool pool_;
 };
 

@@ -109,7 +109,7 @@ std::size_t ShardedScenarioEngine::shard_of(
     if (request.program == nullptr) return 0;
     // A request carrying only CSL source is parsed into a transient spec
     // for routing; the request itself is forwarded untouched, so the
-    // scenario's own parse runs inside the remote engine's ParseStage
+    // scenario's own parse runs inside the remote engine's parse stage
     // (identical stage telemetry and error surface to a local engine).
     // A malformed source routes on program content and the remote raises
     // the CslError into the ticket.

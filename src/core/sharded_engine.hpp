@@ -80,7 +80,7 @@ public:
     /// Route one scenario and enqueue it.  Same contract as
     /// ScenarioEngine::submit: the request is forwarded untouched (a
     /// CSL-only request is parsed transiently for routing, then parsed for
-    /// real inside the engine's ParseStage, so stage telemetry and the
+    /// real inside the engine's parse stage, so stage telemetry and the
     /// error surface match the local engine; malformed CSL and a missing
     /// program surface through the ticket).
     [[nodiscard]] ScenarioTicket submit(ScenarioRequest request,

@@ -1,11 +1,11 @@
 // Per-stage latency attribution for the scenario pipeline.
 //
-// The engine wraps every Stage::run with a monotonic lap timer and records
-// one StageLap per (scenario, stage) into the scenario's report.  Laps are
-// aggregated into a StageTelemetry — per-stage invocation count, total and
-// maximum wall time — so a regression in one pipeline stage is visible in
-// the batch trajectory instead of being smeared into a single wall number
-// (X-Lap-style cross-layer attribution).
+// The engine runs every pipeline stage inside a monotonic lap timer and
+// records one StageLap per (scenario, stage) into the scenario's report.
+// Laps are aggregated into a StageTelemetry — per-stage invocation count,
+// total and maximum wall time — so a regression in one pipeline stage is
+// visible in the batch trajectory instead of being smeared into a single
+// wall number (X-Lap-style cross-layer attribution).
 //
 // Determinism: aggregation is keyed by stage name in a sorted map and built
 // from commutative reductions (sum, max), so a merged telemetry is

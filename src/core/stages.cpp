@@ -1,6 +1,7 @@
 #include "core/stages.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -144,37 +145,44 @@ std::vector<compiler::TaskVersion> compile_front(
     return front;
 }
 
-}  // namespace
+// -- the five stages ----------------------------------------------------------
 
-// -- ParseStage ---------------------------------------------------------------
-
-void ParseStage::run(ScenarioContext& context) const {
+void parse(ScenarioContext& context) {
     if (!context.program_validated) ir::validate_or_throw(*context.program);
+    auto& spec = context.report.spec;
     if (context.request->spec.has_value())
-        context.report.spec = *context.request->spec;
+        spec = *context.request->spec;
     else
-        context.report.spec = csl::parse(context.request->csl_source);
+        spec = csl::parse(context.request->csl_source);
+    // Spec defects fail here, with one message whichever flow the platform
+    // selects, before any analysis runs.  An app without tasks would
+    // otherwise certify an empty schedule.
+    if (spec.tasks.empty())
+        throw std::runtime_error("app '" + spec.name + "' declares no tasks");
+    const auto reps = class_representatives(*context.platform);
+    for (const auto& task_spec : spec.tasks) {
+        if (context.program->find(task_spec.entry) == nullptr)
+            throw std::runtime_error("task '" + task_spec.name +
+                                     "' entry function '" + task_spec.entry +
+                                     "' not found");
+        if (allowed_classes(task_spec, reps).empty())
+            throw std::runtime_error("task '" + task_spec.name +
+                                     "' fits no core class of " +
+                                     context.platform->name);
+    }
     context.report.platform_name = context.platform->name;
-    context.report.graph = context.report.spec.skeleton();
+    context.report.graph = spec.skeleton();
     // Structural fingerprints of every task entry, computed once per
     // scenario: the program component of all downstream cache keys (and
     // the quantity the shard router hashes, so routing and keying agree).
-    for (const auto& task_spec : context.report.spec.tasks)
+    for (const auto& task_spec : spec.tasks)
         context.entry_fps.try_emplace(
             task_spec.entry,
             ir::structural_fingerprint(*context.program, task_spec.entry));
 }
 
-// -- AnalyseStage -------------------------------------------------------------
-
-void AnalyseStage::run(ScenarioContext& context) const {
-    if (mode_ == Mode::kStatic)
-        run_static(context);
-    else
-        run_profiled(context);
-}
-
-void AnalyseStage::run_static(ScenarioContext& context) const {
+/// Fig. 1: multi-criteria compiled Pareto fronts per (task, core class).
+void analyse_static(ScenarioContext& context) {
     const auto reps = class_representatives(*context.platform);
 
     struct Tuple {
@@ -183,16 +191,10 @@ void AnalyseStage::run_static(ScenarioContext& context) const {
         const platform::Core* core;
     };
     std::vector<Tuple> tuples;
-    for (const auto& task_spec : context.report.spec.tasks) {
-        const auto classes = allowed_classes(task_spec, reps);
-        if (classes.empty())
-            throw std::runtime_error("task '" + task_spec.name +
-                                     "' fits no core class of " +
-                                     context.platform->name);
-        for (const auto& cls : classes)
+    for (const auto& task_spec : context.report.spec.tasks)
+        for (const auto& cls : allowed_classes(task_spec, reps))
             tuples.push_back({&task_spec, cls,
                               &context.platform->cores[reps.at(cls)]});
-    }
 
     std::vector<std::shared_ptr<const EvaluationResult>> results(
         tuples.size());
@@ -215,8 +217,8 @@ void AnalyseStage::run_static(ScenarioContext& context) const {
         });
     });
 
-    // Merge in tuple order so the report is independent of worker count and
-    // identical to the legacy driver's (spec order x sorted class order).
+    // Merge in tuple order (spec order x sorted class order) so the report
+    // is independent of worker count.
     for (std::size_t i = 0; i < tuples.size(); ++i) {
         const auto& tuple = tuples[i];
         coordination::Task* task =
@@ -238,9 +240,9 @@ void AnalyseStage::run_static(ScenarioContext& context) const {
     }
 }
 
-void AnalyseStage::run_profiled(ScenarioContext& context) const {
-    // Pass 1 (solid path of Fig. 2): sequential glue + dynamic profiling of
-    // every task on every admissible (core class, DVFS point).
+/// Fig. 2, pass 1 (solid path): sequential glue + dynamic profiling of
+/// every task on every admissible (core class, DVFS point).
+void analyse_profiled(ScenarioContext& context) {
     context.report.sequential_glue = coordination::generate_glue(
         context.report.graph, {}, *context.platform,
         coordination::GlueStyle::kSequential);
@@ -257,10 +259,6 @@ void AnalyseStage::run_profiled(ScenarioContext& context) const {
     std::vector<Tuple> tuples;
     for (const auto& task_spec : context.report.spec.tasks) {
         const ir::Function* entry = context.program->find(task_spec.entry);
-        if (entry == nullptr)
-            throw std::runtime_error("task '" + task_spec.name +
-                                     "' entry function '" + task_spec.entry +
-                                     "' not found");
         for (const auto& cls : allowed_classes(task_spec, reps)) {
             const auto& core = context.platform->cores[reps.at(cls)];
             for (std::size_t opp = 0; opp < core.opps.size(); ++opp)
@@ -296,8 +294,8 @@ void AnalyseStage::run_profiled(ScenarioContext& context) const {
             EvaluationResult result;
             // Each (core, OPP) campaign owns its machine inside the
             // profiler, so concurrent tuples never share simulator
-            // state; the seed is a pure function of the OPP (legacy
-            // convention), keeping results thread-count-invariant.
+            // state; the seed is a pure function of the OPP, keeping
+            // results thread-count-invariant.
             profiler::PowProfiler prof(*context.program, *tuple.core,
                                        tuple.opp,
                                        /*seed=*/tuple.opp * 131 + 7,
@@ -325,9 +323,14 @@ void AnalyseStage::run_profiled(ScenarioContext& context) const {
     }
 }
 
-// -- ScheduleStage ------------------------------------------------------------
+void analyse(ScenarioContext& context) {
+    if (context.platform->predictable())
+        analyse_static(context);
+    else
+        analyse_profiled(context);
+}
 
-void ScheduleStage::run(ScenarioContext& context) const {
+void schedule(ScenarioContext& context) {
     auto scheduler_options = context.options.scheduler;
     if (scheduler_options.deadline_s <= 0.0)
         scheduler_options.deadline_s = effective_deadline(context.report.spec);
@@ -343,30 +346,29 @@ void ScheduleStage::run(ScenarioContext& context) const {
         style);
 }
 
-// -- ContractStage ------------------------------------------------------------
-
-void ContractStage::run(ScenarioContext& context) const {
-    auto& report = context.report;
-    std::vector<contracts::ContractInput> inputs;
+/// Predictable platforms prove the chosen compiled versions; complex ones
+/// admit the profiled estimates as measured evidence.
+void contract(ScenarioContext& context) {
+    const auto& report = context.report;
+    const bool predictable = context.platform->predictable();
     for (const auto& entry : report.schedule.entries) {
-        const auto* task_spec = context.report.spec.find(entry.task);
+        const auto* task_spec = report.spec.find(entry.task);
         if (task_spec == nullptr) continue;
 
-        if (mode_ == Mode::kStatic) {
+        contracts::ContractInput input;
+        input.poi = entry.task;
+        input.function = task_spec->entry;
+        input.time_budget_s = task_spec->time_budget_s;
+        input.energy_budget_j = task_spec->energy_budget_j;
+        input.leakage_budget = task_spec->leakage_budget;
+        if (predictable) {
             const compiler::TaskVersion* chosen_v =
                 report.chosen_version(entry.task);
             if (chosen_v == nullptr) continue;
-            contracts::ContractInput input;
-            input.poi = entry.task;
-            input.function = task_spec->entry;
             input.program = chosen_v->program.get();
             input.core = &context.platform->cores[entry.core];
             input.opp_index = chosen_v->config.opp_index;
-            input.time_budget_s = task_spec->time_budget_s;
-            input.energy_budget_j = task_spec->energy_budget_j;
-            input.leakage_budget = task_spec->leakage_budget;
             input.leakage_proxy = chosen_v->leakage;
-            inputs.push_back(std::move(input));
         } else {
             const auto* task = report.graph.find(entry.task);
             const auto* versions = task->versions_for(
@@ -374,55 +376,30 @@ void ContractStage::run(ScenarioContext& context) const {
             if (versions == nullptr || entry.version >= versions->size())
                 continue;
             const auto& choice = (*versions)[entry.version];
-            contracts::ContractInput input;
-            input.poi = entry.task;
-            input.function = task_spec->entry;
             input.measured_only = true;
             input.measured_time_s = choice.time_s;
             input.measured_energy_j = choice.energy_j;
-            input.time_budget_s = task_spec->time_budget_s;
-            input.energy_budget_j = task_spec->energy_budget_j;
-            input.leakage_budget = task_spec->leakage_budget;
             input.leakage_proxy = choice.leakage;
-            inputs.push_back(std::move(input));
         }
+        context.contract_inputs.push_back(std::move(input));
     }
-    context.contract_inputs = std::move(inputs);
 }
 
-// -- CertifyStage -------------------------------------------------------------
-
-void CertifyStage::run(ScenarioContext& context) const {
+void certify(ScenarioContext& context) {
     context.report.certificate =
         contracts::check_contracts(context.report.spec.name,
                                    context.platform->name,
                                    context.contract_inputs);
 }
 
-// -- configurations -----------------------------------------------------------
+}  // namespace
 
-std::vector<std::unique_ptr<const Stage>> predictable_stage_configuration() {
-    std::vector<std::unique_ptr<const Stage>> stages;
-    stages.push_back(std::make_unique<ParseStage>());
-    stages.push_back(
-        std::make_unique<AnalyseStage>(AnalyseStage::Mode::kStatic));
-    stages.push_back(std::make_unique<ScheduleStage>());
-    stages.push_back(
-        std::make_unique<ContractStage>(ContractStage::Mode::kStatic));
-    stages.push_back(std::make_unique<CertifyStage>());
-    return stages;
-}
-
-std::vector<std::unique_ptr<const Stage>> complex_stage_configuration() {
-    std::vector<std::unique_ptr<const Stage>> stages;
-    stages.push_back(std::make_unique<ParseStage>());
-    stages.push_back(
-        std::make_unique<AnalyseStage>(AnalyseStage::Mode::kProfiled));
-    stages.push_back(std::make_unique<ScheduleStage>());
-    stages.push_back(
-        std::make_unique<ContractStage>(ContractStage::Mode::kMeasured));
-    stages.push_back(std::make_unique<CertifyStage>());
-    return stages;
+void run_stage(std::size_t index, ScenarioContext& context) {
+    // Bound to kStageNames in the same order.
+    static constexpr std::array<void (*)(ScenarioContext&),
+                                kStageNames.size()>
+        kStageFunctions = {parse, analyse, schedule, contract, certify};
+    kStageFunctions[index](context);
 }
 
 }  // namespace teamplay::core

@@ -1,28 +1,32 @@
-// Composable pipeline stages of the ScenarioEngine.
+// The fixed pipeline of the ScenarioEngine: one table of five stage
+// functions.
 //
-// Stage graph (linear; DESIGN.md §3):
+// Stage table (linear, in run order; DESIGN.md §3):
 //
-//   ParseStage     validate the IR, parse/adopt the CSL spec, build the
-//                  task-graph skeleton
-//   AnalyseStage   fill per-(task, core class[, OPP]) version candidates —
-//                  kStatic: multi-criteria compiled Pareto fronts (Fig. 1);
-//                  kProfiled: sequential glue + PowProfiler campaigns
-//                  (Fig. 2, pass 1)
-//   ScheduleStage  energy-aware multi-version schedule, RM response-time
-//                  analysis, final glue code
-//   ContractStage  assemble per-POI contract inputs from the chosen
-//                  versions — kStatic: analysable programs for proof
-//                  construction; kMeasured: profiled estimates
-//   CertifyStage   check contracts and emit the certificate
+//   parse     validate the IR, parse/adopt the CSL spec, check that the app
+//             declares tasks and that every task's entry exists and fits a
+//             core class, build the task-graph skeleton
+//   analyse   fill per-(task, core class[, OPP]) version candidates —
+//             predictable platform: multi-criteria compiled Pareto fronts
+//             (Fig. 1); complex platform: sequential glue + PowProfiler
+//             campaigns (Fig. 2, pass 1)
+//   schedule  energy-aware multi-version schedule, RM response-time
+//             analysis, final glue code
+//   contract  assemble per-POI contract inputs from the chosen versions —
+//             predictable: analysable programs for proof construction;
+//             complex: profiled estimates admitted as measured evidence
+//   certify   check contracts and emit the certificate
 //
-// Stages are stateless const objects; all scenario state lives in the
-// ScenarioContext, so one stage instance serves concurrent scenarios.
+// The two flows of the paper differ only inside analyse and contract, which
+// branch on `platform.predictable()`.  Stage functions are stateless; all
+// scenario state lives in the ScenarioContext, so concurrent scenarios
+// share the table.
 #pragma once
 
-#include <atomic>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,99 +40,32 @@ namespace teamplay::core {
 struct ScenarioContext {
     const ScenarioRequest* request = nullptr;
     const ir::Program* program = nullptr;
-    std::uint64_t program_fp = 0;   ///< content hash, filled by the engine
     /// Set by the engine when this program content was already validated
-    /// in this engine's lifetime (ParseStage then skips re-validation).
+    /// in this engine's lifetime (parse then skips re-validation).
     bool program_validated = false;
     const platform::Platform* platform = nullptr;
     WorkflowOptions options;
     /// Canonical structural fingerprint per task entry function (filled by
-    /// ParseStage once the spec is known); the program component of every
+    /// parse once the spec is known); the program component of every
     /// EvaluationKey, shared across programs that embed the same kernel.
     std::map<std::string, std::uint64_t> entry_fps;
     EvaluationCache* cache = nullptr;
     support::ThreadPool* pool = nullptr;
-    /// Simulator tier (and shared trace cache) for machines built by the
-    /// analyse stages; copied from the engine's Options.
+    /// Simulator tier (and shared trace cache) for machines built by
+    /// analyse; copied from the engine's Options.
     sim::SimOptions sim;
-    /// Cooperative cancellation token of the owning ticket (may be null).
-    /// The engine checks it at every stage boundary; a long-running stage
-    /// may additionally poll it at its own safe points.
-    const std::atomic<bool>* cancelled = nullptr;
-    std::vector<contracts::ContractInput> contract_inputs;  ///< ContractStage
-    /// The pipeline's product; `report.spec` (filled by ParseStage) is the
+    std::vector<contracts::ContractInput> contract_inputs;  ///< contract
+    /// The pipeline's product; `report.spec` (filled by parse) is the
     /// single authoritative copy of the parsed CSL spec.
     ToolchainReport report;
 };
 
-class Stage {
-public:
-    virtual ~Stage() = default;
-    [[nodiscard]] virtual std::string_view name() const = 0;
-    virtual void run(ScenarioContext& context) const = 0;
-};
+/// The pipeline's stage names, in run order.  They are the lap names, the
+/// telemetry keys and the units of the admission estimate.
+inline constexpr std::array<std::string_view, 5> kStageNames = {
+    "parse", "analyse", "schedule", "contract", "certify"};
 
-class ParseStage final : public Stage {
-public:
-    [[nodiscard]] std::string_view name() const override { return "parse"; }
-    void run(ScenarioContext& context) const override;
-};
-
-class AnalyseStage final : public Stage {
-public:
-    enum class Mode : std::uint8_t {
-        kStatic,    ///< Fig. 1: static WCET/energy/security analysers
-        kProfiled,  ///< Fig. 2: dynamic PowProfiler measurements
-    };
-
-    explicit AnalyseStage(Mode mode) : mode_(mode) {}
-    [[nodiscard]] std::string_view name() const override { return "analyse"; }
-    void run(ScenarioContext& context) const override;
-
-private:
-    void run_static(ScenarioContext& context) const;
-    void run_profiled(ScenarioContext& context) const;
-
-    Mode mode_;
-};
-
-class ScheduleStage final : public Stage {
-public:
-    [[nodiscard]] std::string_view name() const override {
-        return "schedule";
-    }
-    void run(ScenarioContext& context) const override;
-};
-
-class ContractStage final : public Stage {
-public:
-    enum class Mode : std::uint8_t {
-        kStatic,    ///< proofs built from the chosen compiled versions
-        kMeasured,  ///< measured estimates admitted as evidence
-    };
-
-    explicit ContractStage(Mode mode) : mode_(mode) {}
-    [[nodiscard]] std::string_view name() const override {
-        return "contract";
-    }
-    void run(ScenarioContext& context) const override;
-
-private:
-    Mode mode_;
-};
-
-class CertifyStage final : public Stage {
-public:
-    [[nodiscard]] std::string_view name() const override { return "certify"; }
-    void run(ScenarioContext& context) const override;
-};
-
-/// The Fig. 1 configuration: static analysis end to end.
-[[nodiscard]] std::vector<std::unique_ptr<const Stage>>
-predictable_stage_configuration();
-
-/// The Fig. 2 configuration: profile, then schedule from measurements.
-[[nodiscard]] std::vector<std::unique_ptr<const Stage>>
-complex_stage_configuration();
+/// Run the stage named `kStageNames[index]` on one scenario.
+void run_stage(std::size_t index, ScenarioContext& context);
 
 }  // namespace teamplay::core

@@ -1,10 +1,6 @@
 #include "core/workflow.hpp"
 
 #include <sstream>
-#include <stdexcept>
-
-#include "core/scenario_engine.hpp"
-#include "ir/validate.hpp"
 
 namespace teamplay::core {
 
@@ -39,64 +35,6 @@ std::string ToolchainReport::summary() const {
     }
     os << certificate.to_text();
     return os.str();
-}
-
-namespace {
-
-/// Shared body of the legacy single-scenario drivers: one caller-only
-/// engine per call, so behaviour (and bytes) match the historical
-/// sequential path exactly.
-ToolchainReport run_single(const ir::Program& program,
-                           const platform::Platform& platform,
-                           const csl::AppSpec& spec,
-                           const WorkflowOptions& options) {
-    ScenarioEngine engine;
-    ScenarioRequest request;
-    request.program = &program;
-    request.platform = &platform;
-    request.spec = spec;
-    request.options = options;
-    return engine.run(request);
-}
-
-}  // namespace
-
-PredictableWorkflow::PredictableWorkflow(const ir::Program& program,
-                                         const platform::Platform& platform)
-    : program_(&program), platform_(&platform) {
-    if (!platform.predictable())
-        throw std::invalid_argument(
-            "PredictableWorkflow requires a predictable platform; use "
-            "ComplexWorkflow for " +
-            platform.name);
-    ir::validate_or_throw(program);
-}
-
-ToolchainReport PredictableWorkflow::run(const csl::AppSpec& spec,
-                                         const WorkflowOptions& options) {
-    return run_single(*program_, *platform_, spec, options);
-}
-
-ComplexWorkflow::ComplexWorkflow(const ir::Program& program,
-                                 const platform::Platform& platform)
-    : program_(&program), platform_(&platform) {
-    if (platform.predictable())
-        throw std::invalid_argument(
-            "ComplexWorkflow is for complex platforms; " + platform.name +
-            " supports full static analysis");
-    ir::validate_or_throw(program);
-}
-
-ToolchainReport ComplexWorkflow::run(const csl::AppSpec& spec,
-                                     const WorkflowOptions& options) {
-    return run_single(*program_, *platform_, spec, options);
-}
-
-ToolchainReport run_toolchain(const ir::Program& program,
-                              const platform::Platform& platform,
-                              const csl::AppSpec& spec,
-                              const WorkflowOptions& options) {
-    return run_single(program, platform, spec, options);
 }
 
 }  // namespace teamplay::core

@@ -1,18 +1,18 @@
-// End-to-end toolchain drivers: the two workflows of the paper.
+// The toolchain's product and knobs: what one scenario of the paper's two
+// workflows yields, and the options that steer it.
 //
-// PredictableWorkflow (Fig. 1): CSL -> multi-criteria compiler with static
+// Predictable flow (Fig. 1): CSL -> multi-criteria compiler with static
 // WCET/energy/security analysers -> coordination (multi-version energy-aware
 // scheduling + glue code) -> contract system -> certificate.
 //
-// ComplexWorkflow (Fig. 2): CSL -> pass 1 (sequential glue + PowProfiler
+// Complex flow (Fig. 2): CSL -> pass 1 (sequential glue + PowProfiler
 // dynamic profiling across cores and DVFS points) -> pass 2 (energy-aware
 // parallel schedule from the measured estimates) -> contracts admitted as
 // measured evidence -> certificate flagged "contains measured evidence".
 //
-// Both drivers are thin wrappers over core::ScenarioEngine
-// (scenario_engine.hpp): the two figures are two stage configurations of
-// one pipeline.  Use the engine directly for batches, caching and
-// multi-threaded runs; these classes remain for single-scenario callers.
+// Both run through core::ScenarioEngine (scenario_engine.hpp), which picks
+// the flow from the platform class: build a ScenarioRequest and call
+// `ScenarioEngine::run`, or `submit`/`run_all` for streams and batches.
 #pragma once
 
 #include <map>
@@ -68,38 +68,5 @@ struct WorkflowOptions {
     int profile_runs = 25;  ///< complex flow: measurements per (task, opp)
     std::optional<coordination::GlueStyle> glue_style;  ///< default by board
 };
-
-class PredictableWorkflow {
-public:
-    /// The program must outlive the workflow.  Throws when the platform has
-    /// complex cores (use ComplexWorkflow) or the program is malformed.
-    PredictableWorkflow(const ir::Program& program,
-                        const platform::Platform& platform);
-
-    [[nodiscard]] ToolchainReport run(const csl::AppSpec& spec,
-                                      const WorkflowOptions& options = {});
-
-private:
-    const ir::Program* program_;
-    const platform::Platform* platform_;
-};
-
-class ComplexWorkflow {
-public:
-    ComplexWorkflow(const ir::Program& program,
-                    const platform::Platform& platform);
-
-    [[nodiscard]] ToolchainReport run(const csl::AppSpec& spec,
-                                      const WorkflowOptions& options = {});
-
-private:
-    const ir::Program* program_;
-    const platform::Platform* platform_;
-};
-
-/// Select the workflow matching the platform's architecture class.
-[[nodiscard]] ToolchainReport run_toolchain(
-    const ir::Program& program, const platform::Platform& platform,
-    const csl::AppSpec& spec, const WorkflowOptions& options = {});
 
 }  // namespace teamplay::core

@@ -82,7 +82,7 @@ struct GeneratedScenario {
     std::uint64_t seed = 0;  ///< the seed that reproduces this scenario
     ir::Program program;
     platform::Platform platform;
-    std::string csl_source;  ///< parsed by the pipeline's ParseStage
+    std::string csl_source;  ///< parsed by the pipeline's parse stage
     /// Entry function of each CSL task, in task order (task k's entry).
     std::vector<std::string> entries;
 };

@@ -274,21 +274,6 @@ std::uint64_t model_fingerprint(const isa::TargetModel& model) {
     return hash.value;
 }
 
-void TraceCache::Stats::merge(const Stats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    entries += other.entries;
-}
-
-TraceCache::Stats TraceCache::Stats::since(const Stats& before) const {
-    Stats delta = *this;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.evictions -= before.evictions;
-    return delta;
-}
-
 std::shared_ptr<const CompiledTrace> TraceCache::get_or_compile(
     const ir::Program& program, const std::string& entry,
     const isa::TargetModel& model) {

@@ -176,11 +176,6 @@ public:
                        ? static_cast<double>(hits) / static_cast<double>(total)
                        : 0.0;
         }
-        /// Commutative fold of per-cache snapshots (counters sum).
-        void merge(const Stats& other);
-        /// Counter delta since an earlier snapshot of the same cache;
-        /// `entries` keeps this snapshot's point-in-time value.
-        [[nodiscard]] Stats since(const Stats& before) const;
     };
 
     TraceCache() : TraceCache(Budget{}) {}

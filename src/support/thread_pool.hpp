@@ -6,7 +6,7 @@
 //   working alongside the background workers.  Because the caller always
 //   makes progress itself, nested `parallel_for` calls issued from inside a
 //   body (the ScenarioEngine runs scenarios in parallel, and each
-//   scenario's AnalyseStage fans out again over (task, core class, OPP)
+//   scenario's analyse stage fans out again over (task, core class, OPP)
 //   tuples) can never deadlock: at worst the nested call degrades to the
 //   calling thread draining its own work.
 //

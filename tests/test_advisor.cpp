@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/advisor.hpp"
+#include "core/scenario_engine.hpp"
 #include "usecases/apps.hpp"
 
 namespace {
@@ -11,11 +12,14 @@ using namespace teamplay;
 core::ToolchainReport pill_report() {
     const auto app = usecases::make_camera_pill_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.compiler.population = 8;
     options.compiler.iterations = 8;
-    return workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    return engine.run({.program = &app.program,
+                       .platform = &app.platform,
+                       .spec = spec,
+                       .options = options});
 }
 
 TEST(Advisor, GreenReportProducesOnlyOptimisationHints) {
@@ -64,10 +68,13 @@ TEST(Advisor, DetectsTightBudget) {
 TEST(Advisor, FlagsMeasuredEvidenceOnComplexFlow) {
     const auto app = usecases::make_uav_app();
     const auto spec = csl::parse(app.csl_source);
-    core::ComplexWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.profile_runs = 6;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     const auto advice = core::advise(report);
     bool measured = false;
     for (const auto& item : advice)

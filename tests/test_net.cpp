@@ -1,7 +1,8 @@
 // Shard fabric transport (net/): loopback round-trips are byte-identical
 // to in-process runs, transport faults (mid-frame disconnect, server
 // restart, poisoned frames) surface as the retryable cancellation class
-// and never poison the server, cancels propagate across the wire, a warm
+// and never poison the server, a spec defect fails only its own ticket,
+// cancels propagate across the wire, a warm
 // fabric peer serves a cold engine's misses with zero recomputes, and
 // resealed mutants of a kReplyStats envelope round-trip or raise WireError.
 #include <gtest/gtest.h>
@@ -293,6 +294,27 @@ TEST(Net, PoisonedPayloadGetsErrorReplyAndConnectionSurvives) {
     EXPECT_EQ(reply.id, 8U);
     EXPECT_EQ(reply.type, net::MsgType::kReplyStats);
     EXPECT_NO_THROW((void)core::wire::decode_batch_stats(reply.payload));
+}
+
+TEST(Net, AppWithoutTasksFailsItsTicketAndTheServerKeepsServing) {
+    const auto server = make_server();
+    net::RemoteShard remote(client_options(server->port()));
+
+    // The server's parse rejects an app that declares no tasks: an error
+    // reply for this ticket, not a dead server.
+    auto empty = light_request("empty#net");
+    empty.csl_source = "app empty on camera-pill deadline 100ms {\n}\n";
+    try {
+        (void)remote.submit(empty).get();
+        ADD_FAILURE() << "an app without tasks was certified";
+    } catch (const std::runtime_error& error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "remote shard error: app 'empty' declares no tasks");
+    }
+
+    // Same client: a valid request still completes.
+    const auto report = remote.submit(light_request()).get();
+    EXPECT_TRUE(report.certificate.all_hold());
 }
 
 TEST(Net, CancelPropagatesAcrossTheWire) {

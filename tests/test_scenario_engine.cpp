@@ -1,6 +1,6 @@
 // ScenarioEngine layer: thread pool semantics, evaluation-cache
-// memoisation, engine-vs-legacy equivalence on the paper's use cases,
-// determinism across worker counts, and batch execution statistics.
+// memoisation, determinism across worker counts, and batch execution
+// statistics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/scenario_engine.hpp"
-#include "core/stages.hpp"
 #include "support/thread_pool.hpp"
 #include "usecases/apps.hpp"
 
@@ -139,7 +138,7 @@ TEST(EvaluationCache, ClearDropsEntries) {
     EXPECT_EQ(computes, 2);
 }
 
-// -- engine vs legacy path ----------------------------------------------------
+// -- requests through the engine ----------------------------------------------
 
 core::WorkflowOptions fast_options() {
     core::WorkflowOptions options;
@@ -171,39 +170,6 @@ void expect_reports_identical(const core::ToolchainReport& a,
     EXPECT_EQ(a.schedule.entries.size(), b.schedule.entries.size());
     EXPECT_DOUBLE_EQ(a.schedule.makespan_s, b.schedule.makespan_s);
     EXPECT_EQ(a.fronts.size(), b.fronts.size());
-}
-
-TEST(ScenarioEngine, MatchesLegacyPredictablePathOnCameraPill) {
-    const auto app = usecases::make_camera_pill_app();
-    const auto spec = csl::parse(app.csl_source);
-    const auto options = fast_options();
-
-    core::PredictableWorkflow legacy(app.program, app.platform);
-    const auto legacy_report = legacy.run(spec, options);
-
-    core::ScenarioEngine engine;
-    const auto engine_report = engine.run(request_for(app, spec, options));
-
-    expect_reports_identical(engine_report, legacy_report);
-    EXPECT_TRUE(engine_report.certificate.fully_static());
-    EXPECT_TRUE(contracts::verify_certificate(engine_report.certificate));
-}
-
-TEST(ScenarioEngine, MatchesLegacyComplexPathOnUav) {
-    const auto app = usecases::make_uav_app("apalis-tk1");
-    const auto spec = csl::parse(app.csl_source);
-    const auto options = fast_options();
-
-    core::ComplexWorkflow legacy(app.program, app.platform);
-    const auto legacy_report = legacy.run(spec, options);
-
-    core::ScenarioEngine engine;
-    const auto engine_report = engine.run(request_for(app, spec, options));
-
-    expect_reports_identical(engine_report, legacy_report);
-    EXPECT_FALSE(engine_report.certificate.fully_static());
-    EXPECT_FALSE(engine_report.sequential_glue.empty());
-    EXPECT_TRUE(contracts::verify_certificate(engine_report.certificate));
 }
 
 TEST(ScenarioEngine, ParsesCslSourceWhenSpecAbsent) {
@@ -330,19 +296,6 @@ TEST(ScenarioEngine, RunAllReportsBatchStatsAndOrder) {
     EXPECT_GT(stats.cache.hits, 0u);
     EXPECT_GT(stats.cache.misses, 0u);
     EXPECT_FALSE(stats.to_string().empty());
-}
-
-TEST(ScenarioEngine, StageConfigurationsMatchThePaper) {
-    const auto predictable = core::predictable_stage_configuration();
-    const auto complex = core::complex_stage_configuration();
-    ASSERT_EQ(predictable.size(), 5u);
-    ASSERT_EQ(complex.size(), 5u);
-    const char* expected[] = {"parse", "analyse", "schedule", "contract",
-                              "certify"};
-    for (std::size_t i = 0; i < 5; ++i) {
-        EXPECT_EQ(predictable[i]->name(), expected[i]);
-        EXPECT_EQ(complex[i]->name(), expected[i]);
-    }
 }
 
 }  // namespace

@@ -275,6 +275,9 @@ TEST(SimTraceCache, HitMissAndOppInvariance) {
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, core.opps.size() - 1);
     EXPECT_EQ(stats.entries, 1u);
+    EXPECT_DOUBLE_EQ(stats.hit_ratio(),
+                     static_cast<double>(core.opps.size() - 1) /
+                         static_cast<double>(core.opps.size()));
 
     // Per-machine memoisation: a second resolve on the same machine never
     // consults the cache again.
@@ -341,28 +344,6 @@ TEST(SimTraceCache, EvictsColdTracesBeyondBudget) {
     // p1 was evicted: resolving it again is a fresh miss.
     EXPECT_NE(cache->get_or_compile(p1, "f", core.model), nullptr);
     EXPECT_EQ(cache->stats().misses, 3u);
-}
-
-TEST(SimTraceCache, StatsMergeAndSince) {
-    sim::TraceCache::Stats a;
-    a.hits = 3;
-    a.misses = 2;
-    a.evictions = 1;
-    a.entries = 4;
-    sim::TraceCache::Stats b;
-    b.hits = 1;
-    b.misses = 1;
-    b.entries = 2;
-    auto merged = a;
-    merged.merge(b);
-    EXPECT_EQ(merged.hits, 4u);
-    EXPECT_EQ(merged.misses, 3u);
-    EXPECT_EQ(merged.entries, 6u);
-    const auto delta = a.since(b);
-    EXPECT_EQ(delta.hits, 2u);
-    EXPECT_EQ(delta.misses, 1u);
-    EXPECT_EQ(delta.entries, 4u);  // point-in-time, not a delta
-    EXPECT_DOUBLE_EQ(a.hit_ratio(), 0.6);
 }
 
 // -- lockstep seeds -----------------------------------------------------------

@@ -417,18 +417,6 @@ TEST(BoundedCache, LruEvictsColdestAndCountsConsistently) {
     EXPECT_EQ(computes, 4);
 }
 
-TEST(BoundedCache, CostBudgetEvicts) {
-    // Each scalar entry costs 1.0; a 1.5 budget holds exactly one.
-    core::EvaluationCache cache({.max_cost = 1.5});
-    int computes = 0;
-    (void)cache.lookup(scalar_key(1), scalar_compute(computes, 1.0));
-    (void)cache.lookup(scalar_key(2), scalar_compute(computes, 2.0));
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_DOUBLE_EQ(stats.resident_cost, 1.0);
-}
-
 TEST(BoundedCache, InFlightSlotIsNeverEvicted) {
     core::EvaluationCache cache({.max_entries = 1});
     int computes = 0;
@@ -447,6 +435,12 @@ TEST(BoundedCache, InFlightSlotIsNeverEvicted) {
     int recomputes = 0;
     (void)cache.lookup(scalar_key(2), scalar_compute(recomputes, 2.0));
     EXPECT_EQ(recomputes, 0);  // key 2 resident: it finished last (hot)
+    // Key 1's eviction took its cost with it: one scalar entry (cost 1.0)
+    // remains resident.
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_DOUBLE_EQ(stats.resident_cost, 1.0);
 }
 
 TEST(BoundedCache, ClearResetsCountersAndKeepsNothing) {

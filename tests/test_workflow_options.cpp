@@ -3,7 +3,7 @@
 // invariants.
 #include <gtest/gtest.h>
 
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "usecases/apps.hpp"
 
 namespace {
@@ -13,23 +13,29 @@ using namespace teamplay;
 TEST(WorkflowOptions, GlueStyleOverride) {
     const auto app = usecases::make_camera_pill_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine engine;
     core::WorkflowOptions options;
     options.compiler.population = 4;
     options.compiler.iterations = 4;
     options.glue_style = coordination::GlueStyle::kRtems;
-    const auto report = workflow.run(spec, options);
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     EXPECT_NE(report.glue_code.find("rtems"), std::string::npos);
 
     options.glue_style = coordination::GlueStyle::kPosix;
-    const auto report2 = workflow.run(spec, options);
+    const auto report2 = engine.run({.program = &app.program,
+                                     .platform = &app.platform,
+                                     .spec = spec,
+                                     .options = options});
     EXPECT_NE(report2.glue_code.find("pthread"), std::string::npos);
 }
 
 TEST(WorkflowOptions, EngineSelectionAllProduceValidReports) {
     const auto app = usecases::make_camera_pill_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine toolchain;
     for (const auto engine :
          {compiler::MultiCriteriaCompiler::Engine::kFpa,
           compiler::MultiCriteriaCompiler::Engine::kNsga2,
@@ -38,7 +44,10 @@ TEST(WorkflowOptions, EngineSelectionAllProduceValidReports) {
         options.compiler.engine = engine;
         options.compiler.population = 4;
         options.compiler.iterations = 4;
-        const auto report = workflow.run(spec, options);
+        const auto report = toolchain.run({.program = &app.program,
+                                           .platform = &app.platform,
+                                           .spec = spec,
+                                           .options = options});
         EXPECT_TRUE(report.schedule.feasible);
         EXPECT_TRUE(contracts::verify_certificate(report.certificate));
         EXPECT_FALSE(report.fronts.empty());
@@ -54,11 +63,14 @@ TEST(WorkflowOptions, SecurityHintForcesCountermeasure) {
     csl_text.replace(pos, std::string("security auto").size(),
                      "security ladder");
     const auto spec = csl::parse(csl_text);
-    core::PredictableWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine engine;
     core::WorkflowOptions options;
     options.compiler.population = 4;
     options.compiler.iterations = 4;
-    const auto report = workflow.run(spec, options);
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     for (const auto& front : report.fronts) {
         if (front.task != "encrypt") continue;
         for (const auto& version : front.versions)
@@ -70,11 +82,14 @@ TEST(WorkflowOptions, SecurityHintForcesCountermeasure) {
 TEST(WorkflowReport, RtaAttachedForPeriodicSingleCoreApps) {
     const auto app = usecases::make_camera_pill_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine engine;
     core::WorkflowOptions options;
     options.compiler.population = 4;
     options.compiler.iterations = 4;
-    const auto report = workflow.run(spec, options);
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     // All five pill tasks are periodic and pinned to the M0 -> RM analysis
     // for that core must be present and pass.
     ASSERT_FALSE(report.rta.empty());
@@ -88,11 +103,14 @@ TEST(WorkflowReport, RtaAttachedForPeriodicSingleCoreApps) {
 TEST(WorkflowReport, FrontsAreMutuallyNonDominated) {
     const auto app = usecases::make_parking_app(true);
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine engine;
     core::WorkflowOptions options;
     options.compiler.population = 8;
     options.compiler.iterations = 8;
-    const auto report = workflow.run(spec, options);
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     for (const auto& front : report.fronts) {
         for (const auto& a : front.versions)
             for (const auto& b : front.versions) {
@@ -112,11 +130,14 @@ TEST(WorkflowReport, FrontsAreMutuallyNonDominated) {
 TEST(WorkflowReport, ChosenVersionResolvesEveryScheduledTask) {
     const auto app = usecases::make_camera_pill_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine engine;
     core::WorkflowOptions options;
     options.compiler.population = 4;
     options.compiler.iterations = 4;
-    const auto report = workflow.run(spec, options);
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     for (const auto& entry : report.schedule.entries) {
         const auto* version = report.chosen_version(entry.task);
         ASSERT_NE(version, nullptr) << entry.task;
@@ -129,11 +150,14 @@ TEST(WorkflowReport, ChosenVersionResolvesEveryScheduledTask) {
 TEST(WorkflowReport, SummaryMentionsEveryTask) {
     const auto app = usecases::make_space_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine engine;
     core::WorkflowOptions options;
     options.compiler.population = 4;
     options.compiler.iterations = 4;
-    const auto report = workflow.run(spec, options);
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     const auto text = report.summary();
     for (const auto& task : spec.tasks)
         EXPECT_NE(text.find(task.name), std::string::npos) << task.name;
@@ -142,10 +166,13 @@ TEST(WorkflowReport, SummaryMentionsEveryTask) {
 TEST(ComplexWorkflowOptions, ProfileRunsControlSampleCount) {
     const auto app = usecases::make_uav_app();
     const auto spec = csl::parse(app.csl_source);
-    core::ComplexWorkflow workflow(app.program, app.platform);
+    core::ScenarioEngine engine;
     core::WorkflowOptions options;
     options.profile_runs = 4;
-    const auto report = workflow.run(spec, options);
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
     // Every (task, class, opp) combination received a profiled version.
     for (const auto& task : report.graph.tasks) {
         for (const auto& [cls, versions] : task.versions) {

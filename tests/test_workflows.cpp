@@ -1,11 +1,12 @@
 // Integration tests: CSL parsing, coordination (scheduling, glue, runtime),
-// contracts, and the two end-to-end workflows on the real use-case apps.
+// contracts, the two end-to-end flows on the real use-case apps, and the
+// spec checks both flows share at parse.
 #include <gtest/gtest.h>
 
 #include "contracts/system.hpp"
 #include "coordination/glue.hpp"
 #include "coordination/runtime.hpp"
-#include "core/workflow.hpp"
+#include "core/scenario_engine.hpp"
 #include "csl/csl.hpp"
 #include "energy/analyser.hpp"
 #include "usecases/apps.hpp"
@@ -188,6 +189,16 @@ TEST(Scheduler, ThrowsWhenTaskFitsNoCore) {
     graph.tasks.push_back(task);
     const coordination::Scheduler scheduler(nucleo);
     EXPECT_THROW((void)scheduler.schedule(graph, {}), std::runtime_error);
+}
+
+TEST(Scheduler, EmptyGraphYieldsAnEmptySchedule) {
+    // Annealing is on by default; with no task to perturb it must not run.
+    const auto tx2 = platform::jetson_tx2();
+    const coordination::Scheduler scheduler(tx2);
+    const auto schedule = scheduler.schedule(coordination::TaskGraph{}, {});
+    EXPECT_TRUE(schedule.entries.empty());
+    EXPECT_TRUE(schedule.feasible);
+    EXPECT_DOUBLE_EQ(schedule.makespan_s, 0.0);
 }
 
 TEST(Scheduler, PlatformEnergyIncludesBaseAndIdle) {
@@ -386,12 +397,15 @@ TEST(Contracts, MeasuredEvidenceFlagged) {
 TEST(PredictableWorkflowE2E, CameraPillGreenCertificate) {
     const auto app = usecases::make_camera_pill_app();
     const auto spec = csl::parse(app.csl_source);
-    core::PredictableWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.compiler.population = 6;
     options.compiler.iterations = 6;
     options.scheduler.anneal_iterations = 100;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
 
     EXPECT_TRUE(report.schedule.feasible);
     EXPECT_EQ(report.schedule.entries.size(), spec.tasks.size());
@@ -404,20 +418,17 @@ TEST(PredictableWorkflowE2E, CameraPillGreenCertificate) {
               std::string::npos);
 }
 
-TEST(PredictableWorkflowE2E, RejectsComplexPlatform) {
-    const auto app = usecases::make_uav_app();
-    EXPECT_THROW(core::PredictableWorkflow(app.program, app.platform),
-                 std::invalid_argument);
-}
-
 TEST(ComplexWorkflowE2E, UavTwoPassProducesMeasuredCertificate) {
     const auto app = usecases::make_uav_app("apalis-tk1");
     const auto spec = csl::parse(app.csl_source);
-    core::ComplexWorkflow workflow(app.program, app.platform);
     core::WorkflowOptions options;
     options.profile_runs = 8;
     options.scheduler.anneal_iterations = 60;
-    const auto report = workflow.run(spec, options);
+    core::ScenarioEngine engine;
+    const auto report = engine.run({.program = &app.program,
+                                    .platform = &app.platform,
+                                    .spec = spec,
+                                    .options = options});
 
     EXPECT_TRUE(report.schedule.feasible);
     EXPECT_FALSE(report.sequential_glue.empty());        // pass 1 artifact
@@ -429,29 +440,76 @@ TEST(ComplexWorkflowE2E, UavTwoPassProducesMeasuredCertificate) {
     EXPECT_TRUE(contracts::verify_certificate(report.certificate));
 }
 
-TEST(ComplexWorkflowE2E, RejectsPredictablePlatform) {
-    const auto app = usecases::make_camera_pill_app();
-    EXPECT_THROW(core::ComplexWorkflow(app.program, app.platform),
-                 std::invalid_argument);
-}
-
-TEST(RunToolchain, DispatchesOnPlatformClass) {
+TEST(EngineFlow, DispatchesOnPlatformClass) {
     const auto pill = usecases::make_camera_pill_app();
-    const auto pill_spec = csl::parse(pill.csl_source);
+    const auto uav = usecases::make_uav_app();
     core::WorkflowOptions options;
     options.compiler.population = 4;
     options.compiler.iterations = 4;
     options.profile_runs = 5;
     options.scheduler.anneal = false;
-    const auto pill_report =
-        core::run_toolchain(pill.program, pill.platform, pill_spec, options);
+    core::ScenarioEngine engine;
+    const auto pill_report = engine.run({.program = &pill.program,
+                                         .platform = &pill.platform,
+                                         .spec = csl::parse(pill.csl_source),
+                                         .options = options});
     EXPECT_TRUE(pill_report.certificate.fully_static());
 
-    const auto uav = usecases::make_uav_app();
-    const auto uav_spec = csl::parse(uav.csl_source);
-    const auto uav_report =
-        core::run_toolchain(uav.program, uav.platform, uav_spec, options);
+    const auto uav_report = engine.run({.program = &uav.program,
+                                        .platform = &uav.platform,
+                                        .spec = csl::parse(uav.csl_source),
+                                        .options = options});
     EXPECT_FALSE(uav_report.certificate.fully_static());
+}
+
+// -- spec defects -----------------------------------------------------------------
+
+struct SpecDefect {
+    const char* name;
+    bool on_uav;  ///< uav on apalis-tk1 (profiled flow), else pill (static)
+    void (*inject)(csl::AppSpec& spec);
+    const char* message;
+};
+
+const SpecDefect kSpecDefects[] = {
+    {"pill/missing-entry", false,
+     [](csl::AppSpec& spec) { spec.tasks.front().entry = "nope"; },
+     "task 'capture' entry function 'nope' not found"},
+    {"pill/unfit-class", false,
+     [](csl::AppSpec& spec) { spec.tasks.front().core_class = "dsp"; },
+     "task 'capture' fits no core class of camera-pill"},
+    {"pill/no-tasks", false, [](csl::AppSpec& spec) { spec.tasks.clear(); },
+     "app 'camera_pill' declares no tasks"},
+    {"uav/missing-entry", true,
+     [](csl::AppSpec& spec) { spec.tasks.front().entry = "nope"; },
+     "task 'capture' entry function 'nope' not found"},
+    {"uav/unfit-class", true,
+     [](csl::AppSpec& spec) { spec.tasks.front().core_class = "dsp"; },
+     "task 'capture' fits no core class of apalis-tk1"},
+    {"uav/no-tasks", true, [](csl::AppSpec& spec) { spec.tasks.clear(); },
+     "app 'uav_detection' declares no tasks"},
+};
+
+TEST(SpecDefects, BothFlowsRejectAtParseWithOneMessage) {
+    const auto pill = usecases::make_camera_pill_app();
+    const auto uav = usecases::make_uav_app("apalis-tk1");
+    for (const auto& defect : kSpecDefects) {
+        SCOPED_TRACE(defect.name);
+        const auto& app = defect.on_uav ? uav : pill;
+        auto spec = csl::parse(app.csl_source);
+        defect.inject(spec);
+        core::ScenarioEngine engine;
+        try {
+            (void)engine.run({.program = &app.program,
+                              .platform = &app.platform,
+                              .spec = spec});
+            ADD_FAILURE() << "accepted a defective spec";
+        } catch (const std::runtime_error& error) {
+            EXPECT_STREQ(error.what(), defect.message);
+        }
+        // The run failed before analyse: no analysis was looked up.
+        EXPECT_EQ(engine.cache_stats().misses, 0u);
+    }
 }
 
 }  // namespace
