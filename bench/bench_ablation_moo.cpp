@@ -5,8 +5,6 @@
 // against NSGA-II and the traditional weighted-sum hill climber on the real
 // compiler configuration space (pill_encrypt on the Cortex-M0), reporting
 // hypervolume (bigger = better front), front size and evaluation budget.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "compiler/moo.hpp"
@@ -102,47 +100,9 @@ void print_table() {
                 "budget; FPA is competitive with NSGA-II\n\n");
 }
 
-void BM_FpaOnCompilerSpace(benchmark::State& state) {
-    const auto app = make_camera_pill_app();
-    const compiler::MultiCriteriaCompiler mcc(app.program,
-                                              app.platform.cores[0]);
-    const compiler::EvalFn eval = [&mcc](const compiler::Genome& genome) {
-        const auto version =
-            mcc.compile("pill_delta", mcc.decode(genome, false));
-        return compiler::Objectives{version.time_s, version.energy_j,
-                                    version.leakage};
-    };
-    for (auto _ : state) {
-        support::Rng rng(7);
-        compiler::FpaParams params;
-        params.population = 8;
-        params.iterations = static_cast<int>(state.range(0));
-        benchmark::DoNotOptimize(
-            compiler::fpa_optimise(eval, compiler::kGenomeDims, params, rng));
-    }
-}
-BENCHMARK(BM_FpaOnCompilerSpace)->Arg(5)->Arg(10)->Unit(benchmark::kMillisecond);
-
-void BM_HypervolumeEstimate(benchmark::State& state) {
-    support::Rng rng(3);
-    std::vector<compiler::Objectives> front;
-    for (int i = 0; i < 24; ++i)
-        front.push_back({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
-                         rng.uniform(0.0, 1.0)});
-    const compiler::Objectives ref = {1.5, 1.5, 1.5};
-    for (auto _ : state) {
-        support::Rng hv_rng(9);
-        benchmark::DoNotOptimize(
-            compiler::hypervolume(front, ref, 20000, hv_rng));
-    }
-}
-BENCHMARK(BM_HypervolumeEstimate)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,9 +6,9 @@
 // HEFT-style makespan-only, and single-version (fastest only, the classic
 // flow without the multi-version interface).  Reports mean platform energy
 // vs the TeamPlay policy across deadline tightness levels.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "coordination/scheduler.hpp"
@@ -114,42 +114,9 @@ void print_table() {
                 "policies converge (no room to slow down)\n\n");
 }
 
-void BM_ScheduleEnergyAware(benchmark::State& state) {
-    const auto tx2 = platform::jetson_tx2();
-    const coordination::Scheduler scheduler(tx2);
-    support::Rng rng(5);
-    const auto graph = random_dag(rng, static_cast<int>(state.range(0)));
-    coordination::Scheduler::Options options;
-    options.objective = coordination::Scheduler::Objective::kEnergy;
-    options.deadline_s = 1.0;
-    options.anneal_iterations = 150;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(scheduler.schedule(graph, options));
-}
-BENCHMARK(BM_ScheduleEnergyAware)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ScheduleHeft(benchmark::State& state) {
-    const auto tx2 = platform::jetson_tx2();
-    const coordination::Scheduler scheduler(tx2);
-    support::Rng rng(5);
-    const auto graph = random_dag(rng, static_cast<int>(state.range(0)));
-    coordination::Scheduler::Options options;
-    options.objective = coordination::Scheduler::Objective::kMakespan;
-    options.anneal = false;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(scheduler.schedule(graph, options));
-}
-BENCHMARK(BM_ScheduleHeft)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,16 +6,13 @@
 // multi-objective exploration, maximum frequency.  TeamPlay = multi-criteria
 // compiler + energy-aware coordination, per the Fig. 1 workflow.
 //
-// The binary first prints the paper-vs-measured table, then runs
-// google-benchmark timings of the underlying toolchain operations.
-#include <benchmark/benchmark.h>
-
+// The binary prints the paper-vs-measured table and exits 1 when the
+// TeamPlay certificate is red.
 #include <cstdio>
 
 #include "core/scenario_engine.hpp"
 #include "support/units.hpp"
 #include "usecases/apps.hpp"
-#include "wcet/analyser.hpp"
 
 using namespace teamplay;
 using namespace teamplay::usecases;
@@ -77,7 +74,7 @@ PillComparison run_comparison() {
     return result;
 }
 
-void print_table() {
+bool print_table() {
     const auto cmp = run_comparison();
     const double perf_gain =
         (1.0 - cmp.teamplay_wcet_s / cmp.traditional_wcet_s) * 100.0;
@@ -99,51 +96,9 @@ void print_table() {
     std::printf("paper:    18%% performance, 19%% energy improvement\n");
     std::printf("measured: %.0f%% performance, %.0f%% energy improvement\n\n",
                 perf_gain, energy_gain);
+    return cmp.certificate_ok;
 }
-
-// -- google-benchmark cases over the underlying operations --------------------
-
-void BM_PillFrameSimulation(benchmark::State& state) {
-    const auto app = make_camera_pill_app();
-    sim::Machine machine(app.program, app.platform.cores[0], 2);
-    stage_xtea_key(machine, {1, 2, 3, 4});
-    machine.poke(pill::kState, 7);
-    for (auto _ : state) {
-        for (const auto* task : {"pill_capture", "pill_delta",
-                                 "pill_compress", "pill_encrypt",
-                                 "pill_transmit"})
-            benchmark::DoNotOptimize(machine.run(task, {}).cycles);
-    }
-}
-BENCHMARK(BM_PillFrameSimulation)->Unit(benchmark::kMillisecond);
-
-void BM_PillWcetAnalysis(benchmark::State& state) {
-    const auto app = make_camera_pill_app();
-    const wcet::Analyser analyser(app.program);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            analyser.analyse("pill_encrypt", app.platform.cores[0], 2));
-}
-BENCHMARK(BM_PillWcetAnalysis)->Unit(benchmark::kMicrosecond);
-
-void BM_PillCompileVariant(benchmark::State& state) {
-    const auto app = make_camera_pill_app();
-    const compiler::MultiCriteriaCompiler mcc(app.program,
-                                              app.platform.cores[0]);
-    compiler::PassConfig config;
-    config.unroll_factor = 8;
-    config.inline_calls_pass = true;
-    config.licm = true;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mcc.compile("pill_encrypt", config));
-}
-BENCHMARK(BM_PillCompileVariant)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-}
+int main() { return print_table() ? 0 : 1; }

@@ -8,8 +8,6 @@
 //     generated from the TeamPlay toolchain performs similarly as the
 //     original human-optimized version both in terms of energy and time" —
 //     compare the generated schedule against a hand-optimised mapping.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -142,37 +140,10 @@ void print_tk1_parity() {
                 generated_energy / manual_energy);
 }
 
-void BM_CnnInferenceM0(benchmark::State& state) {
-    const auto app = make_parking_app(true);
-    sim::Machine machine(app.program, app.platform.cores[0], 2);
-    stage_parking_weights(machine);
-    machine.poke(parking::kState, 1);
-    for (auto _ : state) {
-        for (const auto* task : {"park_capture", "park_conv", "park_pool",
-                                 "park_fc1", "park_fc2", "park_decide"})
-            benchmark::DoNotOptimize(machine.run(task, {}).cycles);
-    }
-}
-BENCHMARK(BM_CnnInferenceM0)->Unit(benchmark::kMillisecond);
-
-void BM_CnnVariantCompile(benchmark::State& state) {
-    const auto app = make_parking_app(true);
-    const compiler::MultiCriteriaCompiler mcc(app.program,
-                                              app.platform.cores[0]);
-    compiler::PassConfig config;
-    config.unroll_factor = 4;
-    config.licm = true;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mcc.compile("park_conv", config));
-}
-BENCHMARK(BM_CnnVariantCompile)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_m0_variants();
     print_tk1_parity();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
 // validates the coarse component model used on complex platforms, and shows
 // how accuracy degrades with fewer calibration kernels (the cost-
 // effectiveness trade-off the Energy Modelling Challenge describes).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "energy/component_model.hpp"
@@ -71,33 +69,9 @@ void print_table() {
                 "2.00} W\n\n");
 }
 
-void BM_CollectCalibrationSamples(benchmark::State& state) {
-    const auto core = platform::nucleo_f091().cores[0];
-    const auto suite = energy::make_calibration_suite(
-        static_cast<int>(state.range(0)), 7);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            energy::collect_samples(suite, core, 1, 3, 13));
-}
-BENCHMARK(BM_CollectCalibrationSamples)
-    ->Arg(8)
-    ->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FitIsaModel(benchmark::State& state) {
-    const auto core = platform::nucleo_f091().cores[0];
-    const auto suite = energy::make_calibration_suite(24, 7);
-    const auto samples = energy::collect_samples(suite, core, 1, 4, 13);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(energy::fit_model(samples));
-}
-BENCHMARK(BM_FitIsaModel)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,17 +8,11 @@
 // cache hit ratio, and verifies that every certificate is byte-identical
 // between the two paths — sharing accelerates the toolchain without
 // changing a single analysed bound.
-//
-// Future PRs extend this batch (more platforms, sharded sweeps) and track
-// the scenarios/sec trajectory.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "core/scenario_engine.hpp"
 #include "usecases/apps.hpp"
 
@@ -120,66 +114,14 @@ bool print_table() {
                 identical == reports.size() ? "(OK)" : "(MISMATCH!)");
     std::printf("per-stage telemetry (engine path):\n%s\n",
                 stats.stage_telemetry.to_string().c_str());
-
-    using benchjson::Object;
-    using benchjson::Value;
-    benchjson::write_artifact(
-        "engine_batch",
-        Value(Object{
-            {"experiment", "engine_batch"},
-            {"scenarios", requests.size()},
-            {"sequential_s", sequential_s},
-            {"engine_s", engine_s},
-            {"speedup", sequential_s / engine_s},
-            {"workers", stats.workers},
-            {"scenarios_per_s", stats.scenarios_per_s},
-            {"cache", Value(Object{{"hits", stats.cache.hits},
-                                   {"misses", stats.cache.misses},
-                                   {"hit_ratio", stats.cache.hit_ratio()},
-                                   {"evictions", stats.cache.evictions},
-                                   {"entries", stats.cache.entries}})},
-            {"certificates_identical", identical == reports.size()},
-        }));
     return identical == reports.size();
 }
 
-void BM_EngineBatch(benchmark::State& state) {
-    const auto batch = make_batch();
-    const auto workers = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        core::ScenarioEngine engine({.worker_threads = workers});
-        benchmark::DoNotOptimize(engine.run_all(batch.requests));
-    }
-    state.counters["scenarios/s"] = benchmark::Counter(
-        static_cast<double>(batch.requests.size() * state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EngineBatch)
-    ->Arg(0)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_EngineBatchWarm(benchmark::State& state) {
-    const auto batch = make_batch();
-    core::ScenarioEngine engine({.worker_threads = 4});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(engine.run_all(batch.requests));
-    state.counters["scenarios/s"] = benchmark::Counter(
-        static_cast<double>(batch.requests.size() * state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EngineBatchWarm)->Unit(benchmark::kMillisecond)->UseRealTime();
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     // A certificate mismatch must fail the process: the CI bench-smoke
     // step relies on this table as the shared-vs-fresh-engine
     // byte-identity gate.
-    const bool identical = print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return identical ? 0 : 1;
+    return print_table() ? 0 : 1;
 }

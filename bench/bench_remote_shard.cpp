@@ -7,9 +7,9 @@
 // loopback remote shards — each remote a real ShardServer on an ephemeral
 // TCP port with the full wire path (request frame encode, length-prefixed
 // transport, strict decode, reply frame) in the loop.  Completion-latency
-// p50/p95 is reported per topology, alongside the per-hop transport laps
-// (net/encode, net/rtt, net/decode) the client records for every round
-// trip.
+// p50/p95 is reported per topology, and the per-hop transport laps
+// (net/encode, net/rtt, net/decode) the client records are checked for
+// every round trip; perfbench's remote_warm workload times them.
 //
 // Gates (any violation exits non-zero; the CI bench-smoke step relies on
 // it):
@@ -20,8 +20,6 @@
 //     fabric peer serves every miss from the peer's cache: remote_misses
 //     == 0 (zero recomputes of results the peer held) and remote_hits
 //     covers the peer's warm keys.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -32,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "core/sharded_engine.hpp"
 #include "net/shard_server.hpp"
 #include "usecases/apps.hpp"
@@ -149,19 +146,6 @@ ReplayOutcome replay_remote(const Trace& trace, std::size_t remote_count,
     return replay(trace, engine);
 }
 
-benchjson::Object lap_row(const core::StageTelemetry& telemetry,
-                          const std::string& stage) {
-    const auto& stages = telemetry.stages();
-    const auto it = stages.find(stage);
-    const core::StageTelemetry::PerStage lap =
-        it != stages.end() ? it->second : core::StageTelemetry::PerStage{};
-    return {
-        {"count", lap.count},
-        {"mean_ms", 1e3 * lap.mean_s()},
-        {"max_ms", 1e3 * lap.max_s},
-    };
-}
-
 std::uint64_t lap_count(const core::StageTelemetry& telemetry,
                         const std::string& stage) {
     const auto it = telemetry.stages().find(stage);
@@ -170,9 +154,7 @@ std::uint64_t lap_count(const core::StageTelemetry& telemetry,
 
 /// Warm one fabric peer over the wire, then replay the trace on a cold
 /// local engine whose only help is that peer's cache.
-bool run_fetch_phase(const Trace& trace,
-                     const ReplayOutcome& baseline,
-                     benchjson::Object* artifact) {
+bool run_fetch_phase(const Trace& trace, const ReplayOutcome& baseline) {
     net::ShardServer::Options server_options;
     server_options.engine.worker_threads = 2;
     net::ShardServer server(std::move(server_options));
@@ -212,14 +194,6 @@ bool run_fetch_phase(const Trace& trace,
     if (!identical)
         std::printf(
             "fetch FAIL: fetched certificates differ from in-process\n");
-
-    artifact->push_back(
-        {"remote_fetch",
-         benchjson::Object{
-             {"remote_hits", fetched.cache.remote_hits},
-             {"remote_misses", fetched.cache.remote_misses},
-             {"certificates_identical", identical},
-         }});
     return identical && zero_recomputes && peer_served;
 }
 
@@ -236,14 +210,6 @@ bool print_table() {
                 base_stats.p50_ms, base_stats.p95_ms);
 
     bool ok = true;
-    benchjson::Array rows;
-    rows.push_back(benchjson::Value(benchjson::Object{
-        {"topology", "in_process"},
-        {"remote_shards", 0},
-        {"p50_ms", base_stats.p50_ms},
-        {"p95_ms", base_stats.p95_ms},
-    }));
-
     for (const std::size_t remotes : {1UL, 2UL}) {
         const auto outcome = replay_remote(trace, remotes, 4 / remotes);
         const auto stats = percentiles(outcome.latencies_s);
@@ -272,67 +238,15 @@ bool print_table() {
                         "(%zu remotes)\n",
                         remotes);
         ok = ok && identical && laps_complete;
-        rows.push_back(benchjson::Value(benchjson::Object{
-            {"topology", std::to_string(remotes) + "_remote"},
-            {"remote_shards", remotes},
-            {"p50_ms", stats.p50_ms},
-            {"p95_ms", stats.p95_ms},
-            {"certificates_identical", identical},
-            {"net_encode", lap_row(outcome.telemetry, "net/encode")},
-            {"net_rtt", lap_row(outcome.telemetry, "net/rtt")},
-            {"net_decode", lap_row(outcome.telemetry, "net/decode")},
-        }));
     }
-
-    benchjson::Object artifact{
-        {"experiment", "remote_shard"},
-        {"arrivals", trace.requests.size()},
-        {"topologies", std::move(rows)},
-    };
-    ok = run_fetch_phase(trace, baseline, &artifact) && ok;
-    benchjson::write_artifact("remote_shard",
-                              benchjson::Value(std::move(artifact)));
-    return ok;
+    return run_fetch_phase(trace, baseline) && ok;
 }
-
-void BM_RemoteShardTrace(benchmark::State& state) {
-    const auto trace = make_trace();
-    const auto remotes = static_cast<std::size_t>(state.range(0));
-    std::vector<double> all;
-    for (auto _ : state) {
-        const auto latencies =
-            remotes == 0
-                ? [&] {
-                      core::ShardedScenarioEngine engine(
-                          {.engine = {.worker_threads = 4}});
-                      return replay(trace, engine);
-                  }()
-                      .latencies_s
-                : replay_remote(trace, remotes, 4 / remotes).latencies_s;
-        all.insert(all.end(), latencies.begin(), latencies.end());
-    }
-    const auto stats = percentiles(std::move(all));
-    state.counters["p50_ms"] = stats.p50_ms;
-    state.counters["p95_ms"] = stats.p95_ms;
-    state.counters["scenarios/s"] = benchmark::Counter(
-        static_cast<double>(trace.requests.size() * state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_RemoteShardTrace)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     // Certificate drift across the wire, a missing hop lap, or a fetch
     // miss against a warm peer all fail the process: the CI bench-smoke
     // step relies on this exit code.
-    const bool ok = print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return ok ? 0 : 1;
+    return print_table() ? 0 : 1;
 }

@@ -6,9 +6,8 @@
 // indiscernibility-style metrics before and after each SecurityOptimiser
 // countermeasure, together with the time/energy overhead each countermeasure
 // costs — the ETS trade-off at the heart of the paper.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <string_view>
 
 #include "compiler/multi_criteria.hpp"
 #include "ir/builder.hpp"
@@ -123,8 +122,6 @@ security::SecretRunner runner_for(const ir::Program& program) {
 
 void print_table() {
     static const platform::Platform nucleo = platform::nucleo_f091();
-    const wcet::Analyser* current_analyser = nullptr;
-    (void)current_analyser;
 
     std::puts(
         "=== R6: side-channel metrics on Cortex-M0 synthetic kernels ===");
@@ -162,37 +159,9 @@ void print_table() {
         "countermeasures\n");
 }
 
-void BM_LeakageMeasurement(benchmark::State& state) {
-    const auto program = modexp_kernel();
-    const auto runner = runner_for(program);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            security::measure_leakage(runner, 50, 8, 29));
-}
-BENCHMARK(BM_LeakageMeasurement)->Unit(benchmark::kMillisecond);
-
-void BM_Ladderise(benchmark::State& state) {
-    for (auto _ : state) {
-        auto program = modexp_kernel();
-        benchmark::DoNotOptimize(
-            security::ladderise(program, *program.find("k")));
-    }
-}
-BENCHMARK(BM_Ladderise)->Unit(benchmark::kMicrosecond);
-
-void BM_TaintAnalysis(benchmark::State& state) {
-    const auto program = sbox_kernel();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            security::analyze_taint(program, *program.find("k")));
-}
-BENCHMARK(BM_TaintAnalysis)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -1,7 +1,7 @@
 // Experiment E6: simulator execution tiers — interpreter vs pre-decoded
 // threaded-dispatch traces (DESIGN.md §9).
 //
-// Three views, all recorded in BENCH_sim_backend.json:
+// Two views:
 //
 //   1. Kernel microbenchmark, twice: every UAV task entry executed
 //      repeatedly on one machine per tier — once on a predictable core
@@ -24,15 +24,12 @@
 // mandatory shared cost bounds any tier speedup well below 2x regardless
 // of how fast dispatch gets.  The complex-core table is still reported and
 // identity-gated.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "core/scenario_engine.hpp"
 #include "csl/csl.hpp"
 #include "platform/platform.hpp"
@@ -221,32 +218,6 @@ ServiceRow service_run(const std::vector<UseCaseApp>& apps,
     return row;
 }
 
-void BM_SimBackendKernel(benchmark::State& state) {
-    const auto app = make_uav_app("apalis-tk1");
-    const auto spec = csl::parse(app.csl_source);
-    const auto& entry = spec.tasks.front().entry;
-    const ir::Function* fn = app.program.find(entry);
-    const auto backend = state.range(0) == 0 ? sim::SimBackend::kInterp
-                                             : sim::SimBackend::kTrace;
-    sim::Machine machine(app.program, app.platform.cores.front(), 0, 42,
-                         sim::SimOptions{backend, nullptr});
-    const std::vector<ir::Word> args(
-        static_cast<std::size_t>(fn->param_count), 0);
-    std::int64_t instrs = 0;
-    for (auto _ : state) {
-        const auto result = machine.run(entry, args);
-        instrs += result.instrs_executed;
-        benchmark::DoNotOptimize(result.cycles);
-    }
-    state.counters["instr/s"] = benchmark::Counter(
-        static_cast<double>(instrs), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimBackendKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"trace"})
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 /// Aggregate over a kernel table: total instructions over total wall time
@@ -281,7 +252,7 @@ Aggregate aggregate_of(const std::vector<KernelRow>& rows) {
     return agg;
 }
 
-int main(int argc, char** argv) {
+int main() {
     const auto uav = make_uav_app("apalis-tk1");
     const auto leon3 = platform::gr712rc();
 
@@ -309,64 +280,6 @@ int main(int argc, char** argv) {
                 trace_service.wall_s, trace_service.p50_ms,
                 trace_service.p95_ms,
                 interp_service.wall_s / trace_service.wall_s);
-
-    using benchjson::Array;
-    using benchjson::Object;
-    using benchjson::Value;
-    const auto table_json = [](const std::vector<KernelRow>& rows,
-                               const Aggregate& agg,
-                               const std::string& platform_name,
-                               const std::string& core_name) {
-        Array kernel_rows;
-        for (const auto& row : rows) {
-            kernel_rows.push_back(Value(Object{
-                {"entry", row.entry},
-                {"instrs_per_run", row.instrs_per_run},
-                {"interp_instr_per_s", row.interp_ips},
-                {"trace_instr_per_s", row.trace_ips},
-                {"speedup", row.speedup},
-                {"identical", row.identical},
-            }));
-        }
-        return Value(Object{
-            {"platform", platform_name},
-            {"core", core_name},
-            {"kernels", std::move(kernel_rows)},
-            {"aggregate",
-             Value(Object{
-                 {"interp_instr_per_s", agg.interp_ips},
-                 {"trace_instr_per_s", agg.trace_ips},
-                 {"speedup", agg.speedup},
-                 {"identical", agg.identical},
-             })},
-        });
-    };
-    benchjson::write_artifact(
-        "sim_backend",
-        Value(Object{
-            {"experiment", "sim_backend"},
-            {"app", uav.name},
-            {"reps", kReps},
-            {"predictable", table_json(pred_rows, pred_agg, leon3.name,
-                                       leon3.cores.front().name)},
-            {"complex",
-             table_json(complex_rows, complex_agg, uav.platform.name,
-                        uav.platform.cores.front().name)},
-            {"service",
-             Value(Object{
-                 {"interp", Value(Object{{"wall_s", interp_service.wall_s},
-                                         {"p50_ms", interp_service.p50_ms},
-                                         {"p95_ms", interp_service.p95_ms}})},
-                 {"trace", Value(Object{{"wall_s", trace_service.wall_s},
-                                        {"p50_ms", trace_service.p50_ms},
-                                        {"p95_ms", trace_service.p95_ms}})},
-                 {"wall_speedup",
-                  interp_service.wall_s / trace_service.wall_s},
-             })},
-        }));
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
 
     if (!all_identical) {
         std::fprintf(stderr, "FAIL: trace tier diverged from interpreter\n");

@@ -7,8 +7,8 @@
 // dual-core energy-aware schedule with DVFS and sleeping idle cores, as
 // generated by the coordination layer.  Energy is compared over the
 // traditional schedule's processing window (CPU domain of the board).
-#include <benchmark/benchmark.h>
-
+// The binary exits 1 when a deadline is missed, the schedule is infeasible
+// or the certificate is red.
 #include <cstdio>
 
 #include "core/scenario_engine.hpp"
@@ -21,10 +21,9 @@ using namespace teamplay::usecases;
 
 namespace {
 
-void print_table() {
+bool print_table() {
     const auto app = make_space_app();
     const auto spec = csl::parse(app.csl_source);
-    const coordination::Scheduler scheduler(app.platform);
 
     // TeamPlay: full workflow (multi-version compile + energy schedule).
     core::WorkflowOptions options;
@@ -79,6 +78,9 @@ void print_table() {
 
     const auto replay =
         coordination::execute_schedule(report.graph, report.schedule, {});
+    const bool deadlines_met =
+        replay.deadline_misses == 0 && report.schedule.feasible;
+    const bool certified = report.certificate.all_hold();
 
     std::puts("=== R2: SpaceWire downlink on GR712RC (Sec. IV-B) ===");
     std::printf("%-34s %14s %14s\n", "metric", "traditional", "TeamPlay");
@@ -89,11 +91,9 @@ void print_table() {
                 support::format_energy(traditional_j).c_str(),
                 support::format_energy(teamplay_j).c_str());
     std::printf("%-34s %14s %14s\n", "deadlines met", "yes",
-                replay.deadline_misses == 0 && report.schedule.feasible
-                    ? "yes"
-                    : "NO");
+                deadlines_met ? "yes" : "NO");
     std::printf("%-34s %14s %14s\n", "certificate", "-",
-                report.certificate.all_hold() ? "green" : "RED");
+                certified ? "green" : "RED");
     std::printf("paper:    52%% energy improvement, all deadlines met\n");
     std::printf("measured: %.0f%% energy improvement, %s\n\n", gain,
                 replay.deadline_misses == 0 ? "all deadlines met"
@@ -101,41 +101,9 @@ void print_table() {
     std::printf("(board base power excluded from the comparison: %s over "
                 "the window)\n\n",
                 support::format_energy(base_j).c_str());
+    return deadlines_met && certified;
 }
-
-void BM_SpaceSchedule(benchmark::State& state) {
-    const auto app = make_space_app();
-    const auto spec = csl::parse(app.csl_source);
-    core::ScenarioRequest request{.program = &app.program,
-                                  .platform = &app.platform,
-                                  .spec = spec};
-    request.options.compiler.population = 6;
-    request.options.compiler.iterations = 6;
-    for (auto _ : state) {
-        // A fresh engine per iteration: cold evaluation cache.
-        core::ScenarioEngine engine;
-        benchmark::DoNotOptimize(engine.run(request));
-    }
-}
-BENCHMARK(BM_SpaceSchedule)->Unit(benchmark::kMillisecond);
-
-void BM_SpaceFrameOnLeon3(benchmark::State& state) {
-    const auto app = make_space_app();
-    sim::Machine machine(app.program, app.platform.cores[0], 2);
-    machine.poke(space::kState, 3);
-    for (auto _ : state) {
-        for (const auto* task : {"sw_acquire", "sw_bin", "sw_compress",
-                                 "sw_crc", "sw_packetize", "sw_transmit"})
-            benchmark::DoNotOptimize(machine.run(task, {}).cycles);
-    }
-}
-BENCHMARK(BM_SpaceFrameOnLeon3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-}
+int main() { return print_table() ? 0 : 1; }

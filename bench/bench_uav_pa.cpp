@@ -7,8 +7,6 @@
 // the Jetson TX2 payload and reports the payload power band; then runs the
 // battery-aware decision loop: given the remaining battery, pick the most
 // capable configuration whose power still meets the required endurance.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -131,28 +129,9 @@ void print_table() {
     std::puts("");
 }
 
-void BM_ComponentModelFit(benchmark::State& state) {
-    support::Rng rng(5);
-    std::vector<energy::PowerSample> samples;
-    for (int i = 0; i < 200; ++i) {
-        energy::PowerSample sample;
-        sample.utilisation = {rng.uniform(), rng.uniform(), rng.uniform()};
-        sample.power_w = 1.9 + 4.5 * sample.utilisation[0] +
-                         7.0 * sample.utilisation[1] +
-                         2.0 * sample.utilisation[2] +
-                         rng.gaussian(0.0, 0.05);
-        samples.push_back(std::move(sample));
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(energy::fit_component_model(samples));
-}
-BENCHMARK(BM_ComponentModelFit)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     print_table();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -29,7 +29,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -43,9 +42,6 @@
 #include "core/advisor.hpp"
 #include "core/result_store.hpp"
 #include "core/sharded_engine.hpp"
-#include "fuzz/generator.hpp"
-#include "fuzz/oracle.hpp"
-#include "fuzz/replay.hpp"
 #include "net/shard_server.hpp"
 #include "sim/trace.hpp"
 #include "support/units.hpp"
@@ -90,9 +86,6 @@ void usage() {
         "                      so a restarted run warm-starts from disk\n"
         "  --cert-dump <dir>   write each scenario's certificate text to\n"
         "                      <dir>/<label>.cert (byte-identity audits)\n"
-        "  --fuzz-seed <n>     (instead of an app) replay one generated\n"
-        "                      fuzz scenario through the differential\n"
-        "                      oracle; add --loopback for the TCP tier\n"
         "  --quiet             only print the certificate verdict");
 }
 
@@ -234,41 +227,6 @@ int main(int argc, char** argv) {
     bool serve = false;
     std::uint64_t serve_port = 0;
     int opt_start = 2;
-    if (which == "--fuzz-seed") {
-        // Replay one generated scenario through the differential oracle
-        // (the CLI face of tools/fuzz_driver.cpp: same generator, same
-        // tiers, same one-line replay record).
-        if (argc < 3) {
-            usage();
-            return 2;
-        }
-        std::uint64_t fuzz_seed = 0;
-        if (!parse_flag(which, argv[2], kAnyCount, fuzz_seed)) return 2;
-        bool loopback = false;
-        for (int i = 3; i < argc; ++i)
-            if (std::strcmp(argv[i], "--loopback") == 0) loopback = true;
-        fuzz::OracleConfig config;
-        config.loopback = loopback;
-        const fuzz::DifferentialOracle oracle(config);
-        const auto scenario =
-            fuzz::ProgramGenerator().scenario(fuzz_seed);
-        std::printf("%s on %s: %zu function(s), %zu task(s)\n",
-                    scenario.name.c_str(), scenario.platform.name.c_str(),
-                    scenario.program.functions.size(),
-                    scenario.entries.size());
-        const auto result = oracle.check(scenario);
-        fuzz::ReplayRecord record;
-        record.seed = fuzz_seed;
-        record.status = result.ok() ? "ok" : "divergence";
-        record.detail = result.ok()
-                            ? "tiers=" + std::to_string(result.tiers.size())
-                            : result.divergence->to_string();
-        std::puts(fuzz::format_record(record).c_str());
-        if (!result.ok())
-            std::printf("repro: %s\n",
-                        fuzz::repro_command(fuzz_seed, loopback).c_str());
-        return result.ok() ? 0 : 1;
-    }
     if (which == "--serve") {
         if (argc < 3) {
             usage();
