@@ -24,6 +24,237 @@ double idle_power_w(const platform::Core& core) {
     return lowest * kIdleFraction;
 }
 
+/// Platform energy of placed `entries` over `horizon` (>= their makespan),
+/// summed in one fixed order: board base power, then per core the dynamic
+/// energy of its entries in list order, its static energy while busy and
+/// its idle leakage at `idle_w(core index)`.  `Entry` is a ScheduleEntry or
+/// a Placement; Schedule::platform_energy_j and the annealer both sum
+/// here, so the energies the annealer compares are the ones callers read.
+template <typename Entry, typename IdlePower>
+double platform_energy(const platform::Platform& platform,
+                       const std::vector<Entry>& entries, double horizon,
+                       const IdlePower& idle_w) {
+    double total = platform.base_power_w * horizon;
+    for (std::size_t c = 0; c < platform.cores.size(); ++c) {
+        const auto& core = platform.cores[c];
+        double busy = 0.0;
+        double static_busy_j = 0.0;
+        for (const auto& entry : entries) {
+            if (entry.core != c) continue;
+            const double duration = entry.finish_s - entry.start_s;
+            busy += duration;
+            static_busy_j +=
+                core.opp(entry.opp_index).static_power_w * duration;
+            total += entry.dynamic_energy_j;
+        }
+        total += static_busy_j;
+        total += idle_w(c) * std::max(0.0, horizon - busy);
+    }
+    return total;
+}
+
+/// A task's (core, version) choice.
+struct Assignment {
+    std::size_t core = 0;
+    std::size_t version = 0;
+};
+
+/// A ScheduleEntry without its strings (same field names, so
+/// platform_energy sums either).
+struct Placement {
+    std::size_t core = 0;
+    std::size_t version = 0;
+    double start_s = 0.0;
+    double finish_s = 0.0;
+    double dynamic_energy_j = 0.0;
+    std::size_t opp_index = 0;
+};
+
+/// One pass of the placement routine.  Its vectors keep their size from
+/// pass to pass, so refilling them allocates nothing.
+struct Placements {
+    std::vector<Placement> entries;      ///< slot k: the k-th task by priority
+    std::vector<double> finish_of;       ///< per task index (0 = not placed)
+    std::vector<double> core_available;  ///< per core, its last finish
+    double makespan_s = 0.0;
+    bool feasible = true;
+};
+
+/// What placement reads of the graph and the platform.  None of it depends
+/// on the assignment being tried, so schedule() derives it once per call.
+struct Plan {
+    std::size_t cores = 0;
+    std::vector<std::size_t> priority;  ///< task indices, descending rank
+    std::vector<std::vector<std::size_t>> deps;  ///< indices, in deps order
+    std::vector<double> min_exec;       ///< best-case time on any core
+    std::vector<double> remaining_min;  ///< optimistic remaining path
+    /// [task * cores + core]: the version list the core runs the task
+    /// from, or null when it cannot run it.
+    std::vector<const std::vector<VersionChoice>*> versions;
+    /// Per task, every (core, version) pair in core-then-version order.
+    std::vector<std::vector<Assignment>> moves;
+    std::vector<double> idle_w;  ///< per core, power-managed idle power
+
+    Plan(const TaskGraph& graph, const platform::Platform& platform);
+};
+
+Plan::Plan(const TaskGraph& graph, const platform::Platform& platform)
+    : cores(platform.cores.size()) {
+    const auto order = graph.topological_order();
+    const auto succ = graph.successors();
+    const std::size_t n = graph.tasks.size();
+
+    std::map<std::string, std::size_t> index_of;
+    for (std::size_t i = 0; i < n; ++i) index_of[graph.tasks[i].name] = i;
+    deps.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (const auto& dep : graph.tasks[i].deps)
+            deps[i].push_back(index_of.at(dep));
+
+    // Mean and best-case execution estimates per task (across every core
+    // class and version the task can use).
+    std::vector<double> mean_exec(n, 0.0);
+    min_exec.assign(n, 0.0);
+    versions.assign(n * cores, nullptr);
+    moves.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double acc = 0.0;
+        double best = 0.0;
+        for (std::size_t c = 0; c < cores; ++c) {
+            const auto* list =
+                graph.tasks[i].versions_for(platform.cores[c].core_class);
+            versions[i * cores + c] = list;
+            if (list == nullptr) continue;
+            for (std::size_t v = 0; v < list->size(); ++v) {
+                const double time = (*list)[v].time_s;
+                acc += time;
+                if (moves[i].empty() || time < best) best = time;
+                moves[i].push_back({c, v});
+            }
+        }
+        if (moves[i].empty())
+            throw std::runtime_error("task '" + graph.tasks[i].name +
+                                     "' fits no core of platform " +
+                                     platform.name);
+        mean_exec[i] = acc / static_cast<double>(moves[i].size());
+        min_exec[i] = best;
+    }
+
+    // Upward rank (critical-path priority) over mean estimates; and the
+    // optimistic remaining path (over best cases) used for the deadline
+    // guard of the energy policy.
+    std::vector<double> rank(n, 0.0);
+    remaining_min.assign(n, 0.0);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const std::size_t i = *it;
+        double best_succ = 0.0;
+        double best_succ_min = 0.0;
+        for (const std::size_t s : succ[i]) {
+            best_succ = std::max(best_succ, rank[s]);
+            best_succ_min = std::max(best_succ_min, remaining_min[s]);
+        }
+        rank[i] = mean_exec[i] + best_succ;
+        remaining_min[i] = min_exec[i] + best_succ_min;
+    }
+
+    // Priority list: descending rank, dependency-consistent because ranks
+    // strictly decrease along edges.
+    priority = order;
+    std::sort(priority.begin(), priority.end(),
+              [&rank](std::size_t a, std::size_t b) {
+                  return rank[a] > rank[b];
+              });
+
+    for (const auto& core : platform.cores)
+        idle_w.push_back(idle_power_w(core));
+}
+
+/// The placement routine of the greedy pass and of every annealing trial:
+/// places each task in priority order, earliest start on the chosen core.
+/// With `fixed` null a task picks among all its (core, version) pairs by
+/// the objective; otherwise `fixed[task]` is its only candidate, which
+/// every selection rule below then picks.
+void place(const Plan& plan, const TaskGraph& graph,
+           const Scheduler::Options& options, const Assignment* fixed,
+           Placements& out) {
+    const std::size_t n = graph.tasks.size();
+    out.entries.resize(n);
+    out.finish_of.assign(n, 0.0);
+    out.core_available.assign(plan.cores, 0.0);
+    out.makespan_s = 0.0;
+    out.feasible = true;
+
+    // Candidates finishing within the deadline guard compete on energy
+    // (then finish); the earliest finish (then energy) is the fallback and
+    // the makespan objective's choice.  Ties keep the first candidate in
+    // core-then-version order.
+    const bool by_energy = options.objective == Scheduler::Objective::kEnergy;
+    const bool guarded = by_energy && options.deadline_s > 0.0;
+    const auto cheaper = [](const Placement& a, const Placement& b) {
+        if (a.dynamic_energy_j != b.dynamic_energy_j)
+            return a.dynamic_energy_j < b.dynamic_energy_j;
+        return a.finish_s < b.finish_s;
+    };
+    const auto sooner = [](const Placement& a, const Placement& b) {
+        if (a.finish_s != b.finish_s) return a.finish_s < b.finish_s;
+        return a.dynamic_energy_j < b.dynamic_energy_j;
+    };
+
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = plan.priority[k];
+        double deps_ready = 0.0;
+        for (const std::size_t dep : plan.deps[i])
+            deps_ready = std::max(deps_ready, out.finish_of[dep]);
+        // Latest finish that leaves room for the optimistic remaining
+        // critical path after this task.
+        const double slack_limit =
+            options.deadline_s - (plan.remaining_min[i] - plan.min_exec[i]);
+
+        Placement cheapest;
+        Placement soonest;
+        bool any_cheap = false;
+        bool any = false;
+        const std::size_t c_first = fixed != nullptr ? fixed[i].core : 0;
+        const std::size_t c_end = fixed != nullptr ? c_first + 1 : plan.cores;
+        for (std::size_t c = c_first; c < c_end; ++c) {
+            const auto* list = plan.versions[i * plan.cores + c];
+            if (list == nullptr) continue;
+            const std::size_t v_first = fixed != nullptr ? fixed[i].version : 0;
+            const std::size_t v_end =
+                fixed != nullptr ? v_first + 1 : list->size();
+            for (std::size_t v = v_first; v < v_end; ++v) {
+                const auto& version = (*list)[v];
+                Placement cand;
+                cand.core = c;
+                cand.version = v;
+                cand.start_s = std::max(out.core_available[c], deps_ready);
+                cand.finish_s = cand.start_s + version.time_s;
+                cand.dynamic_energy_j = version.energy_j;
+                cand.opp_index = version.opp_index;
+                if (by_energy && !(guarded && cand.finish_s > slack_limit) &&
+                    (!any_cheap || cheaper(cand, cheapest))) {
+                    cheapest = cand;
+                    any_cheap = true;
+                }
+                if (!any || sooner(cand, soonest)) {
+                    soonest = cand;
+                    any = true;
+                }
+            }
+        }
+        const Placement& chosen = any_cheap ? cheapest : soonest;
+        out.entries[k] = chosen;
+        out.core_available[chosen.core] = chosen.finish_s;
+        out.finish_of[i] = chosen.finish_s;
+        out.makespan_s = std::max(out.makespan_s, chosen.finish_s);
+        const double deadline = graph.tasks[i].deadline_s;
+        if (deadline > 0.0 && chosen.finish_s > deadline)
+            out.feasible = false;
+    }
+    if (options.deadline_s > 0.0 && out.makespan_s > options.deadline_s)
+        out.feasible = false;
+}
+
 }  // namespace
 
 const ScheduleEntry* Schedule::entry_for(const std::string& task) const {
@@ -41,27 +272,13 @@ double Schedule::dynamic_energy_j() const {
 double Schedule::platform_energy_j(const platform::Platform& platform,
                                    double horizon_s,
                                    bool power_managed) const {
-    const double horizon = std::max(horizon_s, makespan_s);
-    double total = platform.base_power_w * horizon;
-    for (std::size_t c = 0; c < platform.cores.size(); ++c) {
-        const auto& core = platform.cores[c];
-        double busy = 0.0;
-        double static_busy_j = 0.0;
-        for (const auto& entry : entries) {
-            if (entry.core != c) continue;
-            const double duration = entry.finish_s - entry.start_s;
-            busy += duration;
-            static_busy_j +=
-                core.opp(entry.opp_index).static_power_w * duration;
-            total += entry.dynamic_energy_j;
-        }
-        total += static_busy_j;
-        const double idle_w =
-            power_managed ? idle_power_w(core)
-                          : core.opps.back().static_power_w;
-        total += idle_w * std::max(0.0, horizon - busy);
-    }
-    return total;
+    return platform_energy(
+        platform, entries, std::max(horizon_s, makespan_s),
+        [&platform, power_managed](std::size_t c) {
+            const auto& core = platform.cores[c];
+            return power_managed ? idle_power_w(core)
+                                 : core.opps.back().static_power_w;
+        });
 }
 
 std::string Schedule::to_string() const {
@@ -111,252 +328,84 @@ std::string Schedule::gantt(const platform::Platform& platform,
     return os.str();
 }
 
-Schedule Scheduler::build(const TaskGraph& graph,
-                          const std::vector<Assignment>& fixed,
-                          const Options& options) const {
-    const auto order = graph.topological_order();
-    const auto succ = graph.successors();
-    const std::size_t n = graph.tasks.size();
-
-    // Mean and best-case execution estimates per task (across every core
-    // class and version the task can use).
-    std::vector<double> mean_exec(n, 0.0);
-    std::vector<double> min_exec(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = 0.0;
-        int count = 0;
-        double best = 0.0;
-        bool first = true;
-        for (const auto& core : platform_->cores) {
-            const auto* versions =
-                graph.tasks[i].versions_for(core.core_class);
-            if (versions == nullptr) continue;
-            for (const auto& version : *versions) {
-                acc += version.time_s;
-                ++count;
-                if (first || version.time_s < best) {
-                    best = version.time_s;
-                    first = false;
-                }
-            }
-        }
-        if (count == 0)
-            throw std::runtime_error("task '" + graph.tasks[i].name +
-                                     "' fits no core of platform " +
-                                     platform_->name);
-        mean_exec[i] = acc / count;
-        min_exec[i] = best;
-    }
-
-    // Upward rank (critical-path priority) over mean estimates; and the
-    // optimistic remaining path (over best cases) used for the deadline
-    // guard of the energy policy.
-    std::vector<double> rank(n, 0.0);
-    std::vector<double> remaining_min(n, 0.0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        const std::size_t i = *it;
-        double best_succ = 0.0;
-        double best_succ_min = 0.0;
-        for (const std::size_t s : succ[i]) {
-            best_succ = std::max(best_succ, rank[s]);
-            best_succ_min = std::max(best_succ_min, remaining_min[s]);
-        }
-        rank[i] = mean_exec[i] + best_succ;
-        remaining_min[i] = min_exec[i] + best_succ_min;
-    }
-
-    // Priority list: descending rank, dependency-consistent because ranks
-    // strictly decrease along edges.
-    std::vector<std::size_t> priority(order);
-    std::sort(priority.begin(), priority.end(),
-              [&rank](std::size_t a, std::size_t b) {
-                  return rank[a] > rank[b];
-              });
-
-    std::vector<double> core_available(platform_->cores.size(), 0.0);
-    std::map<std::string, double> finish_of;
-    Schedule schedule;
-    schedule.feasible = true;
-
-    for (const std::size_t i : priority) {
-        const Task& task = graph.tasks[i];
-        double deps_ready = 0.0;
-        for (const auto& dep : task.deps)
-            deps_ready = std::max(deps_ready, finish_of[dep]);
-
-        struct Candidate {
-            std::size_t core = 0;
-            std::size_t version = 0;
-            std::string core_class;
-            double start = 0.0;
-            double finish = 0.0;
-            double energy = 0.0;
-            std::size_t opp = 0;
-        };
-        std::vector<Candidate> candidates;
-        for (std::size_t c = 0; c < platform_->cores.size(); ++c) {
-            const auto& core = platform_->cores[c];
-            const auto* versions = task.versions_for(core.core_class);
-            if (versions == nullptr) continue;
-            if (!fixed.empty() && fixed[i].core != c) continue;
-            for (std::size_t v = 0; v < versions->size(); ++v) {
-                if (!fixed.empty() && fixed[i].version != v) continue;
-                const auto& version = (*versions)[v];
-                Candidate cand;
-                cand.core = c;
-                cand.version = v;
-                cand.core_class = task.versions.contains(core.core_class)
-                                      ? core.core_class
-                                      : "";
-                cand.start = std::max(core_available[c], deps_ready);
-                cand.finish = cand.start + version.time_s;
-                cand.energy = version.energy_j;
-                cand.opp = version.opp_index;
-                candidates.push_back(cand);
-            }
-        }
-        if (candidates.empty())
-            throw std::runtime_error("no feasible placement for task '" +
-                                     task.name + "'");
-
-        const auto by_finish = [](const Candidate& a, const Candidate& b) {
-            if (a.finish != b.finish) return a.finish < b.finish;
-            return a.energy < b.energy;
-        };
-        const Candidate* chosen = nullptr;
-        if (options.objective == Objective::kMakespan ||
-            options.deadline_s <= 0.0) {
-            if (options.objective == Objective::kEnergy &&
-                options.deadline_s <= 0.0) {
-                // Unconstrained energy minimisation.
-                chosen = &*std::min_element(
-                    candidates.begin(), candidates.end(),
-                    [](const Candidate& a, const Candidate& b) {
-                        if (a.energy != b.energy) return a.energy < b.energy;
-                        return a.finish < b.finish;
-                    });
-            } else {
-                chosen = &*std::min_element(candidates.begin(),
-                                            candidates.end(), by_finish);
-            }
-        } else {
-            // Energy policy with a deadline: the cheapest candidate whose
-            // finish leaves room for the optimistic remaining critical path.
-            const double slack_limit =
-                options.deadline_s -
-                (remaining_min[i] - min_exec[i]);
-            const Candidate* best_energy = nullptr;
-            for (const auto& cand : candidates) {
-                if (cand.finish > slack_limit) continue;
-                if (best_energy == nullptr ||
-                    cand.energy < best_energy->energy ||
-                    (cand.energy == best_energy->energy &&
-                     cand.finish < best_energy->finish))
-                    best_energy = &cand;
-            }
-            chosen = best_energy != nullptr
-                         ? best_energy
-                         : &*std::min_element(candidates.begin(),
-                                              candidates.end(), by_finish);
-        }
-
-        ScheduleEntry entry;
-        entry.task = task.name;
-        entry.core = chosen->core;
-        entry.version = chosen->version;
-        entry.core_class = chosen->core_class;
-        entry.start_s = chosen->start;
-        entry.finish_s = chosen->finish;
-        entry.dynamic_energy_j = chosen->energy;
-        entry.opp_index = chosen->opp;
-        schedule.entries.push_back(entry);
-
-        core_available[chosen->core] = chosen->finish;
-        finish_of[task.name] = chosen->finish;
-        schedule.makespan_s = std::max(schedule.makespan_s, chosen->finish);
-
-        if (task.deadline_s > 0.0 && chosen->finish > task.deadline_s)
-            schedule.feasible = false;
-    }
-    if (options.deadline_s > 0.0 &&
-        schedule.makespan_s > options.deadline_s)
-        schedule.feasible = false;
-    return schedule;
-}
-
 Schedule Scheduler::schedule(const TaskGraph& graph,
                              const Options& options) const {
     const auto errors = graph.validate();
     if (!errors.empty())
         throw std::runtime_error("invalid task graph: " + errors.front());
 
-    Schedule best = build(graph, {}, options);
+    const Plan plan(graph, *platform_);
+    Placements best;
+    place(plan, graph, options, nullptr, best);
+
     // An empty graph has nothing to perturb: its greedy schedule is final.
-    if (!options.anneal || options.objective != Objective::kEnergy ||
-        graph.tasks.empty())
-        return best;
+    if (options.anneal && options.objective == Objective::kEnergy &&
+        !graph.tasks.empty()) {
+        // Simulated-annealing refinement over (core, version) assignments,
+        // starting from the greedy one.  A trial perturbs one task of the
+        // accepted assignment in place and restores it unless accepted.
+        const double horizon = std::max(options.deadline_s, best.makespan_s);
+        const auto energy_of = [&](const Placements& placed) {
+            return platform_energy(
+                *platform_, placed.entries,
+                std::max(horizon, placed.makespan_s),
+                [&plan](std::size_t c) { return plan.idle_w[c]; });
+        };
+        support::Rng rng(options.seed);
+        const std::size_t n = graph.tasks.size();
+        std::vector<Assignment> accepted(n);
+        for (std::size_t k = 0; k < n; ++k)
+            accepted[plan.priority[k]] = {best.entries[k].core,
+                                          best.entries[k].version};
+        double best_energy = energy_of(best);
+        double accepted_energy = best_energy;
+        Placements trial = best;
 
-    // Simulated-annealing refinement over (core, version) assignments.
-    const double horizon = std::max(options.deadline_s, best.makespan_s);
-    support::Rng rng(options.seed);
-    const std::size_t n = graph.tasks.size();
-
-    // Current assignment extracted from the greedy schedule.
-    std::vector<Assignment> current(n);
-    std::map<std::string, std::size_t> index_of;
-    for (std::size_t i = 0; i < n; ++i) index_of[graph.tasks[i].name] = i;
-    for (const auto& entry : best.entries) {
-        auto& slot = current[index_of[entry.task]];
-        slot.core = entry.core;
-        slot.version = entry.version;
-        slot.core_class = entry.core_class;
-    }
-
-    double best_energy = best.platform_energy_j(*platform_, horizon);
-    std::vector<Assignment> accepted = current;
-    double accepted_energy = best_energy;
-
-    for (int iter = 0; iter < options.anneal_iterations; ++iter) {
-        const double temperature =
-            1.0 - static_cast<double>(iter) /
-                      static_cast<double>(options.anneal_iterations);
-        // Perturb one task: random core it fits, random version.
-        std::vector<Assignment> trial = accepted;
-        const std::size_t i = rng.below(n);
-        std::vector<std::pair<std::size_t, std::size_t>> moves;
-        for (std::size_t c = 0; c < platform_->cores.size(); ++c) {
-            const auto* versions = graph.tasks[i].versions_for(
-                platform_->cores[c].core_class);
-            if (versions == nullptr) continue;
-            for (std::size_t v = 0; v < versions->size(); ++v)
-                moves.emplace_back(c, v);
-        }
-        if (moves.empty()) continue;
-        const auto [core, version] = moves[rng.below(moves.size())];
-        trial[i].core = core;
-        trial[i].version = version;
-
-        Schedule candidate;
-        try {
-            candidate = build(graph, trial, options);
-        } catch (const std::runtime_error&) {
-            continue;
-        }
-        if (!candidate.feasible) continue;
-        const double energy = candidate.platform_energy_j(*platform_, horizon);
-        const bool accept =
-            energy < accepted_energy ||
-            rng.chance(0.1 * temperature);
-        if (accept) {
-            accepted = trial;
-            accepted_energy = energy;
-        }
-        if (energy < best_energy && candidate.feasible) {
-            best = candidate;
-            best_energy = energy;
+        for (int iter = 0; iter < options.anneal_iterations; ++iter) {
+            const double temperature =
+                1.0 - static_cast<double>(iter) /
+                          static_cast<double>(options.anneal_iterations);
+            // Perturb one task: random core it fits, random version.
+            const std::size_t i = rng.below(n);
+            const auto& moves = plan.moves[i];
+            const Assignment kept = accepted[i];
+            accepted[i] = moves[rng.below(moves.size())];
+            place(plan, graph, options, accepted.data(), trial);
+            bool accept = false;
+            if (trial.feasible) {
+                const double energy = energy_of(trial);
+                accept = energy < accepted_energy ||
+                         rng.chance(0.1 * temperature);
+                if (accept) accepted_energy = energy;
+                if (energy < best_energy) {
+                    std::swap(best, trial);
+                    best_energy = energy;
+                }
+            }
+            if (!accept) accepted[i] = kept;
         }
     }
-    return best;
+
+    Schedule schedule;
+    schedule.entries.reserve(best.entries.size());
+    for (std::size_t k = 0; k < best.entries.size(); ++k) {
+        const auto& placed = best.entries[k];
+        const Task& task = graph.tasks[plan.priority[k]];
+        const auto& core_class = platform_->cores[placed.core].core_class;
+        schedule.entries.push_back(
+            {.task = task.name,
+             .core = placed.core,
+             .version = placed.version,
+             .core_class = task.versions.contains(core_class) ? core_class
+                                                              : "",
+             .start_s = placed.start_s,
+             .finish_s = placed.finish_s,
+             .dynamic_energy_j = placed.dynamic_energy_j,
+             .opp_index = placed.opp_index});
+    }
+    schedule.makespan_s = best.makespan_s;
+    schedule.feasible = best.feasible;
+    return schedule;
 }
 
 RtaResult response_time_analysis(const std::vector<PeriodicTask>& tasks) {

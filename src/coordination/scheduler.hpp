@@ -91,16 +91,6 @@ public:
                                     const Options& options) const;
 
 private:
-    struct Assignment {
-        std::size_t core = 0;
-        std::size_t version = 0;
-        std::string core_class;
-    };
-
-    [[nodiscard]] Schedule build(const TaskGraph& graph,
-                                 const std::vector<Assignment>& fixed,
-                                 const Options& options) const;
-
     const platform::Platform* platform_;
 };
 

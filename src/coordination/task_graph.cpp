@@ -1,5 +1,6 @@
 #include "coordination/task_graph.hpp"
 
+#include <set>
 #include <stdexcept>
 
 namespace teamplay::coordination {
@@ -18,8 +19,11 @@ Task* TaskGraph::find(const std::string& name) {
 
 std::vector<std::string> TaskGraph::validate() const {
     std::vector<std::string> errors;
+    std::set<std::string> names;
     for (const auto& task : tasks) {
         if (task.name.empty()) errors.emplace_back("task with empty name");
+        if (!names.insert(task.name).second)
+            errors.push_back("duplicate task '" + task.name + "'");
         if (task.versions.empty())
             errors.push_back("task '" + task.name + "' has no versions");
         for (const auto& dep : task.deps) {

@@ -50,8 +50,8 @@ struct TaskGraph {
     [[nodiscard]] const Task* find(const std::string& name) const;
     [[nodiscard]] Task* find(const std::string& name);
 
-    /// Structural problems (unknown dependencies, cycles, tasks without
-    /// versions); empty = well-formed.
+    /// Structural problems (duplicate names, unknown dependencies, cycles,
+    /// tasks without versions); empty = well-formed.
     [[nodiscard]] std::vector<std::string> validate() const;
 
     /// Topological order of task indices; throws std::runtime_error on

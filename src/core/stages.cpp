@@ -159,6 +159,8 @@ void parse(ScenarioContext& context) {
     // otherwise certify an empty schedule.
     if (spec.tasks.empty())
         throw std::runtime_error("app '" + spec.name + "' declares no tasks");
+    if (const auto error = csl::task_list_error(spec); !error.empty())
+        throw std::runtime_error(error);
     const auto reps = class_representatives(*context.platform);
     for (const auto& task_spec : spec.tasks) {
         if (context.program->find(task_spec.entry) == nullptr)

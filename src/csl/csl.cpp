@@ -87,7 +87,8 @@ public:
         if (pos_ != tokens_.size())
             throw CslError("trailing input after application block",
                            current().line);
-        finalize(app);
+        if (const auto error = task_list_error(app); !error.empty())
+            throw CslError(error, last_line());
         return app;
     }
 
@@ -243,27 +244,24 @@ private:
         expect(";");
     }
 
-    void finalize(AppSpec& app) const {
-        std::set<std::string> names;
-        for (const auto& task : app.tasks) {
-            if (!names.insert(task.name).second)
-                throw CslError("duplicate task '" + task.name + "'",
-                               last_line());
-        }
-        for (const auto& task : app.tasks)
-            for (const auto& dep : task.deps)
-                if (!names.contains(dep))
-                    throw CslError("task '" + task.name +
-                                       "' depends on unknown task '" + dep +
-                                       "'",
-                                   last_line());
-    }
-
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
 };
 
 }  // namespace
+
+std::string task_list_error(const AppSpec& app) {
+    std::set<std::string> names;
+    for (const auto& task : app.tasks)
+        if (!names.insert(task.name).second)
+            return "duplicate task '" + task.name + "'";
+    for (const auto& task : app.tasks)
+        for (const auto& dep : task.deps)
+            if (!names.contains(dep))
+                return "task '" + task.name + "' depends on unknown task '" +
+                       dep + "'";
+    return {};
+}
 
 const TaskSpec* AppSpec::find(const std::string& task_name) const {
     for (const auto& task : tasks)

@@ -74,4 +74,11 @@ struct AppSpec {
 /// Parse a CSL document; throws CslError on malformed input.
 [[nodiscard]] AppSpec parse(std::string_view source);
 
+/// First structural defect of `app`'s task list, empty when there is none:
+/// a repeated name (`duplicate task '<t>'`) or a dependency on a task the
+/// app does not declare (`task '<t>' depends on unknown task '<d>'`).
+/// `parse` reports it with a line number; the toolchain's parse stage
+/// applies it to specs that arrive already parsed or off the wire.
+[[nodiscard]] std::string task_list_error(const AppSpec& app);
+
 }  // namespace teamplay::csl

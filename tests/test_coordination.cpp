@@ -1,12 +1,41 @@
 // Deeper coordination-layer tests: task-graph validation, annealing
-// behaviour, Gantt rendering, runtime error paths, version-choice lookups.
+// behaviour, pinned schedule bytes, an allocation-free annealing loop,
+// Gantt rendering, runtime error paths, version-choice lookups.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "coordination/glue.hpp"
 #include "coordination/runtime.hpp"
 #include "coordination/scheduler.hpp"
 #include "coordination/task_graph.hpp"
+#include "core/evaluation_cache.hpp"
 #include "support/rng.hpp"
+
+namespace {
+
+/// Every global operator new of this binary, so a test can show that a
+/// region allocates nothing.
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+    ++g_allocations;
+    if (void* memory = std::malloc(size == 0 ? 1 : size)) return memory;
+    throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs a `new` it inlined with this
+// `free` (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* memory) noexcept {
+    std::free(memory);
+}
+[[gnu::noinline]] void operator delete(void* memory, std::size_t) noexcept {
+    std::free(memory);
+}
 
 namespace {
 
@@ -36,18 +65,22 @@ TEST(TaskGraphValidation, DetectsAllProblemClasses) {
     a.deps = {"missing", "a"};
     // no versions
     graph.tasks.push_back(a);
+    graph.tasks.push_back(a);  // same name twice
     const auto errors = graph.validate();
     bool unknown_dep = false;
     bool self_dep = false;
     bool no_versions = false;
+    bool duplicate = false;
     for (const auto& error : errors) {
         unknown_dep |= error.find("unknown task") != std::string::npos;
         self_dep |= error.find("itself") != std::string::npos;
         no_versions |= error.find("no versions") != std::string::npos;
+        duplicate |= error == "duplicate task 'a'";
     }
     EXPECT_TRUE(unknown_dep);
     EXPECT_TRUE(self_dep);
     EXPECT_TRUE(no_versions);
+    EXPECT_TRUE(duplicate);
 }
 
 TEST(TaskGraphValidation, NonPositiveVersionTimesFlagged) {
@@ -148,6 +181,139 @@ TEST(Scheduler, AnnealingNeverWorseThanGreedy) {
     ASSERT_TRUE(schedule_annealed.feasible);
     EXPECT_LE(schedule_annealed.platform_energy_j(tx2, 0.2),
               schedule_greedy.platform_energy_j(tx2, 0.2) * (1.0 + 1e-9));
+}
+
+// -- pinned output ----------------------------------------------------------
+
+/// Seeded random graph for `board`: 6-11 tasks with forward dependencies,
+/// versions keyed by "" (any core), by one of the board's classes, or both;
+/// a few per-task deadlines; and two leaf twins with one version list, so
+/// the priority sort meets a rank tie.
+TaskGraph pinned_graph(const platform::Platform& board, std::uint64_t seed) {
+    support::Rng rng(seed);
+    std::vector<std::string> classes;
+    for (const auto& core : board.cores)
+        if (std::find(classes.begin(), classes.end(), core.core_class) ==
+            classes.end())
+            classes.push_back(core.core_class);
+    const auto versions = [&rng](double scale) {
+        std::vector<VersionChoice> list(1 + rng.below(3));
+        for (auto& version : list) {
+            version.time_s = scale * rng.uniform(1e-3, 1e-2);
+            version.energy_j = scale * rng.uniform(1e-4, 5e-3);
+            version.opp_index = rng.below(3);
+        }
+        return list;
+    };
+
+    TaskGraph graph;
+    graph.app_name = "pinned";
+    const auto n = 6 + rng.below(6);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Task task;
+        task.name = "t" + std::to_string(i);
+        for (std::uint64_t j = 0; j < i; ++j)
+            if (rng.chance(0.3)) task.deps.push_back("t" + std::to_string(j));
+        const auto keys = rng.below(3);  // 0: "" only, 1: a class, 2: both
+        if (keys != 1) task.versions[""] = versions(1.0);
+        if (keys != 0)
+            task.versions[classes[rng.below(classes.size())]] = versions(0.5);
+        if (rng.chance(0.2)) task.deadline_s = rng.uniform(0.02, 0.06);
+        graph.tasks.push_back(std::move(task));
+    }
+    Task twin;
+    twin.name = "twin_a";
+    twin.deps = {"t0"};
+    twin.versions[""] = versions(1.0);
+    graph.tasks.push_back(twin);
+    twin.name = "twin_b";
+    graph.tasks.push_back(twin);
+    return graph;
+}
+
+void mix_schedule(core::Fingerprint& fp,
+                  const coordination::Schedule& schedule) {
+    for (const auto& entry : schedule.entries) {
+        fp.mix(entry.task)
+            .mix(std::uint64_t{entry.core})
+            .mix(std::uint64_t{entry.version})
+            .mix(entry.core_class)
+            .mix(entry.start_s)
+            .mix(entry.finish_s)
+            .mix(entry.dynamic_energy_j)
+            .mix(std::uint64_t{entry.opp_index});
+    }
+    fp.mix(schedule.makespan_s).mix(std::uint64_t{schedule.feasible});
+}
+
+// FNV-64 digests of the exact schedule bits per (board, deadline regime),
+// each folding scheduler seeds 1-8 under both objectives.  Any change to
+// the annealer's draw sequence, its floating-point order or its
+// tie-breaking moves at least one of them.
+TEST(Scheduler, PinnedOutputDigests) {
+    struct Board {
+        platform::Platform platform;
+        std::uint64_t digests[3];  ///< no deadline, tight, loose
+    };
+    const Board boards[] = {
+        {platform::nucleo_f091(),
+         {0xc7f2df62f868306aULL, 0x1e3d5bc8ecd73891ULL,
+          0xc7f2df62f868306aULL}},
+        {platform::gr712rc(),
+         {0xffdeeb5677d91d38ULL, 0x0185b2572fdbdd63ULL,
+          0x0fb944c28632a29aULL}},
+        {platform::apalis_tk1(),
+         {0x33fbc1aabe67af3bULL, 0x9c9b3c457cfb28aaULL,
+          0x69b48a7719f25df6ULL}},
+        {platform::jetson_tx2(),
+         {0x64b1358e4cec7e9eULL, 0xd78796a7bea81fb3ULL,
+          0xa42c53671d1e750cULL}},
+    };
+    using Objective = coordination::Scheduler::Objective;
+    for (const auto& board : boards) {
+        SCOPED_TRACE(board.platform.name);
+        const coordination::Scheduler scheduler(board.platform);
+        for (int regime = 0; regime < 3; ++regime) {
+            core::Fingerprint fp;
+            for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+                const auto graph = pinned_graph(board.platform, seed);
+                coordination::Scheduler::Options options;
+                options.seed = seed;
+                if (regime > 0) {
+                    coordination::Scheduler::Options fastest;
+                    fastest.objective = Objective::kMakespan;
+                    const double makespan =
+                        scheduler.schedule(graph, fastest).makespan_s;
+                    options.deadline_s = makespan * (regime == 1 ? 1.1 : 3.0);
+                }
+                for (const auto objective :
+                     {Objective::kEnergy, Objective::kMakespan}) {
+                    options.objective = objective;
+                    mix_schedule(fp, scheduler.schedule(graph, options));
+                }
+            }
+            EXPECT_EQ(fp.value, board.digests[regime]) << "regime " << regime;
+        }
+    }
+}
+
+// The plan and the buffers are set up before the first trial: 400 trials
+// allocate exactly what none do.
+TEST(Scheduler, AnnealingLoopAllocatesNothing) {
+    const auto tx2 = platform::jetson_tx2();
+    const coordination::Scheduler scheduler(tx2);
+    const auto graph = pinned_graph(tx2, 3);
+    coordination::Scheduler::Options options;
+    options.objective = coordination::Scheduler::Objective::kMakespan;
+    options.deadline_s = 1.1 * scheduler.schedule(graph, options).makespan_s;
+    options.objective = coordination::Scheduler::Objective::kEnergy;
+    const auto allocations = [&](int iterations) {
+        options.anneal_iterations = iterations;
+        const std::size_t before = g_allocations;
+        (void)scheduler.schedule(graph, options);
+        return g_allocations - before;
+    };
+    EXPECT_EQ(allocations(400), allocations(0));
 }
 
 TEST(Scheduler, PowerManagedIdleBeatsBusyWait) {

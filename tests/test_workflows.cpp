@@ -480,6 +480,12 @@ const SpecDefect kSpecDefects[] = {
      "task 'capture' fits no core class of camera-pill"},
     {"pill/no-tasks", false, [](csl::AppSpec& spec) { spec.tasks.clear(); },
      "app 'camera_pill' declares no tasks"},
+    {"pill/duplicate-task", false,
+     [](csl::AppSpec& spec) { spec.tasks.push_back(spec.tasks.front()); },
+     "duplicate task 'capture'"},
+    {"pill/unknown-dep", false,
+     [](csl::AppSpec& spec) { spec.tasks[1].deps.push_back("ghost"); },
+     "task 'delta' depends on unknown task 'ghost'"},
     {"uav/missing-entry", true,
      [](csl::AppSpec& spec) { spec.tasks.front().entry = "nope"; },
      "task 'capture' entry function 'nope' not found"},
@@ -488,6 +494,12 @@ const SpecDefect kSpecDefects[] = {
      "task 'capture' fits no core class of apalis-tk1"},
     {"uav/no-tasks", true, [](csl::AppSpec& spec) { spec.tasks.clear(); },
      "app 'uav_detection' declares no tasks"},
+    {"uav/duplicate-task", true,
+     [](csl::AppSpec& spec) { spec.tasks.push_back(spec.tasks.front()); },
+     "duplicate task 'capture'"},
+    {"uav/unknown-dep", true,
+     [](csl::AppSpec& spec) { spec.tasks[1].deps.push_back("ghost"); },
+     "task 'resize' depends on unknown task 'ghost'"},
 };
 
 TEST(SpecDefects, BothFlowsRejectAtParseWithOneMessage) {
