@@ -65,34 +65,15 @@ struct KernelRow {
     bool identical = true;
 };
 
-/// Run `entry` for kPasses passes of kReps runs on one machine; returns
-/// every rep's result and, via `wall_s`, the fastest pass's wall time.
-/// One machine per tier with equal seeds keeps the stochastic cycle
-/// sequences aligned, so rep i is comparable bit-for-bit (control flow is
-/// deterministic, so every pass executes the same instruction count).
-std::vector<sim::RunResult> measure(const ir::Program& program,
-                                    const platform::Core& core,
-                                    const std::string& entry,
-                                    sim::SimBackend backend,
-                                    const std::shared_ptr<sim::TraceCache>& cache,
-                                    std::size_t args_count, double& wall_s) {
-    sim::Machine machine(program, core, /*opp_index=*/0, /*seed=*/42,
-                         sim::SimOptions{backend, cache});
-    const std::vector<ir::Word> args(args_count, 0);
-    // Hoist trace resolution (compilation) out of the timed region; the
-    // interpreter tier gets a free warm-up run for symmetry.
-    if (backend == sim::SimBackend::kTrace) (void)machine.resolve_trace(entry);
-    std::vector<sim::RunResult> results;
-    results.reserve(static_cast<std::size_t>(kPasses) * kReps);
-    wall_s = 0.0;
-    for (int pass = 0; pass < kPasses; ++pass) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int rep = 0; rep < kReps; ++rep)
-            results.push_back(machine.run(entry, args));
-        const double pass_s = seconds_since(start);
-        if (pass == 0 || pass_s < wall_s) wall_s = pass_s;
-    }
-    return results;
+/// One timed pass: kReps runs of `entry` on `machine`, each result
+/// appended to `results`.  Returns the pass's wall time.
+double timed_pass(sim::Machine& machine, const std::string& entry,
+                  const std::vector<ir::Word>& args,
+                  std::vector<sim::RunResult>& results) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int rep = 0; rep < kReps; ++rep)
+        results.push_back(machine.run(entry, args));
+    return seconds_since(start);
 }
 
 bool identical_runs(const sim::RunResult& a, const sim::RunResult& b) {
@@ -123,16 +104,40 @@ std::vector<KernelRow> kernel_table(const UseCaseApp& app,
         KernelRow row;
         row.entry = task.entry;
 
+        // One machine per tier with equal seeds keeps the stochastic cycle
+        // sequences aligned, so rep i is comparable bit-for-bit (control
+        // flow is deterministic, so every pass executes the same
+        // instruction count).
+        sim::Machine interp_machine(app.program, core, /*opp_index=*/0,
+                                    /*seed=*/42,
+                                    sim::SimOptions{sim::SimBackend::kInterp,
+                                                    nullptr});
+        sim::Machine trace_machine(app.program, core, /*opp_index=*/0,
+                                   /*seed=*/42,
+                                   sim::SimOptions{sim::SimBackend::kTrace,
+                                                   cache});
+        // Hoist trace resolution (compilation) out of the timed region.
+        (void)trace_machine.resolve_trace(task.entry);
+        const std::vector<ir::Word> args(
+            static_cast<std::size_t>(fn->param_count), 0);
+        std::vector<sim::RunResult> interp;
+        std::vector<sim::RunResult> trace;
+        interp.reserve(static_cast<std::size_t>(kPasses) * kReps);
+        trace.reserve(static_cast<std::size_t>(kPasses) * kReps);
+        // The tiers alternate pass by pass, so a slow phase of the host
+        // slows both tiers' passes instead of all of one tier's; each
+        // tier keeps its fastest pass.
         double interp_s = 0.0;
         double trace_s = 0.0;
-        const auto interp =
-            measure(app.program, core, task.entry, sim::SimBackend::kInterp,
-                    nullptr, static_cast<std::size_t>(fn->param_count),
-                    interp_s);
-        const auto trace =
-            measure(app.program, core, task.entry, sim::SimBackend::kTrace,
-                    cache, static_cast<std::size_t>(fn->param_count),
-                    trace_s);
+        for (int pass = 0; pass < kPasses; ++pass) {
+            const double interp_pass_s =
+                timed_pass(interp_machine, task.entry, args, interp);
+            const double trace_pass_s =
+                timed_pass(trace_machine, task.entry, args, trace);
+            if (pass == 0 || interp_pass_s < interp_s)
+                interp_s = interp_pass_s;
+            if (pass == 0 || trace_pass_s < trace_s) trace_s = trace_pass_s;
+        }
 
         std::int64_t total_instrs = 0;
         for (std::size_t rep = 0; rep < interp.size(); ++rep) {

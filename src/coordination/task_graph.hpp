@@ -54,8 +54,8 @@ struct TaskGraph {
     /// tasks without versions); empty = well-formed.
     [[nodiscard]] std::vector<std::string> validate() const;
 
-    /// Topological order of task indices; throws std::runtime_error on
-    /// cycles.
+    /// Topological order of task indices; throws std::runtime_error on an
+    /// unknown dependency or a cycle.
     [[nodiscard]] std::vector<std::size_t> topological_order() const;
 
     /// Successor adjacency (index -> indices of dependents).

@@ -96,8 +96,10 @@ struct EvaluationKey {
     auto operator<=>(const EvaluationKey&) const = default;
 };
 
-/// Content hash of a program (its canonical textual dump), the program
-/// component of every EvaluationKey.
+/// Content hash of a whole program (its canonical textual dump).  Not part
+/// of any EvaluationKey, whose program component is the entry's
+/// `ir::structural_fingerprint`: the shard router falls back to it when a
+/// request has no spec to name a primary kernel.
 [[nodiscard]] std::uint64_t fingerprint_program(const ir::Program& program);
 
 /// One memoised result; only the member matching the key's kind is set.

@@ -286,6 +286,12 @@ bool ResultStore::open_write_segment_locked() {
 
 bool ResultStore::store(const EvaluationKey& key,
                         const EvaluationResult& result) {
+    // Most spills of a warm store are keys it already holds: answer those
+    // from the index before encoding anything.
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (index_.contains(key) || write_failed_) return false;
+    }
     // Encode outside the lock — a compiled front with its programs can be
     // hundreds of kilobytes.
     const wire::Buffer key_message = wire::encode(key);
@@ -295,6 +301,8 @@ bool ResultStore::store(const EvaluationKey& key,
     wire::append_frame(record, key_message);
     wire::append_frame(record, result_message);
 
+    // Re-check: a concurrent spill of the same key may have landed while
+    // this one encoded.
     const std::lock_guard<std::mutex> lock(mutex_);
     if (index_.contains(key)) return false;  // deterministic duplicate
     if (write_failed_) return false;

@@ -92,8 +92,8 @@ public:
     /// recomputed result can replace it.
     [[nodiscard]] Loaded load(const EvaluationKey& key);
 
-    /// Append one record; returns false (and writes nothing) when the key
-    /// is already indexed — results are content-addressed and
+    /// Append one record; returns false (and encodes and writes nothing)
+    /// when the key is already indexed — results are content-addressed and
     /// deterministic, so the resident frame is byte-equivalent — or when
     /// the segment file cannot be written (the store degrades to
     /// read-only, never throws).

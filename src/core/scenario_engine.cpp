@@ -208,7 +208,6 @@ ToolchainReport ScenarioEngine::run_scenario(
     if (request.program == nullptr || request.platform == nullptr)
         throw std::invalid_argument(
             "ScenarioRequest requires a program and a platform");
-    const auto program_fp = fingerprint_program(*request.program);
     ScenarioContext context;
     context.request = &request;
     context.program = request.program;
@@ -217,10 +216,6 @@ ToolchainReport ScenarioEngine::run_scenario(
     context.cache = &cache_;
     context.pool = &pool_;
     context.sim = sim_;
-    {
-        const std::lock_guard<std::mutex> lock(validated_mutex_);
-        context.program_validated = validated_programs_.contains(program_fp);
-    }
 
     for (std::size_t i = 0; i < kStageNames.size(); ++i) {
         // Cooperative cancellation, checked at every stage boundary: work
@@ -243,13 +238,6 @@ ToolchainReport ScenarioEngine::run_scenario(
              std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            lap_start)
                  .count()});
-    }
-    // Record only after the pipeline (and thus parse's validation)
-    // succeeded, so an invalid program is re-validated — and re-rejected —
-    // on every attempt.
-    {
-        const std::lock_guard<std::mutex> lock(validated_mutex_);
-        validated_programs_.insert(program_fp);
     }
     {
         const std::lock_guard<std::mutex> lock(telemetry_mutex_);

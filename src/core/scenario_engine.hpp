@@ -42,7 +42,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -268,10 +267,6 @@ private:
 
     EvaluationCache cache_;
     sim::SimOptions sim_;
-    /// Content fingerprints of programs already validated by this engine
-    /// (validation is idempotent per program content; skip repeats).
-    std::mutex validated_mutex_;
-    std::set<std::uint64_t> validated_programs_;
     mutable std::mutex telemetry_mutex_;
     StageTelemetry telemetry_;
     AdmissionController admission_;

@@ -148,7 +148,7 @@ std::vector<compiler::TaskVersion> compile_front(
 // -- the five stages ----------------------------------------------------------
 
 void parse(ScenarioContext& context) {
-    if (!context.program_validated) ir::validate_or_throw(*context.program);
+    ir::validate_or_throw(*context.program);
     auto& spec = context.report.spec;
     if (context.request->spec.has_value())
         spec = *context.request->spec;

@@ -40,9 +40,6 @@ namespace teamplay::core {
 struct ScenarioContext {
     const ScenarioRequest* request = nullptr;
     const ir::Program* program = nullptr;
-    /// Set by the engine when this program content was already validated
-    /// in this engine's lifetime (parse then skips re-validation).
-    bool program_validated = false;
     const platform::Platform* platform = nullptr;
     WorkflowOptions options;
     /// Canonical structural fingerprint per task entry function (filled by

@@ -1,5 +1,6 @@
 #include "core/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -36,8 +37,12 @@ constexpr std::size_t kChecksumBytes = 8;
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-    std::uint64_t value = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+
+/// FNV-1a 64 over `bytes`, continuing from `value` (the offset basis starts
+/// a fresh hash).
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                    std::uint64_t value = kFnvOffsetBasis) {
     for (const std::uint8_t byte : bytes) {
         value ^= byte;
         value *= 1099511628211ULL;
@@ -67,16 +72,34 @@ constexpr bool kReads = !std::remove_reference_t<Ar>::kWriting;
 template <class U>
 concept Word64 = std::unsigned_integral<U> && sizeof(U) == 8;
 
+// The writer copies a field's bytes as they sit in memory, so the host
+// order must be the wire's.
+static_assert(std::endian::native == std::endian::little,
+              "wire::Writer assumes a little-endian host");
+
+/// Appends each field whole: one `memcpy` through a cursor into a buffer
+/// that doubles when full, so a field costs a store, not a capacity check
+/// per byte.  The trailer's FNV-1a is folded into the appends, so no second
+/// pass reads the buffer back; it is the encoder's floor, one multiply per
+/// byte, each waiting on the last.  `out` holds `used` written bytes
+/// followed by spare room.
 struct Writer {
     static constexpr bool kWriting = true;
-    Buffer out;
+    Buffer out = Buffer(256);  // a key frame fits without growing
+    std::size_t used = 0;
+    std::uint64_t checksum = kFnvOffsetBasis;  ///< of the `used` bytes
 
+    void append(const void* bytes, std::size_t count) {
+        if (count > out.size() - used)
+            out.resize(std::max(2 * out.size(), used + count));
+        std::memcpy(out.data() + used, bytes, count);
+        checksum = fnv1a({static_cast<const std::uint8_t*>(bytes), count},
+                         checksum);
+        used += count;
+    }
     /// Append `value` as `Bytes` little-endian bytes.
     template <int Bytes>
-    void le(std::uint64_t value) {
-        for (int shift = 0; shift < 8 * Bytes; shift += 8)
-            out.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
+    void le(std::uint64_t value) { append(&value, Bytes); }
     void u64(std::uint64_t value) { le<8>(value); }
     void i64(std::int64_t value) { le<8>(static_cast<std::uint64_t>(value)); }
     void int_field(int value, std::string_view /*field*/) { i64(value); }
@@ -85,7 +108,7 @@ struct Writer {
     void reg(ir::Reg value) { le<4>(static_cast<std::uint32_t>(value)); }
     void str(std::string_view text) {
         le<4>(text.size());
-        out.insert(out.end(), text.begin(), text.end());
+        append(text.data(), text.size());
     }
     template <class E>
     void enumeration(E value, E /*last*/, std::string_view /*name*/) {
@@ -649,7 +672,8 @@ Buffer encode_message(MessageKind kind, const T& value) {
     writer.le<2>(kVersion);
     writer.le<1>(static_cast<std::uint8_t>(kind));
     transfer(writer, value);
-    writer.le<8>(fnv1a(writer.out));
+    writer.le<8>(writer.checksum);
+    writer.out.resize(writer.used);
     return std::move(writer.out);
 }
 

@@ -21,8 +21,10 @@
 // therefore semantic (budget preserved minus transit time), not
 // byte-exact.  Frames without a deadline keep both guarantees in full.
 //
-// Layout (all integers little-endian regardless of host endianness;
-// doubles are their IEEE-754 bit pattern as a little-endian u64):
+// Layout (all integers little-endian; doubles are their IEEE-754 bit
+// pattern as a little-endian u64).  The encoder copies each field's host
+// bytes whole, so it builds only for a little-endian host (a static_assert
+// in wire.cpp); the decoder assembles values byte by byte on any host:
 //
 //   u32  magic      0x5450_4C57 ("TPLW")
 //   u16  version    kVersion — decoder rejects any other value

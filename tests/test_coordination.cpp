@@ -4,38 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
+#include "allocation_count.hpp"
 #include "coordination/glue.hpp"
 #include "coordination/runtime.hpp"
 #include "coordination/scheduler.hpp"
 #include "coordination/task_graph.hpp"
 #include "core/evaluation_cache.hpp"
 #include "support/rng.hpp"
-
-namespace {
-
-/// Every global operator new of this binary, so a test can show that a
-/// region allocates nothing.
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-    ++g_allocations;
-    if (void* memory = std::malloc(size == 0 ? 1 : size)) return memory;
-    throw std::bad_alloc();
-}
-// Out of line, so the compiler never pairs a `new` it inlined with this
-// `free` (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* memory) noexcept {
-    std::free(memory);
-}
-[[gnu::noinline]] void operator delete(void* memory, std::size_t) noexcept {
-    std::free(memory);
-}
 
 namespace {
 
@@ -109,6 +85,39 @@ TEST(TaskGraphValidation, CycleDetected) {
     for (const auto& error : graph.validate())
         cycle |= error.find("cycle") != std::string::npos;
     EXPECT_TRUE(cycle);
+}
+
+TEST(TaskGraphValidation, UnknownDependencyIsNotACycle) {
+    TaskGraph graph;
+    Task a;
+    a.name = "a";
+    a.deps = {"ghost"};
+    a.versions[""] = {{0.01, 0.0, 0.0, 0, ""}};
+    graph.tasks.push_back(a);
+    EXPECT_EQ(graph.validate(), std::vector<std::string>{
+                                    "task 'a' depends on unknown task 'ghost'"});
+    // topological_order still names the unknown dependency.
+    try {
+        (void)graph.topological_order();
+        ADD_FAILURE() << "topological_order accepted an unknown dependency";
+    } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "unknown dependency: ghost");
+    }
+
+    // A real b <-> c cycle beside the unknown dependency is still a cycle.
+    Task b;
+    b.name = "b";
+    b.deps = {"c"};
+    b.versions[""] = {{0.01, 0.0, 0.0, 0, ""}};
+    Task c = b;
+    c.name = "c";
+    c.deps = {"b"};
+    graph.tasks.push_back(b);
+    graph.tasks.push_back(c);
+    EXPECT_EQ(graph.validate(),
+              (std::vector<std::string>{
+                  "task 'a' depends on unknown task 'ghost'",
+                  "dependency cycle detected"}));
 }
 
 TEST(TaskGraphValidation, TopologicalOrderRespectsDeps) {

@@ -1,5 +1,6 @@
 // ResultStore (core/result_store.hpp): round-trip byte identity through
-// the segment format, warm start across store instances, spill-on-evict
+// the segment format, warm start across store instances, a store of an
+// already indexed key that encodes (allocates) nothing, spill-on-evict
 // and shutdown-flush through an attached EvaluationCache, and the whole
 // corruption surface — truncated final frame, byte-flipped payload, stale
 // frame and segment versions, empty and foreign files — each skipped and
@@ -19,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "allocation_count.hpp"
+#include "compiler/multi_criteria.hpp"
 #include "core/result_store.hpp"
 #include "core/scenario_engine.hpp"
 #include "core/wire.hpp"
@@ -156,6 +159,36 @@ TEST_F(ResultStoreTest, DeduplicatesStoredKeys) {
     EXPECT_TRUE(store.store(key, make_result(0.5)));
     EXPECT_FALSE(store.store(key, make_result(0.5)));
     EXPECT_EQ(store.stats().appended, 1U);
+}
+
+TEST_F(ResultStoreTest, StoringAnIndexedKeyEncodesNothing) {
+    // A real compiled front: its transformed program is most of the bytes a
+    // spill would encode.
+    const auto pill = usecases::make_camera_pill_app();
+    const compiler::MultiCriteriaCompiler mcc(pill.program,
+                                              pill.platform.cores[0]);
+    core::EvaluationResult result;
+    result.front = std::make_shared<const std::vector<compiler::TaskVersion>>(
+        std::vector<compiler::TaskVersion>{mcc.compile("pill_compress", {})});
+    const auto key = make_key("pill_compress");
+    const auto allocations_of_store = [&](core::ResultStore& store) {
+        const std::size_t before = g_allocations;
+        const bool appended = store.store(key, result);
+        const std::size_t allocations = g_allocations - before;
+        EXPECT_FALSE(appended);
+        return allocations;
+    };
+    {
+        core::ResultStore store(dir_);
+        ASSERT_TRUE(store.store(key, result));
+        EXPECT_EQ(allocations_of_store(store), 0U);
+        EXPECT_EQ(store.stats().appended, 1U);
+    }
+    // Reopened, the index comes from the scan.
+    core::ResultStore reopened(dir_);
+    ASSERT_TRUE(reopened.contains(key));
+    EXPECT_EQ(allocations_of_store(reopened), 0U);
+    EXPECT_EQ(reopened.stats().appended, 0U);
 }
 
 TEST_F(ResultStoreTest, MissingKeyIsAMiss) {

@@ -1,13 +1,16 @@
 // ScenarioEngine layer: thread pool semantics, evaluation-cache
-// memoisation, determinism across worker counts, and batch execution
-// statistics.
+// memoisation, rejection of invalid programs on every attempt, determinism
+// across worker counts, and batch execution statistics.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/scenario_engine.hpp"
+#include "ir/program.hpp"
+#include "ir/validate.hpp"
 #include "support/thread_pool.hpp"
 #include "usecases/apps.hpp"
 
@@ -189,6 +192,63 @@ TEST(ScenarioEngine, RejectsRequestWithoutProgramOrPlatform) {
     core::ScenarioEngine engine;
     EXPECT_THROW((void)engine.run(core::ScenarioRequest{}),
                  std::invalid_argument);
+}
+
+/// Point operand a of the first instruction of `entry` that reads one at a
+/// register past the function's register file.
+void break_operand(ir::Program& program, const std::string& entry) {
+    ir::Function* fn = program.find(entry);
+    ASSERT_NE(fn, nullptr);
+    bool broken = false;
+    ir::for_each_instr(*fn->body, [&](ir::Instr& instr) {
+        if (!broken && ir::reads_a(instr.op)) {
+            instr.a = static_cast<ir::Reg>(fn->reg_count);
+            broken = true;
+        }
+    });
+    ASSERT_TRUE(broken);
+}
+
+/// What the ticket's scenario failed with, or "" when it succeeded.
+std::string failure_of(core::ScenarioTicket ticket) {
+    try {
+        (void)ticket.get();
+    } catch (const std::exception& error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(ScenarioEngine, InvalidProgramIsRejectedOnEveryAttempt) {
+    core::ScenarioEngine::Options engine_options;
+    engine_options.worker_threads = 2;
+    core::ScenarioEngine engine(engine_options);
+    const auto options = fast_options();
+
+    auto invalid = usecases::make_camera_pill_app();
+    const auto spec = csl::parse(invalid.csl_source);
+    break_operand(invalid.program, spec.tasks.front().entry);
+    const auto errors = ir::validate(invalid.program);
+    ASSERT_FALSE(errors.empty());
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        SCOPED_TRACE("attempt " + std::to_string(attempt));
+        const auto error =
+            failure_of(engine.submit(request_for(invalid, spec, options)));
+        EXPECT_NE(error.find("IR validation failed"), std::string::npos)
+            << error;
+        EXPECT_NE(error.find(errors.front()), std::string::npos) << error;
+    }
+    EXPECT_EQ(engine.cache_stats().misses, 0U);  // parse stopped both
+
+    // A program that ran once is validated again on resubmission: edited
+    // in place to be invalid, it fails.
+    auto app = usecases::make_camera_pill_app();
+    ASSERT_EQ(failure_of(engine.submit(request_for(app, spec, options))), "");
+    break_operand(app.program, spec.tasks.front().entry);
+    const auto error =
+        failure_of(engine.submit(request_for(app, spec, options)));
+    EXPECT_NE(error.find("IR validation failed"), std::string::npos)
+        << error;
 }
 
 // -- cache behaviour through the engine ---------------------------------------
