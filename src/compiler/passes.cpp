@@ -1,6 +1,5 @@
 #include "compiler/passes.hpp"
 
-#include <bit>
 #include <map>
 #include <optional>
 #include <set>
@@ -14,50 +13,14 @@ using ir::Opcode;
 using ir::Reg;
 using ir::Word;
 
-/// Compile-time evaluation mirroring the machine's wrapping semantics.
-Word eval_const(Opcode op, Word a, Word b) {
-    using U = std::uint64_t;
-    switch (op) {
-        case Opcode::kAdd: return static_cast<Word>(static_cast<U>(a) + static_cast<U>(b));
-        case Opcode::kSub: return static_cast<Word>(static_cast<U>(a) - static_cast<U>(b));
-        case Opcode::kMul: return static_cast<Word>(static_cast<U>(a) * static_cast<U>(b));
-        case Opcode::kDiv: return b == 0 ? 0 : a / b;
-        case Opcode::kRem: return b == 0 ? 0 : a % b;
-        case Opcode::kAnd: return a & b;
-        case Opcode::kOr: return a | b;
-        case Opcode::kXor: return a ^ b;
-        case Opcode::kShl:
-            return static_cast<Word>(static_cast<U>(a) << (static_cast<U>(b) & 63U));
-        case Opcode::kShr:
-            return static_cast<Word>(static_cast<U>(a) >> (static_cast<U>(b) & 63U));
-        case Opcode::kCmpEq: return a == b ? 1 : 0;
-        case Opcode::kCmpNe: return a != b ? 1 : 0;
-        case Opcode::kCmpLt: return a < b ? 1 : 0;
-        case Opcode::kCmpLe: return a <= b ? 1 : 0;
-        case Opcode::kCmpGt: return a > b ? 1 : 0;
-        case Opcode::kCmpGe: return a >= b ? 1 : 0;
-        case Opcode::kMin: return a < b ? a : b;
-        case Opcode::kMax: return a > b ? a : b;
-        default: return 0;
-    }
-}
-
-std::optional<Word> eval_unop(Opcode op, Word a) {
-    switch (op) {
-        case Opcode::kMov: return a;
-        case Opcode::kNot: return ~a;
-        case Opcode::kNeg: return -a;
-        case Opcode::kAbs: return a < 0 ? -a : a;
-        case Opcode::kPopcnt:
-            return static_cast<Word>(
-                std::popcount(static_cast<std::uint64_t>(a)));
-        default: return std::nullopt;
-    }
-}
-
 bool is_binop(Opcode op) {
     return ir::reads_a(op) && ir::reads_b(op) && op != Opcode::kStore &&
            op != Opcode::kSelect;
+}
+
+/// The ops ir::eval_unary evaluates: kMov, kNot, kNeg, kAbs, kPopcnt.
+bool is_unop(Opcode op) {
+    return ir::is_pure(op) && ir::reads_a(op) && !ir::reads_b(op);
 }
 
 }  // namespace
@@ -88,22 +51,17 @@ int constant_fold(ir::Function& fn) {
                 default:
                     if (is_binop(instr.op) && known(instr.a) &&
                         known(instr.b)) {
-                        value = eval_const(instr.op, consts[instr.a],
-                                           consts[instr.b]);
+                        value = ir::eval_binary(instr.op, consts[instr.a],
+                                                consts[instr.b]);
                         instr = Instr{.op = Opcode::kMovImm, .dst = instr.dst,
                                       .imm = *value, .secret = instr.secret};
                         ++folded;
-                    } else if (ir::reads_a(instr.op) && !ir::reads_b(instr.op) &&
-                               !ir::reads_c(instr.op) && known(instr.a)) {
-                        const auto v = eval_unop(instr.op, consts[instr.a]);
-                        if (v) {
-                            value = *v;
-                            const bool was_mov = instr.op == Opcode::kMov;
-                            instr = Instr{.op = Opcode::kMovImm,
-                                          .dst = instr.dst, .imm = *value,
-                                          .secret = instr.secret};
-                            if (!was_mov) ++folded;
-                        }
+                    } else if (is_unop(instr.op) && known(instr.a)) {
+                        value = ir::eval_unary(instr.op, consts[instr.a]);
+                        const bool was_mov = instr.op == Opcode::kMov;
+                        instr = Instr{.op = Opcode::kMovImm, .dst = instr.dst,
+                                      .imm = *value, .secret = instr.secret};
+                        if (!was_mov) ++folded;
                     }
                     break;
             }

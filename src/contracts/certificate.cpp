@@ -6,6 +6,7 @@
 
 #include "energy/analyser.hpp"
 #include "support/units.hpp"
+#include "wcet/fold.hpp"
 
 namespace teamplay::contracts {
 
@@ -114,201 +115,91 @@ bool verify_certificate(const Certificate& certificate) {
 
 namespace {
 
-/// Shared traversal for the time proof: value in cycles.
-ProofNode time_proof_node(const ir::Program& program, const ir::Node& node,
-                          const isa::TargetModel& model) {
-    using ir::NodeKind;
-    switch (node.kind) {
-        case NodeKind::kBlock: {
-            ProofNode leaf;
-            leaf.rule = ProofRule::kInstrCost;
-            for (const auto& instr : node.instrs)
-                leaf.value += model.cycles_of(isa::instr_class(instr.op));
-            leaf.note = std::to_string(node.instrs.size()) + " instrs";
-            return leaf;
-        }
-        case NodeKind::kSeq: {
-            ProofNode seq;
-            seq.rule = ProofRule::kSeq;
-            for (const auto& child : node.children) {
-                seq.children.push_back(
-                    time_proof_node(program, *child, model));
-                seq.value += seq.children.back().value;
-            }
-            return seq;
-        }
-        case NodeKind::kIf: {
-            ProofNode overhead;
-            overhead.rule = ProofRule::kOverhead;
-            overhead.value = model.branch_cycles;
-            overhead.note = "branch";
-
-            ProofNode alt;
-            alt.rule = ProofRule::kAlt;
-            alt.children.push_back(
-                time_proof_node(program, *node.then_branch, model));
-            if (node.else_branch) {
-                alt.children.push_back(
-                    time_proof_node(program, *node.else_branch, model));
-            } else {
-                ProofNode empty;
-                empty.rule = ProofRule::kInstrCost;
-                empty.note = "empty else";
-                alt.children.push_back(empty);
-            }
-            for (const auto& child : alt.children)
-                alt.value = std::max(alt.value, child.value);
-
-            ProofNode seq;
-            seq.rule = ProofRule::kSeq;
-            seq.value = overhead.value + alt.value;
-            seq.children.push_back(std::move(overhead));
-            seq.children.push_back(std::move(alt));
-            return seq;
-        }
-        case NodeKind::kLoop: {
-            ProofNode overhead;
-            overhead.rule = ProofRule::kOverhead;
-            overhead.value = model.loop_iter_cycles;
-            overhead.note = "loop iteration";
-
-            ProofNode body = time_proof_node(program, *node.body, model);
-            ProofNode iteration;
-            iteration.rule = ProofRule::kSeq;
-            iteration.value = overhead.value + body.value;
-            iteration.children.push_back(std::move(overhead));
-            iteration.children.push_back(std::move(body));
-
-            ProofNode loop;
-            loop.rule = ProofRule::kLoop;
-            loop.param = static_cast<double>(node.bound);
-            loop.value = loop.param * iteration.value;
-            loop.note = "bound=" + std::to_string(node.bound);
-            loop.children.push_back(std::move(iteration));
-            return loop;
-        }
-        case NodeKind::kCall: {
-            const ir::Function* callee = program.find(node.callee);
-            if (callee == nullptr)
-                throw std::runtime_error("proof: undefined callee '" +
-                                         node.callee + "'");
-            ProofNode overhead;
-            overhead.rule = ProofRule::kOverhead;
-            overhead.value = model.call_cycles;
-            overhead.note = "call " + node.callee;
-            ProofNode body = time_proof_node(program, *callee->body, model);
-            ProofNode call;
-            call.rule = ProofRule::kCall;
-            call.value = overhead.value + body.value;
-            call.note = node.callee;
-            call.children.push_back(std::move(overhead));
-            call.children.push_back(std::move(body));
-            return call;
-        }
-    }
-    return {};
+ProofNode make_node(ProofRule rule, double value, std::string note = {}) {
+    ProofNode node;
+    node.rule = rule;
+    node.value = value;
+    node.note = std::move(note);
+    return node;
 }
 
-/// Shared traversal for the worst-case dynamic energy proof: value in pJ at
-/// nominal voltage, matching energy::Analyser's worst case.
-ProofNode energy_proof_node(const ir::Program& program, const ir::Node& node,
-                            const isa::TargetModel& model) {
-    using ir::NodeKind;
-    switch (node.kind) {
-        case NodeKind::kBlock: {
-            ProofNode leaf;
-            leaf.rule = ProofRule::kInstrCost;
-            for (const auto& instr : node.instrs)
-                leaf.value += model.energy_of(isa::instr_class(instr.op)) +
-                              model.data_alpha_pj_per_bit *
-                                  energy::kWorstHammingBits;
-            leaf.note = std::to_string(node.instrs.size()) +
-                        " instrs (worst-case operands)";
-            return leaf;
-        }
-        case NodeKind::kSeq: {
-            ProofNode seq;
-            seq.rule = ProofRule::kSeq;
-            for (const auto& child : node.children) {
-                seq.children.push_back(
-                    energy_proof_node(program, *child, model));
-                seq.value += seq.children.back().value;
-            }
-            return seq;
-        }
-        case NodeKind::kIf: {
-            ProofNode overhead;
-            overhead.rule = ProofRule::kOverhead;
-            overhead.value = model.branch_energy_pj;
-            overhead.note = "branch";
-            ProofNode alt;
-            alt.rule = ProofRule::kAlt;
-            alt.children.push_back(
-                energy_proof_node(program, *node.then_branch, model));
-            if (node.else_branch) {
-                alt.children.push_back(
-                    energy_proof_node(program, *node.else_branch, model));
-            } else {
-                ProofNode empty;
-                empty.rule = ProofRule::kInstrCost;
-                empty.note = "empty else";
-                alt.children.push_back(empty);
-            }
-            for (const auto& child : alt.children)
-                alt.value = std::max(alt.value, child.value);
-            ProofNode seq;
-            seq.rule = ProofRule::kSeq;
-            seq.value = overhead.value + alt.value;
-            seq.children.push_back(std::move(overhead));
-            seq.children.push_back(std::move(alt));
-            return seq;
-        }
-        case NodeKind::kLoop: {
-            ProofNode overhead;
-            overhead.rule = ProofRule::kOverhead;
-            overhead.value = model.loop_iter_energy_pj;
-            overhead.note = "loop iteration";
-            ProofNode body = energy_proof_node(program, *node.body, model);
-            ProofNode iteration;
-            iteration.rule = ProofRule::kSeq;
-            iteration.value = overhead.value + body.value;
-            iteration.children.push_back(std::move(overhead));
-            iteration.children.push_back(std::move(body));
-            ProofNode loop;
-            loop.rule = ProofRule::kLoop;
-            loop.param = static_cast<double>(node.bound);
-            loop.value = loop.param * iteration.value;
-            loop.note = "bound=" + std::to_string(node.bound);
-            loop.children.push_back(std::move(iteration));
-            return loop;
-        }
-        case NodeKind::kCall: {
-            const ir::Function* callee = program.find(node.callee);
-            if (callee == nullptr)
-                throw std::runtime_error("proof: undefined callee '" +
-                                         node.callee + "'");
-            ProofNode overhead;
-            overhead.rule = ProofRule::kOverhead;
-            overhead.value = model.call_energy_pj;
-            overhead.note = "call " + node.callee;
-            ProofNode body = energy_proof_node(program, *callee->body, model);
-            ProofNode call;
-            call.rule = ProofRule::kCall;
-            call.value = overhead.value + body.value;
-            call.note = node.callee;
-            call.children.push_back(std::move(overhead));
-            call.children.push_back(std::move(body));
-            return call;
-        }
-    }
-    return {};
+/// A node with two children, moved in.
+ProofNode pair_node(ProofRule rule, double value, ProofNode first,
+                    ProofNode second) {
+    ProofNode node = make_node(rule, value);
+    node.children.reserve(2);
+    node.children.push_back(std::move(first));
+    node.children.push_back(std::move(second));
+    return node;
 }
 
-}  // namespace
+/// Rules that build the proof tree of a fold (wcet/fold.hpp): each rule
+/// application becomes a node that verify_proof re-derives, and every call
+/// site expands its callee.
+struct ProofRules {
+    using Value = ProofNode;
 
-ProofNode build_time_proof_cycles(const ir::Program& program,
-                                  const std::string& function,
-                                  const isa::TargetModel& model) {
+    std::string_view block_note;  ///< follows the block's instruction count
+
+    ProofNode block(const ir::Node& block, double cost) const {
+        return make_node(
+            ProofRule::kInstrCost, cost,
+            std::to_string(block.instrs.size()).append(block_note));
+    }
+    ProofNode seq(const ir::Node& seq) const {
+        ProofNode node = make_node(ProofRule::kSeq, 0.0);
+        node.children.reserve(seq.children.size());
+        return node;
+    }
+    void append(ProofNode& seq, ProofNode child) const {
+        seq.children.push_back(std::move(child));
+        seq.value += seq.children.back().value;
+    }
+    ProofNode empty_else() const {
+        return make_node(ProofRule::kInstrCost, 0.0, "empty else");
+    }
+    ProofNode branch(double price, ProofNode then_proof,
+                     ProofNode else_proof) const {
+        const double worst =
+            std::max(std::max(0.0, then_proof.value), else_proof.value);
+        ProofNode alt = pair_node(ProofRule::kAlt, worst,
+                                  std::move(then_proof), std::move(else_proof));
+        ProofNode overhead = make_node(ProofRule::kOverhead, price, "branch");
+        const double value = overhead.value + alt.value;
+        return pair_node(ProofRule::kSeq, value, std::move(overhead),
+                         std::move(alt));
+    }
+    ProofNode loop(const ir::Node& loop, double price, ProofNode body) const {
+        ProofNode overhead =
+            make_node(ProofRule::kOverhead, price, "loop iteration");
+        const double per_iteration = overhead.value + body.value;
+        ProofNode iteration = pair_node(ProofRule::kSeq, per_iteration,
+                                        std::move(overhead), std::move(body));
+        ProofNode node = make_node(ProofRule::kLoop, 0.0,
+                                   "bound=" + std::to_string(loop.bound));
+        node.param = static_cast<double>(loop.bound);
+        node.value = node.param * iteration.value;
+        node.children.push_back(std::move(iteration));
+        return node;
+    }
+    template <class Expand>
+    ProofNode call(const ir::Node& call, double price, const ir::Function&,
+                   Expand&& expand) const {
+        ProofNode overhead =
+            make_node(ProofRule::kOverhead, price, "call " + call.callee);
+        ProofNode body = expand();
+        const double value = overhead.value + body.value;
+        ProofNode node = pair_node(ProofRule::kCall, value,
+                                   std::move(overhead), std::move(body));
+        node.note = call.callee;
+        return node;
+    }
+};
+
+/// The entry check both static proofs share.
+const ir::Function& proof_entry(const ir::Program& program,
+                                const std::string& function,
+                                const isa::TargetModel& model) {
     const ir::Function* fn = program.find(function);
     if (fn == nullptr)
         throw std::invalid_argument("proof: undefined function '" + function +
@@ -316,7 +207,17 @@ ProofNode build_time_proof_cycles(const ir::Program& program,
     if (!model.predictable)
         throw std::invalid_argument(
             "proof: static time proof requires a predictable core");
-    return time_proof_node(program, *fn->body, model);
+    return *fn;
+}
+
+}  // namespace
+
+ProofNode build_time_proof_cycles(const ir::Program& program,
+                                  const std::string& function,
+                                  const isa::TargetModel& model) {
+    const ir::Function& fn = proof_entry(program, function, model);
+    ProofRules rules{" instrs"};
+    return wcet::fold(program, *fn.body, wcet::cycle_prices(model), rules);
 }
 
 ProofNode scale_to_seconds(ProofNode cycles_proof, double freq_hz) {
@@ -333,10 +234,12 @@ ProofNode build_energy_proof_joules(const ir::Program& program,
                                     const std::string& function,
                                     const platform::Core& core,
                                     std::size_t opp_index) {
+    const ir::Function& fn = proof_entry(program, function, core.model);
     const auto& point = core.opp(opp_index);
 
-    ProofNode dynamic_pj =
-        energy_proof_node(program, *program.find(function)->body, core.model);
+    ProofRules rules{" instrs (worst-case operands)"};
+    ProofNode dynamic_pj = wcet::fold(
+        program, *fn.body, energy::worst_energy_prices(core.model), rules);
     ProofNode dynamic_j;
     dynamic_j.rule = ProofRule::kScale;
     dynamic_j.param = core.energy_scale(point) * 1e-12;

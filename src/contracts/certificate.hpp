@@ -89,7 +89,8 @@ struct Certificate {
 // -- proof construction -------------------------------------------------------
 
 /// Build the WCET proof (in cycles) for a function on a predictable core,
-/// mirroring the wcet::Analyser traversal rule by rule.
+/// through the fold wcet::Analyser runs (wcet/fold.hpp).  Throws
+/// std::invalid_argument for an undefined function or a complex core.
 [[nodiscard]] ProofNode build_time_proof_cycles(const ir::Program& program,
                                                 const std::string& function,
                                                 const isa::TargetModel& model);
@@ -99,7 +100,8 @@ struct Certificate {
                                          double freq_hz);
 
 /// Build the WCEC proof (in joules): dynamic pJ tree scaled by V^2 and 1e-12
-/// plus static power times the embedded time proof.
+/// plus static power times the embedded time proof.  Throws like
+/// build_time_proof_cycles.
 [[nodiscard]] ProofNode build_energy_proof_joules(
     const ir::Program& program, const std::string& function,
     const platform::Core& core, std::size_t opp_index);

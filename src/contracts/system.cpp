@@ -4,6 +4,16 @@
 
 namespace teamplay::contracts {
 
+namespace {
+
+void require_static_evidence(const ContractInput& input) {
+    if (input.program == nullptr || input.core == nullptr)
+        throw std::invalid_argument("contract input for '" + input.poi +
+                                    "' lacks program/core for static proof");
+}
+
+}  // namespace
+
 Certificate check_contracts(const std::string& app,
                             const std::string& platform_name,
                             const std::vector<ContractInput>& inputs) {
@@ -23,10 +33,7 @@ Certificate check_contracts(const std::string& app,
                     "profiled high-water mark for " + input.function);
                 result.measured_only = true;
             } else {
-                if (input.program == nullptr || input.core == nullptr)
-                    throw std::invalid_argument(
-                        "contract input for '" + input.poi +
-                        "' lacks program/core for static proof");
+                require_static_evidence(input);
                 result.proof = scale_to_seconds(
                     build_time_proof_cycles(*input.program, input.function,
                                             input.core->model),
@@ -48,6 +55,7 @@ Certificate check_contracts(const std::string& app,
                     "profiled high-water mark for " + input.function);
                 result.measured_only = true;
             } else {
+                require_static_evidence(input);
                 result.proof = build_energy_proof_joules(
                     *input.program, input.function, *input.core,
                     input.opp_index);

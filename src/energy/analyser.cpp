@@ -1,81 +1,17 @@
 #include "energy/analyser.hpp"
 
-#include <stdexcept>
-
 namespace teamplay::energy {
 
-Analyser::Accum Analyser::walk(const ir::Node& node,
-                               const isa::TargetModel& model,
-                               std::map<std::string, Accum>& memo) const {
-    Accum acc;
-    switch (node.kind) {
-        case ir::NodeKind::kBlock:
-            for (const auto& instr : node.instrs) {
-                const double base =
-                    model.energy_of(isa::instr_class(instr.op));
-                acc.worst_pj +=
-                    base + model.data_alpha_pj_per_bit * kWorstHammingBits;
-                acc.avg_pj +=
-                    base + model.data_alpha_pj_per_bit * kTypicalHammingBits;
-                acc.avg_cycles += model.cycles_of(isa::instr_class(instr.op));
-            }
-            break;
-        case ir::NodeKind::kSeq:
-            for (const auto& child : node.children) {
-                const Accum c = walk(*child, model, memo);
-                acc.worst_pj += c.worst_pj;
-                acc.avg_pj += c.avg_pj;
-                acc.avg_cycles += c.avg_cycles;
-            }
-            break;
-        case ir::NodeKind::kIf: {
-            acc.worst_pj += model.branch_energy_pj;
-            acc.avg_pj += model.branch_energy_pj;
-            acc.avg_cycles += model.branch_cycles;
-            const Accum t = walk(*node.then_branch, model, memo);
-            Accum e;
-            if (node.else_branch) e = walk(*node.else_branch, model, memo);
-            acc.worst_pj += std::max(t.worst_pj, e.worst_pj);
-            // Expected case: both branches equally likely.
-            acc.avg_pj += 0.5 * (t.avg_pj + e.avg_pj);
-            acc.avg_cycles += 0.5 * (t.avg_cycles + e.avg_cycles);
-            break;
-        }
-        case ir::NodeKind::kLoop: {
-            const Accum body = walk(*node.body, model, memo);
-            const auto bound = static_cast<double>(node.bound);
-            // Average case: dynamic loops assumed to run at half the bound,
-            // static loops at their actual trip count.
-            const double expected =
-                node.trip_reg != ir::kNoReg
-                    ? bound / 2.0
-                    : static_cast<double>(node.trip);
-            acc.worst_pj += bound * (model.loop_iter_energy_pj + body.worst_pj);
-            acc.avg_pj += expected * (model.loop_iter_energy_pj + body.avg_pj);
-            acc.avg_cycles +=
-                expected * (model.loop_iter_cycles + body.avg_cycles);
-            break;
-        }
-        case ir::NodeKind::kCall: {
-            const ir::Function* callee = program_->find(node.callee);
-            if (callee == nullptr)
-                throw std::runtime_error("energy: undefined callee '" +
-                                         node.callee + "'");
-            const auto it = memo.find(node.callee);
-            Accum callee_acc;
-            if (it != memo.end()) {
-                callee_acc = it->second;
-            } else {
-                callee_acc = walk(*callee->body, model, memo);
-                memo.emplace(node.callee, callee_acc);
-            }
-            acc.worst_pj += model.call_energy_pj + callee_acc.worst_pj;
-            acc.avg_pj += model.call_energy_pj + callee_acc.avg_pj;
-            acc.avg_cycles += model.call_cycles + callee_acc.avg_cycles;
-            break;
-        }
-    }
-    return acc;
+wcet::Prices worst_energy_prices(const isa::TargetModel& model) {
+    wcet::Prices prices;
+    for (std::size_t cls = 0; cls < prices.instr.size(); ++cls)
+        prices.instr[cls] =
+            model.energy_of(static_cast<isa::InstrClass>(cls)) +
+            model.data_alpha_pj_per_bit * kWorstHammingBits;
+    prices.branch = model.branch_energy_pj;
+    prices.loop_iter = model.loop_iter_energy_pj;
+    prices.call = model.call_energy_pj;
+    return prices;
 }
 
 EnergyResult Analyser::analyse(const std::string& function,
@@ -96,8 +32,9 @@ EnergyResult Analyser::analyse(const std::string& function,
 
     const auto& point = core.opp(opp_index);
     const double scale = core.energy_scale(point);
-    std::map<std::string, Accum> memo;
-    const Accum acc = walk(*fn->body, core.model, memo);
+    wcet::BoundRules rules;
+    const double worst_pj = wcet::fold(*program_, *fn->body,
+                                       worst_energy_prices(core.model), rules);
 
     const auto wcet = wcet_.analyse(function, core, opp_index);
     if (!wcet.analysable) {
@@ -106,12 +43,9 @@ EnergyResult Analyser::analyse(const std::string& function,
     }
 
     result.analysable = true;
-    result.wce_dynamic_j = acc.worst_pj * scale * 1e-12;
+    result.wce_dynamic_j = worst_pj * scale * 1e-12;
     result.wce_static_j = point.static_power_w * wcet.time_s;
     result.wcec_j = result.wce_dynamic_j + result.wce_static_j;
-    const double avg_time_s = acc.avg_cycles / point.freq_hz;
-    result.avg_j =
-        acc.avg_pj * scale * 1e-12 + point.static_power_w * avg_time_s;
     return result;
 }
 

@@ -1,16 +1,12 @@
 // Static energy analysis (the EnergyAnalyser plug-in of Fig. 1).
 //
-// Bounds the worst-case energy consumption (WCEC) of a task compositionally,
-// exactly like the WCET analysis but priced with the per-instruction-class
-// dynamic energy tables.  Static (leakage) energy is added as
-// static_power * WCET, and the data-dependent power component is bounded by
-// assuming worst-case operand Hamming weight on every instruction — so the
-// bound is sound with respect to the simulator's energy charging.
-//
-// Also provides an average-case estimate (loops at their actual trip count,
-// branches at expected weight, operands at typical Hamming weight), which is
-// what the multi-criteria optimiser uses when the worst case is not the
-// objective.
+// Bounds the worst-case energy consumption (WCEC) of a task with the same
+// fold as the WCET analysis (wcet/fold.hpp), priced with the
+// per-instruction-class dynamic energy tables.  Static (leakage) energy is
+// added as static_power * WCET, and the data-dependent power component is
+// bounded by assuming worst-case operand Hamming weight on every
+// instruction — so the bound is sound with respect to the simulator's
+// energy charging.
 #pragma once
 
 #include <string>
@@ -18,6 +14,7 @@
 #include "ir/program.hpp"
 #include "platform/platform.hpp"
 #include "wcet/analyser.hpp"
+#include "wcet/fold.hpp"
 
 namespace teamplay::energy {
 
@@ -26,7 +23,6 @@ struct EnergyResult {
     double wcec_j = 0.0;      ///< worst-case dynamic + static energy bound
     double wce_dynamic_j = 0.0;
     double wce_static_j = 0.0;
-    double avg_j = 0.0;       ///< expected-case estimate (dynamic + static)
     std::string reason;
 };
 
@@ -40,16 +36,6 @@ public:
                                        std::size_t opp_index) const;
 
 private:
-    struct Accum {
-        double worst_pj = 0.0;  ///< dynamic energy bound at nominal voltage
-        double avg_pj = 0.0;
-        double avg_cycles = 0.0;
-    };
-
-    [[nodiscard]] Accum walk(const ir::Node& node,
-                             const isa::TargetModel& model,
-                             std::map<std::string, Accum>& memo) const;
-
     const ir::Program* program_;
     wcet::Analyser wcet_;
 };
@@ -59,8 +45,8 @@ private:
 /// the sound ceiling.
 inline constexpr double kWorstHammingBits = 64.0;
 
-/// Typical operand Hamming weight used by the average-case estimate
-/// (embedded data is mostly small integers / bytes).
-inline constexpr double kTypicalHammingBits = 6.0;
+/// Worst-case dynamic energy prices at nominal voltage, in pJ: each
+/// instruction class's table entry plus its data term at kWorstHammingBits.
+[[nodiscard]] wcet::Prices worst_energy_prices(const isa::TargetModel& model);
 
 }  // namespace teamplay::energy

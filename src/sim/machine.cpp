@@ -56,36 +56,6 @@ constexpr int kMaxCallDepth = 64;
 /// cheaper than the over-allocation.
 constexpr std::int64_t kMaxTraceReserve = 1 << 20;
 
-ir::Word eval_binop(ir::Opcode op, ir::Word a, ir::Word b) {
-    using ir::Opcode;
-    using U = std::uint64_t;
-    switch (op) {
-        case Opcode::kAdd: return static_cast<ir::Word>(static_cast<U>(a) + static_cast<U>(b));
-        case Opcode::kSub: return static_cast<ir::Word>(static_cast<U>(a) - static_cast<U>(b));
-        case Opcode::kMul: return static_cast<ir::Word>(static_cast<U>(a) * static_cast<U>(b));
-        case Opcode::kDiv: return b == 0 ? 0 : a / b;
-        case Opcode::kRem: return b == 0 ? 0 : a % b;
-        case Opcode::kAnd: return a & b;
-        case Opcode::kOr: return a | b;
-        case Opcode::kXor: return a ^ b;
-        case Opcode::kShl:
-            return static_cast<ir::Word>(static_cast<U>(a)
-                                         << (static_cast<U>(b) & 63U));
-        case Opcode::kShr:
-            return static_cast<ir::Word>(static_cast<U>(a) >>
-                                         (static_cast<U>(b) & 63U));
-        case Opcode::kCmpEq: return a == b ? 1 : 0;
-        case Opcode::kCmpNe: return a != b ? 1 : 0;
-        case Opcode::kCmpLt: return a < b ? 1 : 0;
-        case Opcode::kCmpLe: return a <= b ? 1 : 0;
-        case Opcode::kCmpGt: return a > b ? 1 : 0;
-        case Opcode::kCmpGe: return a >= b ? 1 : 0;
-        case Opcode::kMin: return a < b ? a : b;
-        case Opcode::kMax: return a > b ? a : b;
-        default: return 0;
-    }
-}
-
 }  // namespace
 
 Machine::Machine(const ir::Program& program, const platform::Core& core,
@@ -202,42 +172,48 @@ void Machine::exec_block(const ir::Node& node, Frame& frame,
                 charge<RecordTrace>(isa::InstrClass::kMove, instr.imm,
                                     result);
                 break;
+            // Each compute case with a fixed opcode passes it as a
+            // constant, so the evaluator's switch folds away at compile
+            // time.
             case Opcode::kMov: {
-                const ir::Word v = regs[static_cast<std::size_t>(instr.a)];
+                const ir::Word v = ir::eval_unary(
+                    Opcode::kMov, regs[static_cast<std::size_t>(instr.a)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kMove, v, result);
                 break;
             }
             case Opcode::kNot: {
-                const ir::Word v = ~regs[static_cast<std::size_t>(instr.a)];
+                const ir::Word v = ir::eval_unary(
+                    Opcode::kNot, regs[static_cast<std::size_t>(instr.a)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kAlu, v, result);
                 break;
             }
             case Opcode::kNeg: {
-                const ir::Word v = -regs[static_cast<std::size_t>(instr.a)];
+                const ir::Word v = ir::eval_unary(
+                    Opcode::kNeg, regs[static_cast<std::size_t>(instr.a)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kAlu, v, result);
                 break;
             }
             case Opcode::kAbs: {
-                const ir::Word a = regs[static_cast<std::size_t>(instr.a)];
-                const ir::Word v = a < 0 ? -a : a;
+                const ir::Word v = ir::eval_unary(
+                    Opcode::kAbs, regs[static_cast<std::size_t>(instr.a)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kAlu, v, result);
                 break;
             }
             case Opcode::kPopcnt: {
-                const ir::Word v = static_cast<ir::Word>(std::popcount(
-                    static_cast<std::uint64_t>(
-                        regs[static_cast<std::size_t>(instr.a)])));
+                const ir::Word v = ir::eval_unary(
+                    Opcode::kPopcnt, regs[static_cast<std::size_t>(instr.a)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kAlu, v, result);
                 break;
             }
             case Opcode::kLoad: {
-                const ir::Word addr =
-                    regs[static_cast<std::size_t>(instr.a)] + instr.imm;
+                const ir::Word addr = ir::eval_binary(
+                    Opcode::kAdd, regs[static_cast<std::size_t>(instr.a)],
+                    instr.imm);
                 if (addr < 0 ||
                     static_cast<std::size_t>(addr) >= memory_.size())
                     throw std::out_of_range("Machine: load out of bounds");
@@ -247,8 +223,9 @@ void Machine::exec_block(const ir::Node& node, Frame& frame,
                 break;
             }
             case Opcode::kStore: {
-                const ir::Word addr =
-                    regs[static_cast<std::size_t>(instr.a)] + instr.imm;
+                const ir::Word addr = ir::eval_binary(
+                    Opcode::kAdd, regs[static_cast<std::size_t>(instr.a)],
+                    instr.imm);
                 if (addr < 0 ||
                     static_cast<std::size_t>(addr) >= memory_.size())
                     throw std::out_of_range("Machine: store out of bounds");
@@ -269,24 +246,27 @@ void Machine::exec_block(const ir::Node& node, Frame& frame,
             case Opcode::kDiv:
             case Opcode::kRem: {
                 const ir::Word v =
-                    eval_binop(instr.op, regs[static_cast<std::size_t>(instr.a)],
-                               regs[static_cast<std::size_t>(instr.b)]);
+                    ir::eval_binary(instr.op,
+                                    regs[static_cast<std::size_t>(instr.a)],
+                                    regs[static_cast<std::size_t>(instr.b)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kDiv, v, result);
                 break;
             }
             case Opcode::kMul: {
                 const ir::Word v =
-                    eval_binop(instr.op, regs[static_cast<std::size_t>(instr.a)],
-                               regs[static_cast<std::size_t>(instr.b)]);
+                    ir::eval_binary(instr.op,
+                                    regs[static_cast<std::size_t>(instr.a)],
+                                    regs[static_cast<std::size_t>(instr.b)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kMul, v, result);
                 break;
             }
             default: {
                 const ir::Word v =
-                    eval_binop(instr.op, regs[static_cast<std::size_t>(instr.a)],
-                               regs[static_cast<std::size_t>(instr.b)]);
+                    ir::eval_binary(instr.op,
+                                    regs[static_cast<std::size_t>(instr.a)],
+                                    regs[static_cast<std::size_t>(instr.b)]);
                 regs[static_cast<std::size_t>(instr.dst)] = v;
                 charge<RecordTrace>(isa::InstrClass::kAlu, v, result);
                 break;
@@ -577,13 +557,14 @@ void Machine::exec_trace(const CompiledTrace& trace,
     }
     TP_UNARY(kMov, a)
     TP_UNARY(kNot, ~a)
-    TP_UNARY(kNeg, -a)
-    TP_UNARY(kAbs, a < 0 ? -a : a)
+    TP_UNARY(kNeg, static_cast<ir::Word>(U{0} - static_cast<U>(a)))
+    TP_UNARY(kAbs, a < 0 ? static_cast<ir::Word>(U{0} - static_cast<U>(a)) : a)
     TP_UNARY(kPopcnt,
              static_cast<ir::Word>(std::popcount(static_cast<U>(a))))
     TP_CASE(kLoad) {
         const TraceInstr& in = code[pc];
-        const ir::Word addr = TP_REG(in.a) + in.imm;
+        const ir::Word addr = static_cast<ir::Word>(
+            static_cast<U>(TP_REG(in.a)) + static_cast<U>(in.imm));
         if (addr < 0 || addr >= mem_size) throw_load_oob();
         const ir::Word v = mem[addr];
         TP_REG(in.dst) = v;
@@ -593,7 +574,8 @@ void Machine::exec_trace(const CompiledTrace& trace,
     }
     TP_CASE(kStore) {
         const TraceInstr& in = code[pc];
-        const ir::Word addr = TP_REG(in.a) + in.imm;
+        const ir::Word addr = static_cast<ir::Word>(
+            static_cast<U>(TP_REG(in.a)) + static_cast<U>(in.imm));
         if (addr < 0 || addr >= mem_size) throw_store_oob();
         const ir::Word v = TP_REG(in.b);
         mem[addr] = v;
@@ -612,8 +594,10 @@ void Machine::exec_trace(const CompiledTrace& trace,
     TP_BINOP(kAdd, static_cast<ir::Word>(static_cast<U>(a) + static_cast<U>(b)))
     TP_BINOP(kSub, static_cast<ir::Word>(static_cast<U>(a) - static_cast<U>(b)))
     TP_BINOP(kMul, static_cast<ir::Word>(static_cast<U>(a) * static_cast<U>(b)))
-    TP_BINOP(kDiv, b == 0 ? 0 : a / b)
-    TP_BINOP(kRem, b == 0 ? 0 : a % b)
+    TP_BINOP(kDiv, b == 0    ? 0
+                   : b == -1 ? static_cast<ir::Word>(U{0} - static_cast<U>(a))
+                             : a / b)
+    TP_BINOP(kRem, b == 0 || b == -1 ? 0 : a % b)
     TP_BINOP(kAnd, a& b)
     TP_BINOP(kOr, a | b)
     TP_BINOP(kXor, a ^ b)

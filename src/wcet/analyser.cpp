@@ -1,78 +1,14 @@
 #include "wcet/analyser.hpp"
 
-#include <stdexcept>
+#include "wcet/fold.hpp"
 
 namespace teamplay::wcet {
-
-Analyser::Accum Analyser::walk(const ir::Node& node,
-                               const isa::TargetModel& model,
-                               std::map<std::string, Accum>& memo) const {
-    Accum acc;
-    switch (node.kind) {
-        case ir::NodeKind::kBlock:
-            for (const auto& instr : node.instrs) {
-                acc.cycles += model.cycles_of(isa::instr_class(instr.op));
-                ++acc.instrs;
-            }
-            break;
-        case ir::NodeKind::kSeq:
-            for (const auto& child : node.children) {
-                const Accum c = walk(*child, model, memo);
-                acc.cycles += c.cycles;
-                acc.instrs += c.instrs;
-            }
-            break;
-        case ir::NodeKind::kIf: {
-            acc.cycles += model.branch_cycles;
-            const Accum then_acc = walk(*node.then_branch, model, memo);
-            Accum else_acc;
-            if (node.else_branch) else_acc = walk(*node.else_branch, model, memo);
-            // Alternative rule: the worst branch bounds both time and the
-            // instruction count (each taken independently stays sound).
-            acc.cycles += std::max(then_acc.cycles, else_acc.cycles);
-            acc.instrs += std::max(then_acc.instrs, else_acc.instrs);
-            break;
-        }
-        case ir::NodeKind::kLoop: {
-            const Accum body = walk(*node.body, model, memo);
-            const auto bound = static_cast<double>(node.bound);
-            acc.cycles += bound * (model.loop_iter_cycles + body.cycles);
-            acc.instrs += node.bound * body.instrs;
-            break;
-        }
-        case ir::NodeKind::kCall: {
-            const ir::Function* callee = program_->find(node.callee);
-            if (callee == nullptr)
-                throw std::runtime_error("wcet: undefined callee '" +
-                                         node.callee + "'");
-            const auto it = memo.find(node.callee);
-            Accum callee_acc;
-            if (it != memo.end()) {
-                callee_acc = it->second;
-            } else {
-                callee_acc = walk(*callee->body, model, memo);
-                memo.emplace(node.callee, callee_acc);
-            }
-            acc.cycles += model.call_cycles + callee_acc.cycles;
-            acc.instrs += callee_acc.instrs;
-            break;
-        }
-    }
-    return acc;
-}
-
-double Analyser::node_cycles(const ir::Node& node,
-                             const isa::TargetModel& model) const {
-    std::map<std::string, Accum> memo;
-    return walk(node, model, memo).cycles;
-}
 
 WcetResult Analyser::analyse(const std::string& function,
                              const platform::Core& core,
                              std::size_t opp_index) const {
     WcetResult result;
     if (!core.model.predictable) {
-        result.analysable = false;
         result.reason = "core '" + core.name +
                         "' is not statically analysable (out-of-order "
                         "pipeline / caches); use the dynamic profiler";
@@ -80,16 +16,13 @@ WcetResult Analyser::analyse(const std::string& function,
     }
     const ir::Function* fn = program_->find(function);
     if (fn == nullptr) {
-        result.analysable = false;
         result.reason = "undefined function '" + function + "'";
         return result;
     }
-    std::map<std::string, Accum> memo;
-    const Accum acc = walk(*fn->body, core.model, memo);
+    BoundRules rules;
     result.analysable = true;
-    result.cycles = acc.cycles;
-    result.path_instrs = acc.instrs;
-    result.time_s = acc.cycles / core.opp(opp_index).freq_hz;
+    result.cycles = fold(*program_, *fn->body, cycle_prices(core.model), rules);
+    result.time_s = result.cycles / core.opp(opp_index).freq_hz;
     return result;
 }
 

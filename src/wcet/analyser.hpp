@@ -1,16 +1,16 @@
 // Static Worst-Case Execution Time analysis (the aiT stand-in of Fig. 1).
 //
-// Works compositionally over the structured IR: blocks sum their instruction
-// latencies, alternatives take the maximum branch, loops multiply the body by
-// the static bound, and calls expand the callee bound (memoised; recursion is
-// rejected by IR validation).  On predictable cores the resulting bound is
-// *sound and exact for the worst path* because the simulator charges the same
-// cost tables.  On complex cores the analysis refuses — static WCET is
-// meaningless there (Sec. II-B) — and reports why, which is the signal the
-// toolchain uses to switch to the dynamic-profiling workflow.
+// Folds the structured IR with cycle prices (wcet/fold.hpp): blocks sum
+// their instruction latencies, alternatives take the worse branch, loops
+// multiply the body by the static bound, and calls add the callee bound
+// (memoised; recursion is rejected by IR validation).  On predictable cores
+// the resulting bound is *sound and exact for the worst path* because the
+// simulator charges the same cost tables.  On complex cores the analysis
+// refuses — static WCET is meaningless there (Sec. II-B) — and reports why,
+// which is the signal the toolchain uses to switch to the dynamic-profiling
+// workflow.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "ir/program.hpp"
@@ -23,10 +23,6 @@ struct WcetResult {
     double cycles = 0.0;
     double time_s = 0.0;
     std::string reason;  ///< filled when !analysable
-
-    /// Worst-case number of *executed instructions* along the WCET path
-    /// (used by the energy analyser to bound data-dependent energy).
-    std::int64_t path_instrs = 0;
 };
 
 class Analyser {
@@ -38,21 +34,7 @@ public:
                                      const platform::Core& core,
                                      std::size_t opp_index) const;
 
-    /// Worst-case cycles of a single node (exposed for the proof builder in
-    /// the contract system, which re-derives bounds rule by rule).
-    [[nodiscard]] double node_cycles(const ir::Node& node,
-                                     const isa::TargetModel& model) const;
-
 private:
-    struct Accum {
-        double cycles = 0.0;
-        std::int64_t instrs = 0;
-    };
-
-    [[nodiscard]] Accum walk(const ir::Node& node,
-                             const isa::TargetModel& model,
-                             std::map<std::string, Accum>& memo) const;
-
     const ir::Program* program_;
 };
 

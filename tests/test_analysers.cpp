@@ -193,23 +193,6 @@ TEST(EnergyAnalysis, WcecDominatesSimulatedEnergy) {
     EXPECT_GT(bound.wcec_j, 0.0);
 }
 
-TEST(EnergyAnalysis, AverageBelowWorstCase) {
-    ir::FunctionBuilder b("f", 1);
-    const auto c = b.cmp_gt(b.param(0), b.imm(0));
-    b.if_begin(c);
-    (void)b.div(c, c);
-    b.if_end();
-    const auto i = b.dynamic_loop_begin(b.param(0), 100);
-    (void)b.add(i, i);
-    b.loop_end();
-    const auto program = single(b.build());
-
-    const energy::Analyser analyser(program);
-    const auto result = analyser.analyse("f", nucleo().cores[0], 0);
-    ASSERT_TRUE(result.analysable);
-    EXPECT_LT(result.avg_j, result.wcec_j);
-}
-
 TEST(EnergyAnalysis, ComplexCoreRefuses) {
     ir::FunctionBuilder b("f", 0);
     (void)b.imm(1);

@@ -5,6 +5,8 @@
 // stay pinned.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -104,6 +106,32 @@ TEST(ConstantFold, FoldsSelects) {
     EXPECT_GE(compiler::constant_fold(*program.find("f")), 1);
     sim::Machine m(program, nucleo().cores[0], 0);
     EXPECT_EQ(m.run("f", {}).ret_value, 10);
+}
+
+TEST(ConstantFold, OverflowingOpsFoldToWrappedConstants) {
+    constexpr ir::Word kMin = std::numeric_limits<ir::Word>::min();
+    ir::FunctionBuilder b("f", 0);
+    const auto x = b.imm(kMin);
+    const auto minus_one = b.imm(-1);
+    const auto quotient = b.div(x, minus_one);
+    const auto remainder = b.rem(x, minus_one);
+    const auto negated = b.neg(x);
+    const auto absolute = b.sabs(x);
+    b.ret(quotient);
+    auto program = single(b.build());
+    EXPECT_EQ(compiler::constant_fold(*program.find("f")), 4);
+
+    std::map<ir::Reg, ir::Instr> by_dst;
+    ir::for_each_instr(*program.find("f")->body,
+                       [&by_dst](const ir::Instr& instr) {
+                           by_dst[instr.dst] = instr;
+                       });
+    const std::pair<ir::Reg, ir::Word> expected[] = {
+        {quotient, kMin}, {remainder, 0}, {negated, kMin}, {absolute, kMin}};
+    for (const auto& [reg, value] : expected) {
+        EXPECT_EQ(by_dst[reg].op, ir::Opcode::kMovImm) << "r" << reg;
+        EXPECT_EQ(by_dst[reg].imm, value) << "r" << reg;
+    }
 }
 
 // -- CSE ----------------------------------------------------------------------

@@ -218,6 +218,12 @@ TEST(Contracts, MissingStaticEvidenceThrows) {
     EXPECT_THROW(
         (void)contracts::check_contracts("a", "p", {input}),
         std::invalid_argument);
+
+    input.time_budget_s = -1.0;  // energy contract alone
+    input.energy_budget_j = 1.0;
+    EXPECT_THROW(
+        (void)contracts::check_contracts("a", "p", {input}),
+        std::invalid_argument);
 }
 
 TEST(Contracts, SecurityContractUsesLeakageProxy) {
@@ -252,12 +258,18 @@ TEST(Contracts, TimeProofRejectsComplexCore) {
     EXPECT_THROW((void)contracts::build_time_proof_cycles(
                      app.program, "pill_delta", tk1.cores[0].model),
                  std::invalid_argument);
+    EXPECT_THROW((void)contracts::build_energy_proof_joules(
+                     app.program, "pill_delta", tk1.cores[0], 0),
+                 std::invalid_argument);
 }
 
 TEST(Contracts, ProofForUnknownFunctionThrows) {
     const auto app = usecases::make_camera_pill_app();
     EXPECT_THROW((void)contracts::build_time_proof_cycles(
                      app.program, "ghost", app.platform.cores[0].model),
+                 std::invalid_argument);
+    EXPECT_THROW((void)contracts::build_energy_proof_joules(
+                     app.program, "ghost", app.platform.cores[0], 0),
                  std::invalid_argument);
 }
 

@@ -1,10 +1,8 @@
-// Unit tests for the structured IR: builder, clone, printer, validation,
-// statistics.
+// Unit tests for the structured IR: builder, clone, printer, validation.
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
-#include "ir/stats.hpp"
 #include "ir/validate.hpp"
 
 namespace {
@@ -88,10 +86,20 @@ TEST(IrBuilder, NestedStructuresProduceTree) {
     b.loop_end();
     const auto fn = b.build();
 
-    const auto stats = ir::analyze(fn);
-    EXPECT_EQ(stats.loops, 1);
-    EXPECT_EQ(stats.branches, 1);
-    EXPECT_EQ(stats.max_loop_depth, 1);
+    // One loop, whose body holds the one if and no further loop.
+    ASSERT_EQ(fn.body->kind, ir::NodeKind::kSeq);
+    ASSERT_EQ(fn.body->children.size(), 1u);
+    const auto& loop = *fn.body->children[0];
+    ASSERT_EQ(loop.kind, ir::NodeKind::kLoop);
+    EXPECT_EQ(loop.bound, 4);
+    int branches = 0;
+    int loops = 0;
+    ir::visit(*loop.body, [&](const ir::Node& node) {
+        branches += node.kind == ir::NodeKind::kIf;
+        loops += node.kind == ir::NodeKind::kLoop;
+    });
+    EXPECT_EQ(branches, 1);
+    EXPECT_EQ(loops, 0);
 }
 
 TEST(IrClone, DeepCopyIsIndependent) {
@@ -199,39 +207,6 @@ TEST(IrPrinter, ContainsStructure) {
     EXPECT_NE(text.find("bound=16"), std::string::npos);
     EXPECT_NE(text.find("if"), std::string::npos);
     EXPECT_NE(text.find("; secret"), std::string::npos);
-}
-
-TEST(IrStats, WeightedCountsMultiplyLoopTrips) {
-    ir::FunctionBuilder b("f", 0);
-    const auto i = b.loop_begin(10);
-    const auto j = b.loop_begin(5);
-    (void)b.add(i, j);
-    b.loop_end();
-    b.loop_end();
-    const auto fn = b.build();
-    const auto stats = ir::analyze(fn);
-    EXPECT_EQ(stats.static_instrs, 1);
-    EXPECT_EQ(stats.weighted_instrs, 50);
-    EXPECT_EQ(stats.max_loop_depth, 2);
-}
-
-TEST(IrStats, ExpandedStatsFollowCalls) {
-    ir::FunctionBuilder leaf("leaf", 0);
-    (void)leaf.imm(1);
-    (void)leaf.imm(2);
-    ir::FunctionBuilder main_fn("main", 0);
-    (void)main_fn.loop_begin(3);
-    (void)main_fn.call("leaf", {});
-    main_fn.loop_end();
-    ir::Program program;
-    program.add(leaf.build());
-    program.add(main_fn.build());
-
-    const auto stats =
-        ir::analyze_expanded(program, *program.find("main"));
-    // leaf body (2 instrs) counted once per call site expansion, weighted by
-    // the surrounding loop trip count.
-    EXPECT_EQ(stats.weighted_instrs, 6);
 }
 
 TEST(IrInstr, OpcodePredicates) {

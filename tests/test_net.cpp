@@ -2,6 +2,7 @@
 // to in-process runs, transport faults (mid-frame disconnect, server
 // restart, poisoned frames) surface as the retryable cancellation class
 // and never poison the server, a spec defect fails only its own ticket,
+// overflowing IR arithmetic gets a report rather than killing the server,
 // cancels propagate across the wire, a warm
 // fabric peer serves a cold engine's misses with zero recomputes, and
 // resealed mutants of a kReplyStats envelope round-trip or raise WireError.
@@ -9,14 +10,17 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario_engine.hpp"
 #include "core/sharded_engine.hpp"
+#include "ir/builder.hpp"
 #include "net/protocol.hpp"
 #include "net/remote_shard.hpp"
 #include "net/shard_server.hpp"
@@ -313,6 +317,39 @@ TEST(Net, AppWithoutTasksFailsItsTicketAndTheServerKeepsServing) {
     }
 
     // Same client: a valid request still completes.
+    const auto report = remote.submit(light_request()).get();
+    EXPECT_TRUE(report.certificate.all_hold());
+}
+
+TEST(Net, OverflowingDivisionGetsAReportAndTheServerKeepsServing) {
+    const auto server = make_server();
+    net::RemoteShard remote(client_options(server->port()));
+
+    // INT64_MIN / -1 traps on x86-64; the IR defines it to wrap.  The
+    // camera pill folds it in the compiler search, apalis-tk1 runs it in
+    // the profiler's simulator.
+    ir::Program program;
+    program.memory_words = 16;
+    ir::FunctionBuilder b("overflow", 0);
+    b.ret(b.div(b.imm(std::numeric_limits<ir::Word>::min()), b.imm(-1)));
+    program.add(b.build());
+    const auto pill = platform::camera_pill_board();
+    const auto tk1 = platform::apalis_tk1();
+    for (const auto& [platform, core_class] :
+         {std::pair{&pill, "mcu"}, std::pair{&tk1, "big"}}) {
+        auto request = light_request("overflow@" + platform->name);
+        request.program = &program;
+        request.platform = platform;
+        request.csl_source = "app overflow on " + platform->name +
+                             " deadline 100ms {\n"
+                             "  task t { entry overflow; period 100ms;"
+                             " deadline 100ms; core_class " +
+                             core_class + "; }\n}\n";
+        const auto report = remote.submit(request).get();
+        EXPECT_EQ(report.certificate.app, "overflow") << platform->name;
+    }
+
+    // Same client: a pill request still completes.
     const auto report = remote.submit(light_request()).get();
     EXPECT_TRUE(report.certificate.all_hold());
 }

@@ -4,6 +4,8 @@
 //  * every compiler pass pipeline preserves program semantics (differential
 //    execution against the untransformed program, memory included);
 //  * static WCET/WCEC bounds stay sound across every pass pipeline;
+//  * the certificate's time and energy proofs reproduce the analysers'
+//    bounds at every operating point;
 //  * security transforms preserve semantics and kill the timing channel on
 //    arbitrary secret-dependent kernels;
 //  * schedules never overlap on a core, never start before dependencies,
@@ -12,6 +14,7 @@
 
 #include "compiler/multi_criteria.hpp"
 #include "compiler/passes.hpp"
+#include "contracts/certificate.hpp"
 #include "coordination/runtime.hpp"
 #include "coordination/scheduler.hpp"
 #include "energy/analyser.hpp"
@@ -345,19 +348,48 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, SchedulerInvariants,
 
 // -- analyser agreement property -----------------------------------------------------
 
+/// The certificate's proofs come from the fold the analysers run, so at every
+/// operating point they reproduce the analysers' bounds, and a simulated run
+/// (the average case) stays within them.
 class AnalyserProofAgreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(AnalyserProofAgreement, AverageNeverExceedsWorstCase) {
     support::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271 + 5);
     const auto program = random_program(rng, true);
-    const energy::Analyser analyser(program);
-    const auto result = analyser.analyse("f", nucleo().cores[0], 1);
-    ASSERT_TRUE(result.analysable);
-    EXPECT_LE(result.avg_j, result.wcec_j * (1.0 + 1e-9));
-    EXPECT_GT(result.wce_dynamic_j, 0.0);
-    EXPECT_GT(result.wce_static_j, 0.0);
-    EXPECT_NEAR(result.wcec_j, result.wce_dynamic_j + result.wce_static_j,
-                1e-15 + result.wcec_j * 1e-9);
+    const auto& core = nucleo().cores[0];
+    const wcet::Analyser wcet_analyser(program);
+    const energy::Analyser energy_analyser(program);
+    for (std::size_t opp = 0; opp < core.opps.size(); ++opp) {
+        SCOPED_TRACE("opp " + std::to_string(opp));
+        const auto wcet = wcet_analyser.analyse("f", core, opp);
+        const auto energy = energy_analyser.analyse("f", core, opp);
+        ASSERT_TRUE(wcet.analysable);
+        ASSERT_TRUE(energy.analysable);
+        EXPECT_NEAR(energy.wcec_j,
+                    energy.wce_dynamic_j + energy.wce_static_j,
+                    1e-15 + energy.wcec_j * 1e-9);
+
+        // The proofs apply the final unit scalings in another order than
+        // the analysers, so cycles agree bit for bit and joules only to the
+        // checker's tolerance.
+        const auto cycles =
+            contracts::build_time_proof_cycles(program, "f", core.model);
+        EXPECT_EQ(cycles.value, wcet.cycles);
+        const auto time =
+            contracts::scale_to_seconds(cycles, core.opp(opp).freq_hz);
+        EXPECT_TRUE(contracts::verify_proof(time));
+        const auto joules =
+            contracts::build_energy_proof_joules(program, "f", core, opp);
+        EXPECT_TRUE(contracts::verify_proof(joules));
+        EXPECT_NEAR(joules.value, energy.wcec_j, 1e-9 * energy.wcec_j);
+
+        sim::Machine machine(program, core, opp);
+        const auto run = machine.run(
+            "f", std::vector<ir::Word>{rng.range(-100, 100),
+                                       rng.range(-100, 100)});
+        EXPECT_LE(run.time_s, time.value * (1.0 + 1e-9));
+        EXPECT_LE(run.energy_j(), joules.value * (1.0 + 1e-9));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, AnalyserProofAgreement,

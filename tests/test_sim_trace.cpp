@@ -12,6 +12,7 @@
 // two owners, the profiler campaign and the complex-core compiler.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <typeindex>
@@ -253,6 +254,58 @@ TEST(SimTrace, UndefinedCalleeFallsBackToInterpreterErrorSurface) {
                                 {});
     EXPECT_NE(interp.error.find("missing"), std::string::npos);
     expect_identical(interp, trace, "undefined-callee");
+}
+
+TEST(SimTrace, OverflowingArithmeticWrapsIdentically) {
+    // INT64_MIN / -1 and its kin wrap (ir/instr.hpp) rather than trap; an
+    // address sum that wraps negative is an ordinary out-of-bounds fault.
+    constexpr ir::Word kMin = std::numeric_limits<ir::Word>::min();
+    constexpr ir::Word kMax = std::numeric_limits<ir::Word>::max();
+    ir::Program program;
+    program.memory_words = 16;
+    ir::FunctionBuilder div("div", 2);
+    div.ret(div.div(div.param(0), div.param(1)));
+    program.add(div.build());
+    ir::FunctionBuilder rem("rem", 2);
+    rem.ret(rem.rem(rem.param(0), rem.param(1)));
+    program.add(rem.build());
+    ir::FunctionBuilder neg("neg", 1);
+    neg.ret(neg.neg(neg.param(0)));
+    program.add(neg.build());
+    ir::FunctionBuilder abs("abs", 1);
+    abs.ret(abs.sabs(abs.param(0)));
+    program.add(abs.build());
+    ir::FunctionBuilder load("load", 1);
+    load.ret(load.load(load.param(0), 1));
+    program.add(load.build());
+
+    struct Case {
+        std::string entry;
+        std::vector<ir::Word> args;
+        std::optional<ir::Word> ret;  ///< nullopt: the run faults
+    };
+    const Case cases[] = {{"div", {kMin, -1}, kMin}, {"rem", {kMin, -1}, 0},
+                          {"neg", {kMin}, kMin},     {"abs", {kMin}, kMin},
+                          {"load", {kMax}, std::nullopt}};
+    const auto tk1 = platform::apalis_tk1();
+    for (const auto* core : {&nucleo().cores[0], &tk1.cores[0]}) {
+        for (const auto& c : cases) {
+            const std::string context = core->name + "/" + c.entry;
+            const auto interp =
+                run_once(program, *core, 0, 7, sim::SimBackend::kInterp,
+                         nullptr, c.entry, {}, c.args);
+            const auto trace =
+                run_once(program, *core, 0, 7, sim::SimBackend::kTrace,
+                         nullptr, c.entry, {}, c.args);
+            expect_identical(interp, trace, context);
+            if (!c.ret) {
+                EXPECT_FALSE(interp.error.empty()) << context;
+                continue;
+            }
+            ASSERT_TRUE(interp.result.has_value()) << context << interp.error;
+            EXPECT_EQ(interp.result->ret_value, *c.ret) << context;
+        }
+    }
 }
 
 // -- cache accounting ---------------------------------------------------------
