@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/sharded_engine.hpp"
+#include "net/router.hpp"
 #include "net/shard_server.hpp"
 #include "usecases/apps.hpp"
 
@@ -96,8 +96,8 @@ struct ReplayOutcome {
     core::EvaluationCache::Stats cache;
 };
 
-ReplayOutcome replay(const Trace& trace,
-                     core::ShardedScenarioEngine& engine) {
+/// `front`: a ScenarioEngine or a net::Router.
+ReplayOutcome replay(const Trace& trace, auto& front) {
     std::mutex mutex;
     ReplayOutcome outcome;
     outcome.latencies_s.assign(trace.requests.size(), 0.0);
@@ -108,7 +108,7 @@ ReplayOutcome replay(const Trace& trace,
         std::this_thread::sleep_for(
             std::chrono::duration<double>(trace.gaps_s[i]));
         const auto arrival = std::chrono::steady_clock::now();
-        tickets.push_back(engine.submit(
+        tickets.push_back(front.submit(
             trace.requests[i],
             [&outcome, &mutex, i, arrival](const core::ScenarioOutcome&) {
                 const double latency =
@@ -123,27 +123,27 @@ ReplayOutcome replay(const Trace& trace,
     outcome.certificates.reserve(tickets.size());
     for (auto& ticket : tickets)
         outcome.certificates.push_back(ticket.get().certificate.to_text());
-    outcome.telemetry = engine.stage_telemetry();
-    outcome.cache = engine.cache_stats();
+    outcome.telemetry = front.stage_telemetry();
+    outcome.cache = front.cache_stats();
     return outcome;
 }
 
-/// N loopback ShardServers on ephemeral ports plus a remote-only front
-/// that routes everything across the wire.
+/// N loopback ShardServers on ephemeral ports plus a router that sends
+/// everything across the wire.
 ReplayOutcome replay_remote(const Trace& trace, std::size_t remote_count,
                             std::size_t workers_per_remote) {
     std::vector<std::unique_ptr<net::ShardServer>> servers;
-    core::ShardedScenarioEngine::Options options;
+    std::vector<std::string> endpoints;
     for (std::size_t i = 0; i < remote_count; ++i) {
         net::ShardServer::Options server_options;
         server_options.engine.worker_threads = workers_per_remote;
         servers.push_back(
             std::make_unique<net::ShardServer>(std::move(server_options)));
-        options.remote_endpoints.push_back(
-            "127.0.0.1:" + std::to_string(servers.back()->port()));
+        endpoints.push_back("127.0.0.1:" +
+                            std::to_string(servers.back()->port()));
     }
-    core::ShardedScenarioEngine engine(std::move(options));
-    return replay(trace, engine);
+    net::Router router(endpoints);
+    return replay(trace, router);
 }
 
 std::uint64_t lap_count(const core::StageTelemetry& telemetry,
@@ -162,16 +162,12 @@ bool run_fetch_phase(const Trace& trace, const ReplayOutcome& baseline) {
         "127.0.0.1:" + std::to_string(server.port());
 
     {
-        core::ShardedScenarioEngine::Options warm_options;
-        warm_options.remote_endpoints.push_back(endpoint);
-        core::ShardedScenarioEngine warmer(std::move(warm_options));
+        net::Router warmer({endpoint});
         (void)replay(trace, warmer);
     }
 
-    core::ShardedScenarioEngine::Options fetch_options;
-    fetch_options.engine.worker_threads = 2;
-    fetch_options.fetch_peers.push_back(endpoint);
-    core::ShardedScenarioEngine fetcher(std::move(fetch_options));
+    core::ScenarioEngine fetcher({.worker_threads = 2});
+    fetcher.set_remote_fetch(net::fetch_from({endpoint}));
     const auto fetched = replay(trace, fetcher);
 
     const bool identical = fetched.certificates == baseline.certificates;
@@ -203,7 +199,7 @@ bool print_table() {
                 "loopback TCP ===\n",
                 trace.requests.size());
 
-    core::ShardedScenarioEngine local({.engine = {.worker_threads = 4}});
+    core::ScenarioEngine local({.worker_threads = 4});
     const auto baseline = replay(trace, local);
     const auto base_stats = percentiles(baseline.latencies_s);
     std::printf("in-process:      p50 %8.2f ms, p95 %8.2f ms\n",

@@ -21,11 +21,13 @@
 //
 // The process runs one engine.  `--serve <port>` turns it into a shard
 // server: that engine behind the fabric RPC loop, until SIGINT/SIGTERM.
-// `--remote host:port` (repeatable) sends every scenario over the wire
-// instead, routed across the remotes by the structural fingerprint of its
-// primary kernel, and `--fetch-peer host:port` consults the peer's warm
-// cache on local misses before recomputing.  Numeric flags take decimal
-// or 0x hex; any other value is a usage error (exit 2).
+// `--remote host:port` (repeatable) builds no engine and sends every
+// scenario over the wire instead, routed across the remotes by the
+// structural fingerprint of its primary kernel (net::Router), so the
+// flags that configure a local engine are usage errors beside it.
+// `--fetch-peer host:port` consults the peer's warm cache on local misses
+// before recomputing.  Numeric flags take decimal or 0x hex; any other
+// value is a usage error (exit 2).
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -37,11 +39,12 @@
 #include <mutex>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/advisor.hpp"
 #include "core/result_store.hpp"
-#include "core/sharded_engine.hpp"
+#include "net/router.hpp"
 #include "net/shard_server.hpp"
 #include "sim/trace.hpp"
 #include "support/units.hpp"
@@ -67,7 +70,10 @@ void usage() {
         "                      (engine flags configure the served engine)\n"
         "  --remote <h:p>      run every scenario on remote shard servers,\n"
         "                      routed by kernel structural fingerprint\n"
-        "                      (repeatable; no local engine is built)\n"
+        "                      (repeatable; no local engine is built, so\n"
+        "                      --jobs, --cache-budget, --queue-depth,\n"
+        "                      --store-dir and --fetch-peer are usage\n"
+        "                      errors beside it)\n"
         "  --fetch-peer <h:p>  consult this fabric peer's cache on local\n"
         "                      misses before recomputing (repeatable)\n"
         "  --stream            submit scenarios asynchronously and print\n"
@@ -102,7 +108,7 @@ bool parse_flag(std::string_view flag, const char* text, std::uint64_t max,
     return false;
 }
 
-void print_result_store(const core::ShardedScenarioEngine& engine,
+void print_result_store(const core::ScenarioEngine& engine,
                         const std::shared_ptr<core::ResultStore>& store) {
     if (store == nullptr) return;
     const auto cache = engine.cache_stats();
@@ -120,7 +126,7 @@ void print_result_store(const core::ShardedScenarioEngine& engine,
         static_cast<unsigned long long>(stats.scan_rejects));
 }
 
-void print_remote_fetch(const core::ShardedScenarioEngine& engine,
+void print_remote_fetch(const core::ScenarioEngine& engine,
                         bool fetch_peers_configured) {
     if (!fetch_peers_configured) return;
     const auto cache = engine.cache_stats();
@@ -146,8 +152,8 @@ void dump_certificate(const std::string& dir, const std::string& label,
                      path.string().c_str());
 }
 
-void print_admission(const core::ShardedScenarioEngine& engine) {
-    const auto totals = engine.admission_stats().totals();
+void print_admission(const core::AdmissionStats& stats) {
+    const auto totals = stats.totals();
     // Stable key=value shape with ` rejected=` and ` shed=` adjacent: the
     // CI fabric job greps this line to prove overload handling engaged.
     std::printf(
@@ -221,6 +227,9 @@ int main(int argc, char** argv) {
     std::string cert_dump_dir;
     std::vector<std::string> remote_endpoints;
     std::vector<std::string> fetch_peers;
+    // The last flag seen that configures this process's engine; a usage
+    // error beside --remote, which builds none.
+    std::string local_flag;
     core::Priority priority = core::Priority::kBatch;
     std::uint64_t deadline_ms = 0;
     std::uint64_t queue_depth = 0;
@@ -252,10 +261,12 @@ int main(int argc, char** argv) {
             if (!parse_flag(arg, argv[++i], kAnyCount, seed)) return 2;
         } else if (arg == "--jobs" && i + 1 < argc) {
             if (!parse_flag(arg, argv[++i], kMaxJobs, jobs)) return 2;
+            local_flag = arg;
         } else if (arg == "--remote" && i + 1 < argc) {
             remote_endpoints.emplace_back(argv[++i]);
         } else if (arg == "--fetch-peer" && i + 1 < argc) {
             fetch_peers.emplace_back(argv[++i]);
+            local_flag = arg;
         } else if (arg == "--priority" && i + 1 < argc) {
             const auto parsed = core::parse_priority(argv[++i]);
             if (!parsed) {
@@ -270,11 +281,14 @@ int main(int argc, char** argv) {
         } else if (arg == "--queue-depth" && i + 1 < argc) {
             if (!parse_flag(arg, argv[++i], kAnyCount, queue_depth))
                 return 2;
+            local_flag = arg;
         } else if (arg == "--cache-budget" && i + 1 < argc) {
             if (!parse_flag(arg, argv[++i], kAnyCount, cache_budget))
                 return 2;
+            local_flag = arg;
         } else if (arg == "--store-dir" && i + 1 < argc) {
             store_dir = argv[++i];
+            local_flag = arg;
         } else if (arg == "--cert-dump" && i + 1 < argc) {
             cert_dump_dir = argv[++i];
         } else {
@@ -282,6 +296,11 @@ int main(int argc, char** argv) {
             usage();
             return 2;
         }
+    }
+    if (!remote_endpoints.empty() && !local_flag.empty()) {
+        std::fprintf(stderr, "%s cannot be combined with --remote\n",
+                     local_flag.c_str());
+        return 2;
     }
 
     try {
@@ -398,108 +417,129 @@ int main(int argc, char** argv) {
             requests.push_back(std::move(request));
         }
 
-        core::ShardedScenarioEngine engine(
-            {.engine = engine_options,
-             .remote_endpoints = remote_endpoints,
-             .fetch_peers = fetch_peers});
+        // One body for either front: this process's engine, or the router
+        // over the remotes.
+        const auto run_scenarios = [&](auto& front) -> int {
+            // Only the local engine has a result store and fetch peers;
+            // each remote keeps its own on its side of the wire.
+            const auto print_local_tiers = [&] {
+                if constexpr (std::is_same_v<decltype(front),
+                                             core::ScenarioEngine&>) {
+                    front.flush_result_store();
+                    print_result_store(front, store);
+                    print_remote_fetch(front, !fetch_peers.empty());
+                }
+            };
 
-        if (stream) {
-            // Service-core view: consume results in completion order via
-            // the async submission path, then report batch telemetry.
-            std::mutex io_mutex;
-            std::size_t completed = 0;
-            bool all_ok = true;
-            const auto start = std::chrono::steady_clock::now();
-            std::vector<core::ScenarioTicket> tickets;
-            tickets.reserve(requests.size());
-            for (auto& request : requests) {
-                tickets.push_back(engine.submit(
-                    request, [&](const core::ScenarioOutcome& outcome) {
-                        const std::lock_guard<std::mutex> lock(io_mutex);
-                        ++completed;
-                        if (outcome.report != nullptr) {
-                            const bool ok =
-                                outcome.report->certificate.all_hold() &&
-                                contracts::verify_certificate(
-                                    outcome.report->certificate);
-                            all_ok = ok && all_ok;
-                            std::printf(
-                                "[%zu/%zu] %s: certificate %s (%s)\n",
-                                completed, requests.size(),
-                                outcome.label.c_str(),
-                                ok ? "VALID" : "INVALID",
-                                outcome.report->certificate.fully_static()
-                                    ? "statically proven"
-                                    : "contains measured evidence");
-                        } else {
-                            all_ok = false;
-                            std::printf("[%zu/%zu] %s: %s\n", completed,
-                                        requests.size(),
-                                        outcome.label.c_str(),
-                                        outcome.shed        ? "shed"
-                                        : outcome.cancelled ? "cancelled"
-                                                            : "failed");
+            if (stream) {
+                // Service-core view: consume results in completion order
+                // via the async submission path, then report batch
+                // telemetry.
+                std::mutex io_mutex;
+                std::size_t completed = 0;
+                bool all_ok = true;
+                const auto start = std::chrono::steady_clock::now();
+                std::vector<core::ScenarioTicket> tickets;
+                tickets.reserve(requests.size());
+                for (auto& request : requests) {
+                    tickets.push_back(front.submit(
+                        request, [&](const core::ScenarioOutcome& outcome) {
+                            const std::lock_guard<std::mutex> lock(io_mutex);
+                            ++completed;
+                            if (outcome.report != nullptr) {
+                                const auto& certificate =
+                                    outcome.report->certificate;
+                                const bool ok =
+                                    certificate.all_hold() &&
+                                    contracts::verify_certificate(
+                                        certificate);
+                                all_ok = ok && all_ok;
+                                std::printf(
+                                    "[%zu/%zu] %s: certificate %s (%s)\n",
+                                    completed, requests.size(),
+                                    outcome.label.c_str(),
+                                    ok ? "VALID" : "INVALID",
+                                    certificate.fully_static()
+                                        ? "statically proven"
+                                        : "contains measured evidence");
+                            } else {
+                                all_ok = false;
+                                std::printf(
+                                    "[%zu/%zu] %s: %s\n", completed,
+                                    requests.size(), outcome.label.c_str(),
+                                    outcome.shed        ? "shed"
+                                    : outcome.cancelled ? "cancelled"
+                                                        : "failed");
+                            }
+                        }));
+                }
+                for (auto& ticket : tickets) ticket.wait();
+                const double wall_s =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+                if (!cert_dump_dir.empty()) {
+                    for (std::size_t i = 0; i < tickets.size(); ++i) {
+                        try {
+                            dump_certificate(cert_dump_dir,
+                                             requests[i].label,
+                                             tickets[i].get());
+                        } catch (...) {
+                            // Failure already surfaced through the
+                            // callback.
                         }
-                    }));
-            }
-            for (auto& ticket : tickets) ticket.wait();
-            const double wall_s =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (!cert_dump_dir.empty()) {
-                for (std::size_t i = 0; i < tickets.size(); ++i) {
-                    try {
-                        dump_certificate(cert_dump_dir, requests[i].label,
-                                         tickets[i].get());
-                    } catch (...) {
-                        // Failure already surfaced through the callback.
                     }
                 }
+                const auto cache = front.cache_stats();
+                std::printf(
+                    "stream: %zu scenarios in %.3f s (%zu threads; cache: "
+                    "%llu hits / %llu misses, %llu evictions, %zu "
+                    "entries)\n",
+                    requests.size(), wall_s, front.concurrency(),
+                    static_cast<unsigned long long>(cache.hits),
+                    static_cast<unsigned long long>(cache.misses),
+                    static_cast<unsigned long long>(cache.evictions),
+                    cache.entries);
+                print_local_tiers();
+                print_admission(front.admission_stats());
+                print_trace_cache();
+                if (!quiet)
+                    std::printf("--- per-stage telemetry ---\n%s",
+                                front.stage_telemetry().to_string().c_str());
+                return all_ok ? 0 : 1;
             }
-            engine.flush_result_store();
-            const auto cache = engine.cache_stats();
-            std::printf(
-                "stream: %zu scenarios in %.3f s (%zu threads; cache: "
-                "%llu hits / %llu misses, %llu evictions, %zu entries)\n",
-                requests.size(), wall_s, engine.concurrency(),
-                static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                static_cast<unsigned long long>(cache.evictions),
-                cache.entries);
-            print_result_store(engine, store);
-            print_remote_fetch(engine, !fetch_peers.empty());
-            print_admission(engine);
+
+            core::BatchStats stats;
+            const auto reports = front.run_all(requests, &stats);
+
+            bool all_ok = true;
+            for (std::size_t i = 0; i < reports.size(); ++i)
+                all_ok = print_report(reports[i], *requests[i].platform,
+                                      quiet) &&
+                         all_ok;
+            if (!cert_dump_dir.empty())
+                for (std::size_t i = 0; i < reports.size(); ++i)
+                    dump_certificate(cert_dump_dir, requests[i].label,
+                                     reports[i]);
+            if (reports.size() > 1)
+                std::printf("batch: %s\n", stats.to_string().c_str());
+            print_local_tiers();
+            print_admission(front.admission_stats());
             print_trace_cache();
             if (!quiet)
                 std::printf("--- per-stage telemetry ---\n%s",
-                            engine.stage_telemetry().to_string().c_str());
+                            stats.stage_telemetry.to_string().c_str());
             return all_ok ? 0 : 1;
+        };
+
+        if (!remote_endpoints.empty()) {
+            net::Router router(remote_endpoints);
+            return run_scenarios(router);
         }
-
-        core::BatchStats stats;
-        const auto reports = engine.run_all(requests, &stats);
-
-        bool all_ok = true;
-        for (std::size_t i = 0; i < reports.size(); ++i)
-            all_ok =
-                print_report(reports[i], *requests[i].platform, quiet) &&
-                all_ok;
-        if (!cert_dump_dir.empty())
-            for (std::size_t i = 0; i < reports.size(); ++i)
-                dump_certificate(cert_dump_dir, requests[i].label,
-                                 reports[i]);
-        engine.flush_result_store();
-        if (reports.size() > 1)
-            std::printf("batch: %s\n", stats.to_string().c_str());
-        print_result_store(engine, store);
-        print_remote_fetch(engine, !fetch_peers.empty());
-        print_admission(engine);
-        print_trace_cache();
-        if (!quiet)
-            std::printf("--- per-stage telemetry ---\n%s",
-                        stats.stage_telemetry.to_string().c_str());
-        return all_ok ? 0 : 1;
+        core::ScenarioEngine engine(engine_options);
+        if (!fetch_peers.empty())
+            engine.set_remote_fetch(net::fetch_from(fetch_peers));
+        return run_scenarios(engine);
     } catch (const std::exception& error) {
         std::fprintf(stderr, "error: %s\n", error.what());
         return 1;

@@ -13,7 +13,6 @@
 #include "security/transforms.hpp"
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
-#include "wcet/analyser.hpp"
 
 namespace teamplay::compiler {
 
@@ -108,16 +107,14 @@ TaskVersion MultiCriteriaCompiler::compile(const std::string& function,
     version.leakage = taint.leakage_proxy();
 
     if (core_->model.predictable) {
-        const wcet::Analyser wcet_analyser(*transformed);
-        const auto wcet = wcet_analyser.analyse(function, *core_,
-                                                config.opp_index);
+        // The energy bound carries the WCET bound it priced: one cycle fold.
         const energy::Analyser energy_analyser(*transformed);
         const auto energy = energy_analyser.analyse(function, *core_,
                                                     config.opp_index);
-        version.analysable = wcet.analysable && energy.analysable;
-        version.wcet_s = wcet.time_s;
+        version.analysable = energy.analysable;
+        version.wcet_s = energy.wcet.time_s;
         version.wcec_j = energy.wcec_j;
-        version.time_s = wcet.time_s;
+        version.time_s = energy.wcet.time_s;
         version.energy_j = energy.wcec_j;
         version.energy_dynamic_j = energy.wce_dynamic_j;
     } else {

@@ -122,7 +122,7 @@ private:
 
 /// Admission counters, per priority class.  Monotonic except
 /// `queue_peak` (a high-water gauge) and `remote_failures` (per-remote
-/// consecutive-failure gauges maintained by ShardedScenarioEngine).
+/// consecutive-failure gauges maintained by net::Router).
 struct AdmissionStats {
     struct PerClass {
         std::uint64_t submitted = 0;   ///< all submit() calls

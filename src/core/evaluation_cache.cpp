@@ -1,16 +1,13 @@
 #include "core/evaluation_cache.hpp"
 
-#include <bit>
-
 #include "core/result_store.hpp"
 #include "ir/printer.hpp"
+#include "support/fnv.hpp"
 
 namespace teamplay::core {
 
 std::uint64_t fingerprint_program(const ir::Program& program) {
-    Fingerprint fp;
-    fp.mix(ir::to_string(program));
-    return fp.value;
+    return support::Fnv1a{}.mix(ir::to_string(program)).value;
 }
 
 std::string_view analysis_kind_name(AnalysisKind kind) {
@@ -20,26 +17,6 @@ std::string_view analysis_kind_name(AnalysisKind kind) {
         case AnalysisKind::kTaint: return "taint";
     }
     return "?";
-}
-
-Fingerprint& Fingerprint::mix(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-        value ^= (word >> (8 * byte)) & 0xFFU;
-        value *= 1099511628211ULL;
-    }
-    return *this;
-}
-
-Fingerprint& Fingerprint::mix(double number) {
-    return mix(std::bit_cast<std::uint64_t>(number));
-}
-
-Fingerprint& Fingerprint::mix(std::string_view text) {
-    for (const char c : text) {
-        value ^= static_cast<unsigned char>(c);
-        value *= 1099511628211ULL;
-    }
-    return mix(static_cast<std::uint64_t>(text.size()));
 }
 
 void EvaluationCache::Stats::merge(const Stats& other) {

@@ -69,15 +69,6 @@ enum class AnalysisKind : std::uint8_t {
 
 [[nodiscard]] std::string_view analysis_kind_name(AnalysisKind kind);
 
-/// FNV-1a accumulator for the option values that influence a result.
-struct Fingerprint {
-    std::uint64_t value = 14695981039346656037ULL;
-
-    Fingerprint& mix(std::uint64_t word);
-    Fingerprint& mix(double number);
-    Fingerprint& mix(std::string_view text);
-};
-
 struct EvaluationKey {
     /// Canonical structural fingerprint of the entry function's reachable
     /// sub-program (see `ir::structural_fingerprint`), *not* whole-program

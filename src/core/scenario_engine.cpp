@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/stages.hpp"
-#include "sim/trace.hpp"
 
 namespace teamplay::core {
 
@@ -109,8 +108,6 @@ const ScenarioRequest& ticket_request(const TicketState& state) {
     return state.request;
 }
 
-std::size_t ticket_id(const TicketState& state) { return state.id; }
-
 }  // namespace detail
 
 // -- ScenarioTicket -----------------------------------------------------------
@@ -185,12 +182,7 @@ ScenarioEngine::ScenarioEngine(Options options)
       admission_(options.admission),
       // Lane 0 is reserved for parallel_for fan-out of running scenarios;
       // lanes 1..N map the priority classes (see thread_pool.hpp).
-      pool_(options.worker_threads, kNumPriorityClasses + 1) {
-    // Materialise the trace cache up front so every stage shares one
-    // instance and its stats are observable via sim_options().
-    if (sim_.backend == sim::SimBackend::kTrace && sim_.trace_cache == nullptr)
-        sim_.trace_cache = sim::TraceCache::process_wide();
-}
+      pool_(options.worker_threads, kNumPriorityClasses + 1) {}
 
 ScenarioEngine::~ScenarioEngine() {
     // Outstanding submissions run to completion before the members they

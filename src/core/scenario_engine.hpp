@@ -31,9 +31,9 @@
 // covers all bytes that can influence output, so reports — including
 // certificate bytes — are identical for any worker count, any cache
 // budget, streamed or batched, and for a fresh caller-only engine per
-// scenario.  A host runs one engine; ShardedScenarioEngine
-// (sharded_engine.hpp) is the service front that runs it locally or
-// routes submissions across remote shards by kernel fingerprint.
+// scenario.  A host runs one engine, and local callers drive it directly;
+// net::Router (net/router.hpp) routes submissions across remote shards by
+// kernel fingerprint instead.
 #pragma once
 
 #include <atomic>
@@ -241,10 +241,6 @@ public:
     /// explicitly before sampling store statistics mid-lifetime.
     void flush_result_store() { cache_.flush_to_store(); }
 
-    /// Simulator configuration in force (with the trace cache materialised
-    /// when the trace backend is active); null cache under kInterp.
-    [[nodiscard]] const sim::SimOptions& sim_options() const { return sim_; }
-
     /// Cumulative per-stage telemetry across every scenario this engine
     /// completed (streamed and batched).
     [[nodiscard]] StageTelemetry stage_telemetry() const;
@@ -302,7 +298,6 @@ void complete_external_ticket(TicketState& state, ToolchainReport report,
                               bool shed = false);
 
 [[nodiscard]] const ScenarioRequest& ticket_request(const TicketState& state);
-[[nodiscard]] std::size_t ticket_id(const TicketState& state);
 
 }  // namespace detail
 

@@ -8,6 +8,7 @@
 #include "ir/fingerprint.hpp"
 #include "ir/validate.hpp"
 #include "security/taint.hpp"
+#include "support/fnv.hpp"
 
 namespace teamplay::core {
 
@@ -80,19 +81,9 @@ void attach_rta(ToolchainReport& report,
 /// enough: different boards reuse class names with different OPP tables,
 /// and the full cost model must participate — two boards may share names
 /// and OPPs yet differ in a cost table entry.
-void mix_core(Fingerprint& fp, const platform::Core& core) {
+void mix_core(support::Fnv1a& fp, const platform::Core& core) {
     fp.mix(core.name).mix(core.core_class);
-    const auto& model = core.model;
-    fp.mix(model.name);
-    fp.mix(static_cast<std::uint64_t>(model.predictable ? 1 : 0));
-    for (const auto& entry : model.cost)
-        fp.mix(entry.cycles).mix(entry.energy_pj);
-    fp.mix(model.branch_cycles).mix(model.branch_energy_pj);
-    fp.mix(model.loop_iter_cycles).mix(model.loop_iter_energy_pj);
-    fp.mix(model.call_cycles).mix(model.call_energy_pj);
-    fp.mix(model.nominal_voltage).mix(model.data_alpha_pj_per_bit);
-    fp.mix(model.cache_miss_prob).mix(model.cache_miss_penalty);
-    fp.mix(model.timing_jitter_sigma);
+    isa::mix_model(fp, core.model);
     for (const auto& opp : core.opps)
         fp.mix(opp.freq_hz).mix(opp.voltage).mix(opp.static_power_w);
 }
@@ -100,7 +91,7 @@ void mix_core(Fingerprint& fp, const platform::Core& core) {
 std::uint64_t front_params(
     const compiler::MultiCriteriaCompiler::Options& options,
     const csl::TaskSpec& task_spec, const platform::Core& core) {
-    Fingerprint fp;
+    support::Fnv1a fp;
     fp.mix(static_cast<std::uint64_t>(options.engine));
     fp.mix(static_cast<std::uint64_t>(options.population));
     fp.mix(static_cast<std::uint64_t>(options.iterations));
@@ -112,7 +103,7 @@ std::uint64_t front_params(
 }
 
 std::uint64_t profile_params(int profile_runs, const platform::Core& core) {
-    Fingerprint fp;
+    support::Fnv1a fp;
     fp.mix(static_cast<std::uint64_t>(profile_runs));
     mix_core(fp, core);
     return fp.value;

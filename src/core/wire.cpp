@@ -13,6 +13,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "support/fnv.hpp"
+
 namespace teamplay::core::wire {
 
 namespace {
@@ -36,19 +38,6 @@ constexpr std::size_t kHeaderBytes = 4 + 2 + 1;   // magic + version + kind
 constexpr std::size_t kChecksumBytes = 8;
 
 using Clock = std::chrono::steady_clock;
-
-constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
-
-/// FNV-1a 64 over `bytes`, continuing from `value` (the offset basis starts
-/// a fresh hash).
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                    std::uint64_t value = kFnvOffsetBasis) {
-    for (const std::uint8_t byte : bytes) {
-        value ^= byte;
-        value *= 1099511628211ULL;
-    }
-    return value;
-}
 
 // -- archives -----------------------------------------------------------------
 //
@@ -87,14 +76,14 @@ struct Writer {
     static constexpr bool kWriting = true;
     Buffer out = Buffer(256);  // a key frame fits without growing
     std::size_t used = 0;
-    std::uint64_t checksum = kFnvOffsetBasis;  ///< of the `used` bytes
+    std::uint64_t checksum = support::kFnvOffsetBasis;  ///< of `used` bytes
 
     void append(const void* bytes, std::size_t count) {
         if (count > out.size() - used)
             out.resize(std::max(2 * out.size(), used + count));
         std::memcpy(out.data() + used, bytes, count);
-        checksum = fnv1a({static_cast<const std::uint8_t*>(bytes), count},
-                         checksum);
+        checksum = support::fnv1a(
+            {static_cast<const std::uint8_t*>(bytes), count}, checksum);
         used += count;
     }
     /// Append `value` as `Bytes` little-endian bytes.
@@ -689,7 +678,7 @@ T decode_message(std::span<const std::uint8_t> buffer, MessageKind kind) {
     // Checksum before version: corruption must never masquerade as a
     // version skew.
     Reader trailer{buffer, buffer.size() - kChecksumBytes};
-    if (trailer.le<8>() != fnv1a(body))
+    if (trailer.le<8>() != support::fnv1a(body))
         throw WireFormatError("wire checksum mismatch");
     const auto version = static_cast<std::uint16_t>(frame.le<2>());
     if (version != kVersion) throw WireVersionError(version, kVersion);

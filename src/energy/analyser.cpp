@@ -36,15 +36,11 @@ EnergyResult Analyser::analyse(const std::string& function,
     const double worst_pj = wcet::fold(*program_, *fn->body,
                                        worst_energy_prices(core.model), rules);
 
-    const auto wcet = wcet_.analyse(function, core, opp_index);
-    if (!wcet.analysable) {
-        result.reason = wcet.reason;
-        return result;
-    }
-
+    // The checks above are the WCET analyser's own, so this bound exists.
+    result.wcet = wcet_.analyse(function, core, opp_index);
     result.analysable = true;
     result.wce_dynamic_j = worst_pj * scale * 1e-12;
-    result.wce_static_j = point.static_power_w * wcet.time_s;
+    result.wce_static_j = point.static_power_w * result.wcet.time_s;
     result.wcec_j = result.wce_dynamic_j + result.wce_static_j;
     return result;
 }

@@ -23,6 +23,9 @@ struct EnergyResult {
     double wcec_j = 0.0;      ///< worst-case dynamic + static energy bound
     double wce_dynamic_j = 0.0;
     double wce_static_j = 0.0;
+    /// The WCET bound the static term was priced with (set when
+    /// analysable), so a caller needing both bounds folds cycles once.
+    wcet::WcetResult wcet;
     std::string reason;
 };
 

@@ -3,31 +3,12 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <string_view>
+
+#include "support/fnv.hpp"
 
 namespace teamplay::ir {
 
 namespace {
-
-/// FNV-1a accumulator (same construction as core::Fingerprint; duplicated
-/// here because the IR layer sits below core in the dependency order).
-struct Hasher {
-    std::uint64_t value = 14695981039346656037ULL;
-
-    void mix(std::uint64_t word) {
-        for (int byte = 0; byte < 8; ++byte) {
-            value ^= (word >> (8 * byte)) & 0xFFU;
-            value *= 1099511628211ULL;
-        }
-    }
-    void mix(std::string_view text) {
-        for (const char c : text) {
-            value ^= static_cast<unsigned char>(c);
-            value *= 1099511628211ULL;
-        }
-        mix(static_cast<std::uint64_t>(text.size()));
-    }
-};
 
 /// Sentinel mixed for kNoReg so "no operand" never collides with a real
 /// canonical register id.
@@ -64,7 +45,7 @@ struct Discovery {
     std::set<std::string> seen;
 };
 
-void hash_node(const Node& node, Hasher& hash, RegCanon& regs,
+void hash_node(const Node& node, support::Fnv1a& hash, RegCanon& regs,
                Discovery& discovery) {
     hash.mix(static_cast<std::uint64_t>(node.kind));
     switch (node.kind) {
@@ -118,8 +99,9 @@ void hash_node(const Node& node, Hasher& hash, RegCanon& regs,
     }
 }
 
-void hash_function(const Function& fn, Hasher& hash, Discovery& discovery) {
-    hash.mix(0xF17D0001ULL);  // function boundary tag
+void hash_function(const Function& fn, support::Fnv1a& hash,
+                   Discovery& discovery) {
+    hash.mix(std::uint64_t{0xF17D0001});  // function boundary tag
     hash.mix(static_cast<std::uint64_t>(fn.param_count));
     RegCanon regs(fn.param_count);
     hash.mix(static_cast<std::uint64_t>(fn.body ? 1 : 0));
@@ -131,15 +113,15 @@ void hash_function(const Function& fn, Hasher& hash, Discovery& discovery) {
 
 std::uint64_t structural_fingerprint(const Program& program,
                                      const std::string& entry) {
-    Hasher hash;
-    hash.mix(0x53464701ULL);  // domain tag: "SFG" v1
+    support::Fnv1a hash;
+    hash.mix(std::uint64_t{0x53464701});  // domain tag: "SFG" v1
     hash.mix(program.memory_words);
 
     const Function* entry_fn = program.find(entry);
     if (entry_fn == nullptr) {
         // Distinct "unresolved" domain: callers may build cache keys before
         // existence is checked; the analysis itself reports the error.
-        hash.mix(0xBADE27F1ULL);
+        hash.mix(std::uint64_t{0xBADE27F1});
         hash.mix(entry);
         return hash.value;
     }

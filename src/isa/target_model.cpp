@@ -40,6 +40,18 @@ std::string_view instr_class_name(InstrClass cls) {
     return "?";
 }
 
+void mix_model(support::Fnv1a& hash, const TargetModel& model) {
+    hash.mix(model.name).mix(std::uint64_t{model.predictable});
+    for (const auto& entry : model.cost)
+        hash.mix(entry.cycles).mix(entry.energy_pj);
+    hash.mix(model.branch_cycles).mix(model.branch_energy_pj);
+    hash.mix(model.loop_iter_cycles).mix(model.loop_iter_energy_pj);
+    hash.mix(model.call_cycles).mix(model.call_energy_pj);
+    hash.mix(model.nominal_voltage).mix(model.data_alpha_pj_per_bit);
+    hash.mix(model.cache_miss_prob).mix(model.cache_miss_penalty);
+    hash.mix(model.timing_jitter_sigma);
+}
+
 namespace {
 
 /// Helper to fill the cost table in class order.

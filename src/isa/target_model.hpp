@@ -15,6 +15,7 @@
 #include <string>
 
 #include "ir/instr.hpp"
+#include "support/fnv.hpp"
 
 namespace teamplay::isa {
 
@@ -92,6 +93,12 @@ struct TargetModel {
         return cost[static_cast<std::size_t>(cls)].energy_pj;
     }
 };
+
+/// Fold every field of `model` into `hash`, in declaration order.  The
+/// trace cache's model fingerprint and the evaluation cache's core
+/// identity both start here, and the core identity is part of every
+/// result-store key, so the order never changes.
+void mix_model(support::Fnv1a& hash, const TargetModel& model);
 
 // -- factory functions for the cores the paper's platforms use -------------
 

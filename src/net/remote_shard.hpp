@@ -13,8 +13,8 @@
 // Every completed round trip records three per-hop laps — "net/encode"
 // (request serialisation), "net/rtt" (frame out to reply frame in) and
 // "net/decode" (report deserialisation) — into the returned report's
-// stage_laps and into `transport_telemetry()`, which a remote-only
-// ShardedScenarioEngine front folds into its service-wide StageTelemetry.
+// stage_laps and into `transport_telemetry()`, which a net::Router folds
+// into its service-wide StageTelemetry.
 #pragma once
 
 #include <chrono>

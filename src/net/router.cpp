@@ -1,4 +1,4 @@
-#include "core/sharded_engine.hpp"
+#include "net/router.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -7,40 +7,28 @@
 
 #include "csl/csl.hpp"
 #include "ir/fingerprint.hpp"
-#include "net/remote_shard.hpp"
+#include "support/rng.hpp"
 #include "support/units.hpp"
 
-namespace teamplay::core {
+namespace teamplay::net {
 
 namespace {
 
-/// Finalising mix (splitmix64): the structural fingerprint is
-/// well-distributed in the high bits but the modulo below consumes the low
-/// ones, so stir before reducing.
-std::uint64_t stir(std::uint64_t value) {
-    value += 0x9E3779B97F4A7C15ULL;
-    value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    value = (value ^ (value >> 27)) * 0x94D049BB133111EBULL;
-    return value ^ (value >> 31);
-}
-
-std::uint64_t routing_fingerprint(const ir::Program* program,
+std::uint64_t routing_fingerprint(const ir::Program& program,
                                   const csl::AppSpec* spec) {
-    if (program == nullptr) return 0;  // unreachable: shard_of pins these
     // Route by the *primary kernel* — the first task's entry (a pipeline's
     // source stage).  Applications that share their front kernels (the
     // cross-program memoisation case) then colocate even though their
     // tails differ, which a fold over every entry would scatter.
     if (spec != nullptr && !spec->tasks.empty())
-        return ir::structural_fingerprint(*program,
-                                          spec->tasks.front().entry);
+        return ir::structural_fingerprint(program, spec->tasks.front().entry);
     // No spec available (unparsed or unparsable CSL): fall back to program
     // content so routing stays deterministic; the remote reports any CSL
     // error through the ticket.
-    return fingerprint_program(*program);
+    return core::fingerprint_program(program);
 }
 
-net::RemoteShard::Options parse_endpoint(const std::string& endpoint) {
+RemoteShard::Options parse_endpoint(const std::string& endpoint) {
     const auto colon = endpoint.rfind(':');
     if (colon == std::string::npos || colon == 0 ||
         colon + 1 == endpoint.size())
@@ -54,7 +42,7 @@ net::RemoteShard::Options parse_endpoint(const std::string& endpoint) {
         throw std::invalid_argument(
             "remote shard endpoint has an invalid port: \"" + endpoint +
             "\"");
-    net::RemoteShard::Options options;
+    RemoteShard::Options options;
     options.host = endpoint.substr(0, colon);
     options.port = static_cast<std::uint16_t>(port);
     return options;
@@ -62,51 +50,42 @@ net::RemoteShard::Options parse_endpoint(const std::string& endpoint) {
 
 }  // namespace
 
-ShardedScenarioEngine::ShardedScenarioEngine(Options options) {
-    // Validate and build the remote clients first so a malformed endpoint
-    // throws before the local engine (and its pool) is spun up.
-    remote_failures_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-        options.remote_endpoints.size());  // value-initialised: all zero
-    remotes_.reserve(options.remote_endpoints.size());
-    for (const auto& endpoint : options.remote_endpoints)
-        remotes_.push_back(
-            std::make_unique<net::RemoteShard>(parse_endpoint(endpoint)));
-    fetch_peers_.reserve(options.fetch_peers.size());
-    for (const auto& endpoint : options.fetch_peers)
-        fetch_peers_.push_back(
-            std::make_unique<net::RemoteShard>(parse_endpoint(endpoint)));
-
-    // The remotes are the whole routing domain: no local engine.
-    if (!remotes_.empty()) return;
-    engine_ = std::make_unique<ScenarioEngine>(std::move(options.engine));
-    if (!fetch_peers_.empty()) {
-        // First hit wins; peers never throw (transport failures are
-        // swallowed into misses inside RemoteShard::fetch).  The raw
-        // pointers stay valid for the engine's whole lifetime — the peer
-        // vector is declared before the engine and destroyed after it.
-        std::vector<net::RemoteShard*> peers;
-        peers.reserve(fetch_peers_.size());
-        for (const auto& peer : fetch_peers_) peers.push_back(peer.get());
-        engine_->set_remote_fetch(
-            [peers](const EvaluationKey& key)
-                -> std::optional<EvaluationResult> {
-                for (net::RemoteShard* peer : peers)
-                    if (auto result = peer->fetch(key)) return result;
-                return std::nullopt;
-            });
-    }
+core::EvaluationCache::RemoteFetch fetch_from(
+    const std::vector<std::string>& endpoints) {
+    // Shared, not unique: the cache copies its fetch hook per lookup.
+    auto peers = std::make_shared<std::vector<std::unique_ptr<RemoteShard>>>();
+    peers->reserve(endpoints.size());
+    for (const auto& endpoint : endpoints)
+        peers->push_back(
+            std::make_unique<RemoteShard>(parse_endpoint(endpoint)));
+    // First hit wins; RemoteShard::fetch swallows transport failures into
+    // misses, so a peer never fails a lookup.
+    return [peers = std::move(peers)](const core::EvaluationKey& key)
+               -> std::optional<core::EvaluationResult> {
+        for (const auto& peer : *peers)
+            if (auto result = peer->fetch(key)) return result;
+        return std::nullopt;
+    };
 }
 
-ShardedScenarioEngine::~ShardedScenarioEngine() = default;
+Router::Router(const std::vector<std::string>& endpoints) {
+    if (endpoints.empty())
+        throw std::invalid_argument("a router needs at least one endpoint");
+    failures_ = std::make_unique<std::atomic<std::uint64_t>[]>(
+        endpoints.size());  // value-initialised: all zero
+    remotes_.reserve(endpoints.size());
+    for (const auto& endpoint : endpoints)
+        remotes_.push_back(
+            std::make_unique<RemoteShard>(parse_endpoint(endpoint)));
+}
 
-std::size_t ShardedScenarioEngine::shard_of(
-    const ScenarioRequest& request) const {
-    // Nothing to route with one shard: skip the transient parse and the
-    // fingerprint walk entirely (the local engine, the CLI default).
-    if (shard_count() == 1) return 0;
-    // A malformed request is pinned to shard 0, which reports the error
-    // through its ticket.
-    if (request.program == nullptr) return 0;
+Router::~Router() = default;
+
+std::size_t Router::shard_of(const core::ScenarioRequest& request) const {
+    // Nothing to route with one remote: skip the transient parse and the
+    // fingerprint walk.  A request without a program is pinned to remote
+    // 0, whose client fails its ticket before sending anything.
+    if (remotes_.size() == 1 || request.program == nullptr) return 0;
     // A request carrying only CSL source is parsed into a transient spec
     // for routing; the request itself is forwarded untouched, so the
     // scenario's own parse runs inside the remote engine's parse stage
@@ -123,14 +102,14 @@ std::size_t ShardedScenarioEngine::shard_of(
         } catch (const csl::CslError&) {
         }
     }
-    return stir(routing_fingerprint(request.program, spec)) %
-           shard_count();
+    // The structural fingerprint is well distributed in the high bits but
+    // the modulo consumes the low ones, so stir before reducing.
+    std::uint64_t state = routing_fingerprint(*request.program, spec);
+    return support::splitmix64(state) % remotes_.size();
 }
 
-ScenarioTicket ShardedScenarioEngine::submit(ScenarioRequest request,
-                                             Completion on_complete) {
-    if (engine_ != nullptr)
-        return engine_->submit(std::move(request), std::move(on_complete));
+core::ScenarioTicket Router::submit(core::ScenarioRequest request,
+                                    Completion on_complete) {
     const std::size_t remote = shard_of(request);
     // Health bookkeeping rides the completion: a transport failure
     // (RemoteShardError) bumps the remote's consecutive-failure gauge;
@@ -138,15 +117,15 @@ ScenarioTicket ShardedScenarioEngine::submit(ScenarioRequest request,
     // even a server error reply — proves the remote alive and resets it.
     // A request refused before it was sent (std::invalid_argument) says
     // nothing about the remote.
-    std::atomic<std::uint64_t>* failures = &remote_failures_[remote];
+    std::atomic<std::uint64_t>* failures = &failures_[remote];
     return remotes_[remote]->submit(
         std::move(request),
         [failures, on_complete = std::move(on_complete)](
-            const ScenarioOutcome& outcome) {
+            const core::ScenarioOutcome& outcome) {
             try {
                 if (outcome.error) std::rethrow_exception(outcome.error);
                 failures->store(0, std::memory_order_relaxed);
-            } catch (const net::RemoteShardError&) {
+            } catch (const RemoteShardError&) {
                 failures->fetch_add(1, std::memory_order_relaxed);
             } catch (const std::invalid_argument&) {
             } catch (...) {
@@ -156,26 +135,25 @@ ScenarioTicket ShardedScenarioEngine::submit(ScenarioRequest request,
         });
 }
 
-ToolchainReport ShardedScenarioEngine::run(const ScenarioRequest& request) {
+core::ToolchainReport Router::run(const core::ScenarioRequest& request) {
     return submit(request).get();
 }
 
-std::vector<ToolchainReport> ShardedScenarioEngine::run_all(
-    std::span<const ScenarioRequest> requests, BatchStats* stats) {
-    if (engine_ != nullptr) return engine_->run_all(requests, stats);
-
-    std::vector<std::optional<BatchStats>> before;
+std::vector<core::ToolchainReport> Router::run_all(
+    std::span<const core::ScenarioRequest> requests,
+    core::BatchStats* stats) {
+    std::vector<std::optional<core::BatchStats>> before;
     if (stats != nullptr) {
         before.reserve(remotes_.size());
         for (const auto& remote : remotes_) before.push_back(remote->stats());
     }
     const auto start = std::chrono::steady_clock::now();
 
-    std::vector<ScenarioTicket> tickets;
+    std::vector<core::ScenarioTicket> tickets;
     tickets.reserve(requests.size());
     for (const auto& request : requests) tickets.push_back(submit(request));
 
-    std::vector<ToolchainReport> reports(requests.size());
+    std::vector<core::ToolchainReport> reports(requests.size());
     std::exception_ptr first_error;
     for (std::size_t i = 0; i < tickets.size(); ++i) {
         try {
@@ -217,7 +195,7 @@ std::vector<ToolchainReport> ShardedScenarioEngine::run_all(
             0);
         for (std::size_t i = 0; i < remotes_.size(); ++i)
             stats->admission.remote_failures[i] +=
-                remote_failures_[i].load(std::memory_order_relaxed);
+                failures_[i].load(std::memory_order_relaxed);
         // Remote reports carry their server-side stage laps plus the
         // client-side net/* hop laps, so one fold covers both sides.
         for (const auto& report : reports)
@@ -227,36 +205,33 @@ std::vector<ToolchainReport> ShardedScenarioEngine::run_all(
     return reports;
 }
 
-AdmissionStats ShardedScenarioEngine::admission_stats() const {
-    if (engine_ != nullptr) return engine_->admission_stats();
-    AdmissionStats folded;
+core::AdmissionStats Router::admission_stats() const {
+    core::AdmissionStats folded;
     for (const auto& remote : remotes_)
         if (const auto stats = remote->stats())
             folded.merge(stats->admission);
-    // This front's transport-health gauges, in endpoint order.  The merge
+    // This router's transport-health gauges, in endpoint order.  The merge
     // above sums element-wise, so remote-side entries (normally empty — a
     // server engine has no remotes) would stack under ours; acceptable
-    // for a gauge vector documented as "this front's view".
-    AdmissionStats gauges;
+    // for a gauge vector documented as "this router's view".
+    core::AdmissionStats gauges;
     gauges.remote_failures.reserve(remotes_.size());
     for (std::size_t i = 0; i < remotes_.size(); ++i)
         gauges.remote_failures.push_back(
-            remote_failures_[i].load(std::memory_order_relaxed));
+            failures_[i].load(std::memory_order_relaxed));
     folded.merge(gauges);
     return folded;
 }
 
-EvaluationCache::Stats ShardedScenarioEngine::cache_stats() const {
-    if (engine_ != nullptr) return engine_->cache_stats();
-    EvaluationCache::Stats folded;
+core::EvaluationCache::Stats Router::cache_stats() const {
+    core::EvaluationCache::Stats folded;
     for (const auto& remote : remotes_)
         if (const auto stats = remote->stats()) folded.merge(stats->cache);
     return folded;
 }
 
-StageTelemetry ShardedScenarioEngine::stage_telemetry() const {
-    if (engine_ != nullptr) return engine_->stage_telemetry();
-    StageTelemetry folded;
+core::StageTelemetry Router::stage_telemetry() const {
+    core::StageTelemetry folded;
     for (const auto& remote : remotes_) {
         // Server-side pipeline stages and client-side transport hops are
         // disjoint lap sets (net/* laps are only ever recorded on this
@@ -268,20 +243,11 @@ StageTelemetry ShardedScenarioEngine::stage_telemetry() const {
     return folded;
 }
 
-std::size_t ShardedScenarioEngine::concurrency() const {
-    if (engine_ != nullptr) return engine_->concurrency();
+std::size_t Router::concurrency() const {
     std::size_t total = 0;
     for (const auto& remote : remotes_)
         if (const auto stats = remote->stats()) total += stats->workers;
     return total;
 }
 
-void ShardedScenarioEngine::flush_result_store() {
-    if (engine_ != nullptr) engine_->flush_result_store();
-}
-
-void ShardedScenarioEngine::clear_caches() {
-    if (engine_ != nullptr) engine_->clear_cache();
-}
-
-}  // namespace teamplay::core
+}  // namespace teamplay::net

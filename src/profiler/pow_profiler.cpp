@@ -71,14 +71,4 @@ TaskProfile PowProfiler::profile(const std::string& function,
     return result;
 }
 
-std::vector<TaskProfile> PowProfiler::profile_sequential(
-    const std::vector<std::string>& functions, const InputStager& stager,
-    int runs_per_task) {
-    std::vector<TaskProfile> profiles;
-    profiles.reserve(functions.size());
-    for (const auto& function : functions)
-        profiles.push_back(profile(function, stager, runs_per_task));
-    return profiles;
-}
-
 }  // namespace teamplay::profiler

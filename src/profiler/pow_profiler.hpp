@@ -69,12 +69,6 @@ public:
     [[nodiscard]] TaskProfile profile(const std::string& function,
                                       const InputStager& stager, int runs);
 
-    /// Profile several tasks back-to-back in the given order, mirroring the
-    /// first (sequential) pass of the complex-architecture workflow.
-    [[nodiscard]] std::vector<TaskProfile> profile_sequential(
-        const std::vector<std::string>& functions, const InputStager& stager,
-        int runs_per_task);
-
 private:
     const ir::Program* program_;
     const platform::Core* core_;

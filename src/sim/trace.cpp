@@ -1,35 +1,14 @@
 #include "sim/trace.hpp"
 
-#include <bit>
 #include <utility>
 
 #include "ir/fingerprint.hpp"
 #include "ir/lowering.hpp"
+#include "support/fnv.hpp"
 
 namespace teamplay::sim {
 
 namespace {
-
-/// FNV-1a over words/doubles/strings (bit-pattern hashing for doubles so
-/// the fingerprint is exact, not tolerance-based).
-struct Hasher {
-    std::uint64_t value = 14695981039346656037ULL;
-
-    void mix(std::uint64_t word) {
-        for (int byte = 0; byte < 8; ++byte) {
-            value ^= (word >> (8 * byte)) & 0xFFU;
-            value *= 1099511628211ULL;
-        }
-    }
-    void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-    void mix(std::string_view text) {
-        for (const char c : text) {
-            value ^= static_cast<unsigned char>(c);
-            value *= 1099511628211ULL;
-        }
-        mix(static_cast<std::uint64_t>(text.size()));
-    }
-};
 
 /// Compute-op mapping.  Kept explicit (no ordinal arithmetic) so a
 /// reordering of either enum is a compile-time/test-time failure, not a
@@ -252,25 +231,9 @@ std::shared_ptr<const CompiledTrace> TraceCompiler::compile(
 }
 
 std::uint64_t model_fingerprint(const isa::TargetModel& model) {
-    Hasher hash;
+    support::Fnv1a hash;
     hash.mix(std::uint64_t{0x544D4601});  // domain tag: "TMF" v1
-    hash.mix(model.name);
-    hash.mix(static_cast<std::uint64_t>(model.predictable ? 1 : 0));
-    for (const auto& entry : model.cost) {
-        hash.mix(entry.cycles);
-        hash.mix(entry.energy_pj);
-    }
-    hash.mix(model.branch_cycles);
-    hash.mix(model.branch_energy_pj);
-    hash.mix(model.loop_iter_cycles);
-    hash.mix(model.loop_iter_energy_pj);
-    hash.mix(model.call_cycles);
-    hash.mix(model.call_energy_pj);
-    hash.mix(model.nominal_voltage);
-    hash.mix(model.data_alpha_pj_per_bit);
-    hash.mix(model.cache_miss_prob);
-    hash.mix(model.cache_miss_penalty);
-    hash.mix(model.timing_jitter_sigma);
+    isa::mix_model(hash, model);
     return hash.value;
 }
 

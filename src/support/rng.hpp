@@ -10,6 +10,17 @@
 
 namespace teamplay::support {
 
+/// SplitMix64: advance `state` by the golden-ratio increment and return
+/// the finalised (stirred) state.  Seeds `Rng` and stirs the router's
+/// fingerprints; both outputs are pinned, so the constants never change.
+constexpr std::uint64_t splitmix64(std::uint64_t& state) {
+    state += 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
 /// SplitMix64-seeded xoshiro256** generator.  Deliberately not
 /// `std::mt19937_64`: the standard engines are not guaranteed to produce the
 /// same stream across library implementations, and reproducibility across
@@ -24,14 +35,7 @@ public:
         have_spare_ = false;
         spare_ = 0.0;
         // SplitMix64 expansion of the seed into the full 256-bit state.
-        std::uint64_t x = seed;
-        for (auto& word : state_) {
-            x += 0x9E3779B97F4A7C15ULL;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-            word = z ^ (z >> 31);
-        }
+        for (auto& word : state_) word = splitmix64(seed);
     }
 
     /// Uniform 64-bit word.

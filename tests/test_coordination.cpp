@@ -10,7 +10,7 @@
 #include "coordination/runtime.hpp"
 #include "coordination/scheduler.hpp"
 #include "coordination/task_graph.hpp"
-#include "core/evaluation_cache.hpp"
+#include "support/fnv.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -240,7 +240,7 @@ TaskGraph pinned_graph(const platform::Platform& board, std::uint64_t seed) {
     return graph;
 }
 
-void mix_schedule(core::Fingerprint& fp,
+void mix_schedule(support::Fnv1a& fp,
                   const coordination::Schedule& schedule) {
     for (const auto& entry : schedule.entries) {
         fp.mix(entry.task)
@@ -283,7 +283,7 @@ TEST(Scheduler, PinnedOutputDigests) {
         SCOPED_TRACE(board.platform.name);
         const coordination::Scheduler scheduler(board.platform);
         for (int regime = 0; regime < 3; ++regime) {
-            core::Fingerprint fp;
+            support::Fnv1a fp;
             for (std::uint64_t seed = 1; seed <= 8; ++seed) {
                 const auto graph = pinned_graph(board.platform, seed);
                 coordination::Scheduler::Options options;

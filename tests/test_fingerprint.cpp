@@ -1,17 +1,22 @@
 // Canonical structural fingerprint (ir/fingerprint.hpp): rename/label
 // insensitivity, mutation sensitivity, the documented load-bearing fields
-// (callee names, memory size), and the end-to-end consequence — two
+// (callee names, memory size), the pinned values of every use-case
+// function, program and core model, and the end-to-end consequence — two
 // applications embedding the same kernel share evaluation-cache entries
 // without changing a single certificate byte.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/scenario_engine.hpp"
 #include "ir/builder.hpp"
 #include "ir/fingerprint.hpp"
 #include "ir/program.hpp"
+#include "sim/trace.hpp"
 #include "usecases/apps.hpp"
 #include "usecases/kernels.hpp"
 
@@ -187,6 +192,87 @@ TEST(StructuralFingerprint, MissingEntryHashesWithoutThrowing) {
     const auto unresolved = fp(program, "absent");
     EXPECT_NE(unresolved, fp(program, "kernel"));
     EXPECT_NE(unresolved, fp(program, "also_absent"));
+}
+
+// -- pinned values ------------------------------------------------------------
+
+// Every function of the ten use-case apps, each app's whole program and
+// each core's cost model.  Result-store keys fold the structural
+// fingerprints and the cost-model fields in, so a store written by an
+// earlier build stays warm only while these hold.
+TEST(PinnedFingerprints, UseCaseValuesNeverMove) {
+    const std::map<std::string, std::uint64_t> structural = {
+        {"park_capture", 0xc0e31c2d92cc304fULL},
+        {"park_conv", 0x1f9cc8d8bbf5678bULL},
+        {"park_decide", 0xe53546fa509b213eULL},
+        {"park_fc1", 0xefc8485de4e85130ULL},
+        {"park_fc2", 0x29c91dfeb4adca2dULL},
+        {"park_pool", 0x92433fd1fda9fc8bULL},
+        {"pill_capture", 0xee907977fcb40d9fULL},
+        {"pill_compress", 0x1c22ce8162e6419bULL},
+        {"pill_delta", 0x490f39ce4145a876ULL},
+        {"pill_encrypt", 0x7e9e31c39984717aULL},
+        {"pill_transmit", 0x82c190e5929eab34ULL},
+        {"pill_xtea_block", 0x30b21bed8622e52fULL},
+        {"pill_xtea_unblock", 0x0e08ac5836066b00ULL},
+        {"rover_log", 0xed29ce6db438f104ULL},
+        {"rover_map", 0x9a5ee12481d806a7ULL},
+        {"sw_acquire", 0xc1dfaacc85c41c9fULL},
+        {"sw_bin", 0x97ac2f9ae6fea8cdULL},
+        {"sw_compress", 0x415661f684176fb7ULL},
+        {"sw_crc", 0xd239483646a0e7b3ULL},
+        {"sw_packetize", 0x00f2b0cbf9e27007ULL},
+        {"sw_sensor", 0x7d054a60d1406b35ULL},
+        {"sw_tele_len", 0xa44950ef8d6aeacdULL},
+        {"sw_telemetry", 0x40bcba9e57ea2acbULL},
+        {"sw_transmit", 0x79df9067d6e99ecfULL},
+        {"uav_capture", 0x41059e411a74a31fULL},
+        {"uav_detect", 0x4c64c526ccb7f419ULL},
+        {"uav_downlink", 0xa7ae0815dba79e94ULL},
+        {"uav_encode", 0x092658cf62b0a690ULL},
+        {"uav_resize", 0x4a16e3b42bca82f5ULL},
+        {"uav_track", 0x35f3e9877f2982f2ULL},
+    };
+    const std::map<std::string, std::uint64_t> whole_program = {
+        {"camera_pill", 0x38b4430bf765d4edULL},
+        {"parking_cnn", 0x97a3bd3c37b58502ULL},
+        {"rover_inspect", 0x29d507aad84fd1c1ULL},
+        {"spacewire_downlink", 0xc4c003615ec202bcULL},
+        {"uav_detection", 0x8f1e8a1a1fefafbdULL},
+    };
+    const std::map<std::string, std::uint64_t> model = {
+        {"cortex-a15", 0x43ed099da321d894ULL},
+        {"cortex-a57", 0x601534a2165e636cULL},
+        {"cortex-m0", 0xf2eb20dfe6960a8dULL},
+        {"denver2", 0x1230714055327e04ULL},
+        {"gpu-sm", 0xea028961fe5f7d79ULL},
+        {"leon3ft", 0xfff2dc097ef91d28ULL},
+        {"pill-fpga", 0xabe1225b490663faULL},
+    };
+
+    std::vector<usecases::UseCaseApp> apps;
+    apps.push_back(usecases::make_camera_pill_app());
+    apps.push_back(usecases::make_space_app());
+    for (const char* board : {"apalis-tk1", "jetson-tx2", "jetson-nano"}) {
+        apps.push_back(usecases::make_uav_app(board));
+        apps.push_back(usecases::make_rover_app(board));
+    }
+    apps.push_back(usecases::make_parking_app(true));
+    apps.push_back(usecases::make_parking_app(false));
+
+    for (const auto& app : apps) {
+        SCOPED_TRACE(app.name + " on " + app.platform.name);
+        EXPECT_EQ(core::fingerprint_program(app.program),
+                  whole_program.at(app.name));
+        for (const auto& [name, function] : app.program.functions)
+            EXPECT_EQ(fp(app.program, name), structural.at(name)) << name;
+        for (const auto& core : app.platform.cores)
+            EXPECT_EQ(sim::model_fingerprint(core.model),
+                      model.at(core.model.name))
+                << core.name;
+    }
+    EXPECT_EQ(fp(apps.front().program, "no_such_function"),
+              0x957d7c8a19e382d6ULL);
 }
 
 // -- end-to-end: cross-program memoisation ------------------------------------

@@ -6,6 +6,8 @@
 // cancels propagate across the wire, a warm
 // fabric peer serves a cold engine's misses with zero recomputes, and
 // resealed mutants of a kReplyStats envelope round-trip or raise WireError.
+// The router (net/router.hpp): fingerprint routing is stable, pinned and
+// colocates scenarios that share their primary kernel.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,10 +21,11 @@
 #include <vector>
 
 #include "core/scenario_engine.hpp"
-#include "core/sharded_engine.hpp"
+#include "csl/csl.hpp"
 #include "ir/builder.hpp"
 #include "net/protocol.hpp"
 #include "net/remote_shard.hpp"
+#include "net/router.hpp"
 #include "net/shard_server.hpp"
 #include "usecases/apps.hpp"
 
@@ -389,7 +392,7 @@ TEST(Net, WarmPeerServesMissesWithZeroRecomputes) {
 
     core::ScenarioEngine local;
     local.set_remote_fetch(
-        [&peer](const core::EvaluationKey& key) { return peer.fetch(key); });
+        net::fetch_from({"127.0.0.1:" + std::to_string(server->port())}));
     const auto report = local.submit(light_request()).get();
 
     const auto stats = local.cache_stats();
@@ -405,15 +408,13 @@ TEST(Net, WarmPeerServesMissesWithZeroRecomputes) {
 TEST(Net, ShardedEngineRoutesOverTheFabric) {
     const auto server_a = make_server();
     const auto server_b = make_server();
-    core::ShardedScenarioEngine::Options options;
-    options.remote_endpoints = {
+    net::Router router({
         "127.0.0.1:" + std::to_string(server_a->port()),
         "127.0.0.1:" + std::to_string(server_b->port()),
-    };
-    core::ShardedScenarioEngine engine(std::move(options));
-    EXPECT_EQ(engine.shard_count(), 2U);  // the remotes are the domain
+    });
+    EXPECT_EQ(router.shard_count(), 2U);
 
-    const auto report = engine.run(light_request());
+    const auto report = router.run(light_request());
     core::ScenarioEngine reference;
     EXPECT_EQ(
         report.certificate.to_text(),
@@ -476,16 +477,14 @@ TEST(Net, HealthyProbeDistinguishesLiveFromUnreachable) {
 }
 
 TEST(Net, ConsecutiveRemoteFailureGaugeCountsTransportLoss) {
-    core::ShardedScenarioEngine::Options options;
-    options.remote_endpoints = {"127.0.0.1:1"};  // everything crosses the wire
-    core::ShardedScenarioEngine engine(std::move(options));
+    net::Router router({"127.0.0.1:1"});  // nothing listens there
 
-    auto first = engine.submit(light_request("pill#gauge_a"));
+    auto first = router.submit(light_request("pill#gauge_a"));
     EXPECT_THROW((void)first.get(), core::CancelledError);
-    auto second = engine.submit(light_request("pill#gauge_b"));
+    auto second = router.submit(light_request("pill#gauge_b"));
     EXPECT_THROW((void)second.get(), core::CancelledError);
 
-    const auto admission = engine.admission_stats();
+    const auto admission = router.admission_stats();
     ASSERT_GE(admission.remote_failures.size(), 1U);
     EXPECT_GE(admission.remote_failures[0], 2U);  // consecutive, summed up
 }
@@ -494,12 +493,113 @@ TEST(Net, MalformedEndpointsAreRejected) {
     for (const std::string endpoint :
          {"nocolon", ":7791", "host:", "host:0", "host:99999",
           "host:7x91", "host:+80", "host: 80"}) {
-        core::ShardedScenarioEngine::Options options;
-        options.remote_endpoints = {endpoint};
-        EXPECT_THROW(core::ShardedScenarioEngine{std::move(options)},
-                     std::invalid_argument)
+        EXPECT_THROW(net::Router{{endpoint}}, std::invalid_argument)
+            << endpoint;
+        EXPECT_THROW((void)net::fetch_from({endpoint}), std::invalid_argument)
             << endpoint;
     }
+    // No remotes, no routing domain.
+    EXPECT_THROW(net::Router{{}}, std::invalid_argument);
+}
+
+// -- routing ------------------------------------------------------------------
+
+/// A routing domain of four remotes.  Nothing listens on these reserved
+/// ports, but connections are lazy, so routing needs no server.
+net::Router four_remotes() {
+    return net::Router(
+        {"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"});
+}
+
+core::ScenarioRequest routed_request(const usecases::UseCaseApp& app,
+                                     const std::string& label = {}) {
+    core::ScenarioRequest request;
+    request.program = &app.program;
+    request.platform = &app.platform;
+    request.csl_source = app.csl_source;
+    request.label = label.empty() ? app.name : label;
+    return request;
+}
+
+TEST(ShardRouter, StableAndSpecRepresentationIndependent) {
+    const auto uav = usecases::make_uav_app("apalis-tk1");
+    const auto router = four_remotes();
+    ASSERT_EQ(router.shard_count(), 4U);
+
+    const auto from_source = routed_request(uav);
+    auto pre_parsed = routed_request(uav);
+    pre_parsed.spec = csl::parse(uav.csl_source);
+
+    const auto shard = router.shard_of(from_source);
+    EXPECT_EQ(shard, router.shard_of(from_source));  // deterministic
+    EXPECT_EQ(shard, router.shard_of(pre_parsed));   // representation-free
+    EXPECT_LT(shard, router.shard_count());
+}
+
+TEST(ShardRouter, SameKernelScenariosColocate) {
+    // Option/label/scheduler variations of the same application analyse
+    // the same kernels, so they must land where the cache is warm.
+    const auto uav = usecases::make_uav_app("apalis-tk1");
+    const auto router = four_remotes();
+    auto variant = routed_request(uav, "variant");
+    variant.options.scheduler.seed = 99;
+    variant.options.profile_runs = 7;
+    EXPECT_EQ(router.shard_of(routed_request(uav)), router.shard_of(variant));
+}
+
+TEST(ShardRouter, UavAndRoverColocate) {
+    // The UAV and the rover share their primary kernel (uav_capture), so
+    // the router sends both to the remote whose cache holds it.
+    const auto uav = usecases::make_uav_app("apalis-tk1");
+    const auto rover = usecases::make_rover_app("apalis-tk1");
+    const auto router = four_remotes();
+    EXPECT_EQ(router.shard_of(routed_request(uav)),
+              router.shard_of(routed_request(rover)));
+}
+
+// Every use-case app over four remotes, by its primary kernel and, with a
+// malformed CSL source, by whole-program content.  Routing is a pure
+// function of the request, so these never move across releases: a moved
+// value means scenarios stop landing on the caches they warmed.
+TEST(ShardRouter, RoutesArePinned) {
+    struct Expected {
+        usecases::UseCaseApp app;
+        std::size_t by_kernel;
+        std::size_t by_program;
+    };
+    const Expected table[] = {
+        {usecases::make_camera_pill_app(), 3, 0},
+        {usecases::make_space_app(), 1, 3},
+        {usecases::make_uav_app("apalis-tk1"), 1, 3},
+        {usecases::make_uav_app("jetson-tx2"), 1, 3},
+        {usecases::make_uav_app("jetson-nano"), 1, 3},
+        {usecases::make_rover_app("apalis-tk1"), 1, 2},
+        {usecases::make_rover_app("jetson-tx2"), 1, 2},
+        {usecases::make_rover_app("jetson-nano"), 1, 2},
+        {usecases::make_parking_app(true), 3, 1},
+        {usecases::make_parking_app(false), 3, 1},
+    };
+    const auto router = four_remotes();
+    for (const auto& [app, by_kernel, by_program] : table) {
+        auto request = routed_request(app);
+        EXPECT_EQ(router.shard_of(request), by_kernel)
+            << app.name << " on " << app.platform.name;
+        request.csl_source = "app broken on nothing {";
+        EXPECT_EQ(router.shard_of(request), by_program)
+            << app.name << " on " << app.platform.name;
+    }
+}
+
+TEST(ShardRouter, RequestWithoutProgramFailsItsTicket) {
+    // The ticket fails the way a local engine's does, before the router
+    // connects to anything.
+    const auto& pill = pill_app();
+    core::ScenarioRequest no_program;
+    no_program.platform = &pill.platform;
+    no_program.csl_source = pill.csl_source;
+    auto router = four_remotes();
+    auto ticket = router.submit(no_program);
+    EXPECT_THROW((void)ticket.get(), std::invalid_argument);
 }
 
 }  // namespace

@@ -74,20 +74,6 @@ TEST(PowProfiler, DeterministicForSameSeed) {
     EXPECT_DOUBLE_EQ(pa.energy_j.max, pb.energy_j.max);
 }
 
-TEST(PowProfiler, SequentialPassCoversAllTasks) {
-    const auto app = usecases::make_uav_app();
-    profiler::PowProfiler prof(app.program, app.platform.cores[0], 1, 5);
-    const std::vector<std::string> tasks = {"uav_capture", "uav_resize",
-                                            "uav_detect"};
-    const auto profiles =
-        prof.profile_sequential(tasks, profiler::zero_inputs(0), 10);
-    ASSERT_EQ(profiles.size(), tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        EXPECT_EQ(profiles[i].function, tasks[i]);
-        EXPECT_GT(profiles[i].time_s.mean, 0.0);
-    }
-}
-
 TEST(PowProfiler, HigherFrequencyProfilesFaster) {
     const auto program = noisy_program();
     const auto tk1 = platform::apalis_tk1();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/scenario_engine.hpp"
+#include "csl/csl.hpp"
 #include "ir/program.hpp"
 #include "ir/validate.hpp"
 #include "support/thread_pool.hpp"
@@ -192,6 +193,17 @@ TEST(ScenarioEngine, RejectsRequestWithoutProgramOrPlatform) {
     core::ScenarioEngine engine;
     EXPECT_THROW((void)engine.run(core::ScenarioRequest{}),
                  std::invalid_argument);
+}
+
+TEST(ScenarioEngine, MalformedCslFailsItsTicketWithCslError) {
+    const auto pill = usecases::make_camera_pill_app();
+    core::ScenarioRequest request;
+    request.program = &pill.program;
+    request.platform = &pill.platform;
+    request.csl_source = "app broken on nothing {";
+    core::ScenarioEngine engine;
+    auto ticket = engine.submit(request);
+    EXPECT_THROW((void)ticket.get(), csl::CslError);
 }
 
 /// Point operand a of the first instruction of `entry` that reads one at a

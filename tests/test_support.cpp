@@ -1,11 +1,15 @@
-// Unit tests for the support primitives: RNG determinism, statistics,
-// least-squares fitting, units parsing/formatting.
+// Unit tests for the support primitives: RNG determinism, the pinned
+// FNV-1a and SplitMix64 values, statistics, least-squares fitting, units
+// parsing/formatting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string_view>
 #include <vector>
 
+#include "support/fnv.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/units.hpp"
@@ -75,6 +79,28 @@ TEST(Rng, GaussianMomentsRoughlyStandard) {
     for (int i = 0; i < 20000; ++i) xs.push_back(rng.gaussian());
     EXPECT_NEAR(mean(xs), 0.0, 0.05);
     EXPECT_NEAR(stddev(xs), 1.0, 0.05);
+}
+
+// Published FNV-1a 64 and SplitMix64 answers, and the first word of two
+// seeded streams.  Wire checksums, store keys and every complex-core byte
+// derive from these, so none may ever move.
+TEST(Hashes, FnvAndSplitMixKnownAnswers) {
+    const auto fnv = [](std::string_view text) {
+        return fnv1a(std::span(
+            reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+    };
+    EXPECT_EQ(fnv(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ULL);
+    // Text mixes its bytes, then its length as one little-endian word.
+    EXPECT_EQ(Fnv1a{}.mix(std::string_view("foobar")).value,
+              Fnv1a{fnv("foobar")}.mix(std::uint64_t{6}).value);
+
+    std::uint64_t state = 0;
+    EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(state, 0x9e3779b97f4a7c15ULL);
+    EXPECT_EQ(Rng(0).next(), 0x99ec5f36cb75f2b4ULL);
+    EXPECT_EQ(Rng(42).next(), 0x15780b2e0c2ec716ULL);
 }
 
 TEST(Stats, MeanVarianceKnownValues) {
