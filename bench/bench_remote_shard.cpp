@@ -92,8 +92,7 @@ Percentiles percentiles(std::vector<double> latencies_s) {
 struct ReplayOutcome {
     std::vector<double> latencies_s;
     std::vector<std::string> certificates;  ///< canonical text, trace order
-    core::StageTelemetry telemetry;
-    core::EvaluationCache::Stats cache;
+    core::BatchStats stats;  ///< the front's snapshot after the replay
 };
 
 /// `front`: a ScenarioEngine or a net::Router.
@@ -123,8 +122,7 @@ ReplayOutcome replay(const Trace& trace, auto& front) {
     outcome.certificates.reserve(tickets.size());
     for (auto& ticket : tickets)
         outcome.certificates.push_back(ticket.get().certificate.to_text());
-    outcome.telemetry = front.stage_telemetry();
-    outcome.cache = front.cache_stats();
+    outcome.stats = front.stats();
     return outcome;
 }
 
@@ -171,20 +169,20 @@ bool run_fetch_phase(const Trace& trace, const ReplayOutcome& baseline) {
     const auto fetched = replay(trace, fetcher);
 
     const bool identical = fetched.certificates == baseline.certificates;
-    const bool zero_recomputes = fetched.cache.remote_misses == 0;
-    const bool peer_served = fetched.cache.remote_hits > 0;
+    const bool zero_recomputes = fetched.stats.cache.remote_misses == 0;
+    const bool peer_served = fetched.stats.cache.remote_hits > 0;
 
     std::printf("fetch phase: %llu remote hits / %llu remote misses "
                 "(certificates %s)\n",
-                static_cast<unsigned long long>(fetched.cache.remote_hits),
+                static_cast<unsigned long long>(fetched.stats.cache.remote_hits),
                 static_cast<unsigned long long>(
-                    fetched.cache.remote_misses),
+                    fetched.stats.cache.remote_misses),
                 identical ? "identical" : "DIFFER");
     if (!zero_recomputes)
         std::printf("fetch FAIL: %llu misses recomputed results the warm "
                     "peer held\n",
                     static_cast<unsigned long long>(
-                        fetched.cache.remote_misses));
+                        fetched.stats.cache.remote_misses));
     if (!peer_served)
         std::printf("fetch FAIL: the warm peer served nothing\n");
     if (!identical)
@@ -214,11 +212,11 @@ bool print_table() {
         // Exactly one hop per scenario, whatever the topology: the rtt
         // lap count proves every scenario's transport was measured.
         const bool laps_complete =
-            lap_count(outcome.telemetry, "net/rtt") ==
+            lap_count(outcome.stats.stage_telemetry, "net/rtt") ==
                 trace.requests.size() &&
-            lap_count(outcome.telemetry, "net/encode") ==
+            lap_count(outcome.stats.stage_telemetry, "net/encode") ==
                 trace.requests.size() &&
-            lap_count(outcome.telemetry, "net/decode") ==
+            lap_count(outcome.stats.stage_telemetry, "net/decode") ==
                 trace.requests.size();
         std::printf("%zu remote shard%s: p50 %8.2f ms, p95 %8.2f ms "
                     "(certificates %s, hop laps %s)\n",

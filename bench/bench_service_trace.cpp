@@ -139,10 +139,10 @@ ReplayResult replay(const Trace& trace, std::size_t workers,
         result.certificates.push_back(
             ticket.get().certificate.to_text());
     engine.flush_result_store();
-    result.cache = engine.cache_stats();
-    const auto telemetry = engine.stage_telemetry();
-    if (const auto it = telemetry.stages().find("analyse");
-        it != telemetry.stages().end())
+    const auto stats = engine.stats();
+    result.cache = stats.cache;
+    if (const auto it = stats.stage_telemetry.stages().find("analyse");
+        it != stats.stage_telemetry.stages().end())
         result.analyse_s = it->second.total_s;
     return result;
 }

@@ -20,7 +20,8 @@
 //   $ ./example_teamplay_cli --all --remote 127.0.0.1:7791
 //
 // The process runs one engine.  `--serve <port>` turns it into a shard
-// server: that engine behind the fabric RPC loop, until SIGINT/SIGTERM.
+// server: that engine behind the fabric RPC loop, until SIGINT/SIGTERM;
+// only the flags that configure the served engine may accompany it.
 // `--remote host:port` (repeatable) builds no engine and sends every
 // scenario over the wire instead, routed across the remotes by the
 // structural fingerprint of its primary kernel (net::Router), so the
@@ -67,7 +68,9 @@ void usage() {
         "  --jobs <n>          engine worker threads (default 0 = caller)\n"
         "  --serve <port>      run as a shard server: bind the port and\n"
         "                      serve scenario RPCs until SIGINT/SIGTERM\n"
-        "                      (engine flags configure the served engine)\n"
+        "                      (--jobs, --cache-budget, --queue-depth and\n"
+        "                      --store-dir configure the served engine;\n"
+        "                      any other flag is a usage error beside it)\n"
         "  --remote <h:p>      run every scenario on remote shard servers,\n"
         "                      routed by kernel structural fingerprint\n"
         "                      (repeatable; no local engine is built, so\n"
@@ -230,6 +233,9 @@ int main(int argc, char** argv) {
     // The last flag seen that configures this process's engine; a usage
     // error beside --remote, which builds none.
     std::string local_flag;
+    // The last flag seen that only a client run reads; a usage error
+    // beside --serve, whose engine would ignore it.
+    std::string client_flag;
     core::Priority priority = core::Priority::kBatch;
     std::uint64_t deadline_ms = 0;
     std::uint64_t queue_depth = 0;
@@ -247,6 +253,9 @@ int main(int argc, char** argv) {
     }
     for (int i = opt_start; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg != "--jobs" && arg != "--cache-budget" &&
+            arg != "--queue-depth" && arg != "--store-dir")
+            client_flag = arg;
         if (arg == "--platform" && i + 1 < argc) {
             platform_override = argv[++i];
         } else if (arg == "--csl" && i + 1 < argc) {
@@ -296,6 +305,11 @@ int main(int argc, char** argv) {
             usage();
             return 2;
         }
+    }
+    if (serve && !client_flag.empty()) {
+        std::fprintf(stderr, "%s cannot be combined with --serve\n",
+                     client_flag.c_str());
+        return 2;
     }
     if (!remote_endpoints.empty() && !local_flag.empty()) {
         std::fprintf(stderr, "%s cannot be combined with --remote\n",
@@ -490,22 +504,22 @@ int main(int argc, char** argv) {
                         }
                     }
                 }
-                const auto cache = front.cache_stats();
+                const auto summary = front.stats();
                 std::printf(
                     "stream: %zu scenarios in %.3f s (%zu threads; cache: "
                     "%llu hits / %llu misses, %llu evictions, %zu "
                     "entries)\n",
-                    requests.size(), wall_s, front.concurrency(),
-                    static_cast<unsigned long long>(cache.hits),
-                    static_cast<unsigned long long>(cache.misses),
-                    static_cast<unsigned long long>(cache.evictions),
-                    cache.entries);
+                    requests.size(), wall_s, summary.workers,
+                    static_cast<unsigned long long>(summary.cache.hits),
+                    static_cast<unsigned long long>(summary.cache.misses),
+                    static_cast<unsigned long long>(summary.cache.evictions),
+                    summary.cache.entries);
                 print_local_tiers();
-                print_admission(front.admission_stats());
+                print_admission(summary.admission);
                 print_trace_cache();
                 if (!quiet)
                     std::printf("--- per-stage telemetry ---\n%s",
-                                front.stage_telemetry().to_string().c_str());
+                                summary.stage_telemetry.to_string().c_str());
                 return all_ok ? 0 : 1;
             }
 
@@ -524,7 +538,7 @@ int main(int argc, char** argv) {
             if (reports.size() > 1)
                 std::printf("batch: %s\n", stats.to_string().c_str());
             print_local_tiers();
-            print_admission(front.admission_stats());
+            print_admission(stats.admission);
             print_trace_cache();
             if (!quiet)
                 std::printf("--- per-stage telemetry ---\n%s",

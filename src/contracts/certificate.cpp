@@ -233,7 +233,7 @@ ProofNode scale_to_seconds(ProofNode cycles_proof, double freq_hz) {
 ProofNode build_energy_proof_joules(const ir::Program& program,
                                     const std::string& function,
                                     const platform::Core& core,
-                                    std::size_t opp_index) {
+                                    std::size_t opp_index, ProofNode time_s) {
     const ir::Function& fn = proof_entry(program, function, core.model);
     const auto& point = core.opp(opp_index);
 
@@ -248,9 +248,6 @@ ProofNode build_energy_proof_joules(const ir::Program& program,
                      std::to_string(point.voltage) + " V";
     dynamic_j.children.push_back(std::move(dynamic_pj));
 
-    ProofNode time_s = scale_to_seconds(
-        build_time_proof_cycles(program, function, core.model),
-        point.freq_hz);
     ProofNode static_j;
     static_j.rule = ProofRule::kScale;
     static_j.param = point.static_power_w;

@@ -100,11 +100,13 @@ struct Certificate {
                                          double freq_hz);
 
 /// Build the WCEC proof (in joules): dynamic pJ tree scaled by V^2 and 1e-12
-/// plus static power times the embedded time proof.  Throws like
+/// plus static power times `time_s`, the function's time proof in seconds
+/// at the same OPP (scale_to_seconds over build_time_proof_cycles), which
+/// a caller checking both budgets builds once.  Throws like
 /// build_time_proof_cycles.
 [[nodiscard]] ProofNode build_energy_proof_joules(
     const ir::Program& program, const std::string& function,
-    const platform::Core& core, std::size_t opp_index);
+    const platform::Core& core, std::size_t opp_index, ProofNode time_s);
 
 /// Leaf proof for a measured estimate.
 [[nodiscard]] ProofNode measured_leaf(double value, const std::string& note);

@@ -1,6 +1,8 @@
 #include "contracts/system.hpp"
 
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace teamplay::contracts {
 
@@ -22,6 +24,18 @@ Certificate check_contracts(const std::string& app,
     certificate.platform = platform_name;
 
     for (const auto& input : inputs) {
+        // One time proof per static input: the time contract's proof and
+        // the static term of the energy proof.
+        std::optional<ProofNode> time_s;
+        if (!input.measured_only &&
+            (input.time_budget_s >= 0.0 || input.energy_budget_j >= 0.0)) {
+            require_static_evidence(input);
+            time_s = scale_to_seconds(
+                build_time_proof_cycles(*input.program, input.function,
+                                        input.core->model),
+                input.core->opp(input.opp_index).freq_hz);
+        }
+
         if (input.time_budget_s >= 0.0) {
             ContractResult result;
             result.poi = input.poi;
@@ -33,11 +47,9 @@ Certificate check_contracts(const std::string& app,
                     "profiled high-water mark for " + input.function);
                 result.measured_only = true;
             } else {
-                require_static_evidence(input);
-                result.proof = scale_to_seconds(
-                    build_time_proof_cycles(*input.program, input.function,
-                                            input.core->model),
-                    input.core->opp(input.opp_index).freq_hz);
+                result.proof = input.energy_budget_j >= 0.0
+                                   ? *time_s
+                                   : std::move(*time_s);
             }
             result.analysed = result.proof.value;
             result.holds = result.analysed <= result.budget;
@@ -55,10 +67,9 @@ Certificate check_contracts(const std::string& app,
                     "profiled high-water mark for " + input.function);
                 result.measured_only = true;
             } else {
-                require_static_evidence(input);
                 result.proof = build_energy_proof_joules(
                     *input.program, input.function, *input.core,
-                    input.opp_index);
+                    input.opp_index, std::move(*time_s));
             }
             result.analysed = result.proof.value;
             result.holds = result.analysed <= result.budget;

@@ -122,7 +122,8 @@ private:
 
 /// Admission counters, per priority class.  Monotonic except
 /// `queue_peak` (a high-water gauge) and `remote_failures` (per-remote
-/// consecutive-failure gauges maintained by net::Router).
+/// consecutive-failure gauges, each kept by a net::RemoteShard and folded
+/// by net::Router).
 struct AdmissionStats {
     struct PerClass {
         std::uint64_t submitted = 0;   ///< all submit() calls
@@ -139,8 +140,9 @@ struct AdmissionStats {
     };
 
     std::array<PerClass, kNumPriorityClasses> classes{};
-    /// Consecutive failures per remote shard, in endpoint order; reset to
-    /// zero by any success.  Groundwork for health-checked rerouting.
+    /// Consecutive transport failures per remote shard, in endpoint
+    /// order; reset to zero by any answer from the remote.  Groundwork
+    /// for health-checked rerouting.
     std::vector<std::uint64_t> remote_failures;
 
     void merge(const AdmissionStats& other);

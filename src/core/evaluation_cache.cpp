@@ -63,14 +63,14 @@ std::shared_ptr<const EvaluationResult> EvaluationCache::lookup(
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries_.find(key);
         if (it != entries_.end()) {
-            ++hits_;
+            ++stats_.hits;
             // Refresh recency; an in-flight entry is not on the LRU list
             // yet (it joins the hot end when its compute completes).
             if (it->second.ready)
                 lru_.splice(lru_.begin(), lru_, it->second.lru);
             slot = it->second.slot;
         } else {
-            ++misses_;
+            ++stats_.misses;
             slot = promise.get_future().share();
             Entry entry;
             entry.slot = slot;
@@ -91,13 +91,13 @@ std::shared_ptr<const EvaluationResult> EvaluationCache::lookup(
                     const std::lock_guard<std::mutex> lock(mutex_);
                     switch (loaded.status) {
                         case ResultStore::LoadStatus::kHit:
-                            ++store_hits_;
+                            ++stats_.store_hits;
                             break;
                         case ResultStore::LoadStatus::kMiss:
-                            ++store_misses_;
+                            ++stats_.store_misses;
                             break;
                         case ResultStore::LoadStatus::kReject:
-                            ++store_rejects_;
+                            ++stats_.store_rejects;
                             break;
                     }
                 }
@@ -128,9 +128,9 @@ std::shared_ptr<const EvaluationResult> EvaluationCache::lookup(
                     {
                         const std::lock_guard<std::mutex> lock(mutex_);
                         if (fetched.has_value())
-                            ++remote_hits_;
+                            ++stats_.remote_hits;
                         else
-                            ++remote_misses_;
+                            ++stats_.remote_misses;
                     }
                     if (fetched.has_value())
                         value = std::make_shared<const EvaluationResult>(
@@ -161,16 +161,15 @@ void EvaluationCache::admit(const EvaluationKey& key, double cost) {
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries_.find(key);
         // Unreachable today — only the owner erases its own key (exception
-        // path), clear() preserves in-flight entries, and eviction only
-        // touches completed ones — kept as a guard so a future policy that
-        // does drop in-flight slots degrades to "uncached", not to a
-        // double-published LRU entry.
+        // path), and eviction only touches completed ones — kept as a
+        // guard so a future policy that does drop in-flight slots degrades
+        // to "uncached", not to a double-published LRU entry.
         if (it == entries_.end()) return;
         it->second.ready = true;
         it->second.cost = cost;
         lru_.push_front(key);
         it->second.lru = lru_.begin();
-        resident_cost_ += cost;
+        stats_.resident_cost += cost;
         evict_over_budget_locked(store_ != nullptr ? &spillage : nullptr);
     }
     // Spill outside the cache lock: encoding a compiled front is far too
@@ -186,10 +185,10 @@ void EvaluationCache::evict_over_budget_locked(Spillage* spillage) {
         // completed entries), so get() is a lock-free read here.
         if (spillage != nullptr)
             spillage->emplace_back(victim->first, victim->second.slot.get());
-        resident_cost_ -= victim->second.cost;
+        stats_.resident_cost -= victim->second.cost;
         entries_.erase(victim);
         lru_.pop_back();
-        ++evictions_;
+        ++stats_.evictions;
     }
 }
 
@@ -200,7 +199,7 @@ void EvaluationCache::spill(const Spillage& spillage) {
         if (store_->store(key, *value)) ++appended;
     if (appended > 0) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        spills_ += appended;
+        stats_.spills += appended;
     }
 }
 
@@ -244,40 +243,9 @@ std::shared_ptr<const EvaluationResult> EvaluationCache::peek(
 
 EvaluationCache::Stats EvaluationCache::stats() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    Stats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.evictions = evictions_;
-    stats.store_hits = store_hits_;
-    stats.store_misses = store_misses_;
-    stats.spills = spills_;
-    stats.store_rejects = store_rejects_;
-    stats.remote_hits = remote_hits_;
-    stats.remote_misses = remote_misses_;
+    Stats stats = stats_;
     stats.entries = entries_.size();
-    stats.resident_cost = resident_cost_;
     return stats;
-}
-
-void EvaluationCache::clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        if (it->second.ready)
-            it = entries_.erase(it);
-        else
-            ++it;  // in-flight: owner still computing, waiters still queued
-    }
-    lru_.clear();
-    resident_cost_ = 0.0;
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    store_hits_ = 0;
-    store_misses_ = 0;
-    spills_ = 0;
-    store_rejects_ = 0;
-    remote_hits_ = 0;
-    remote_misses_ = 0;
 }
 
 }  // namespace teamplay::core

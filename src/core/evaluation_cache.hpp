@@ -199,14 +199,6 @@ public:
     [[nodiscard]] std::shared_ptr<const EvaluationResult> peek(
         const EvaluationKey& key) const;
 
-    /// Drop every completed entry and reset all counters (hits, misses,
-    /// evictions, store counters) to zero — documented behaviour, relied on
-    /// by callers that reuse one engine across measurement phases.  Nothing
-    /// is spilled: callers that want the dropped entries persisted call
-    /// `flush_to_store` first.  In-flight slots are left untouched so
-    /// concurrent waiters still observe single-flight.
-    void clear();
-
     /// Spill every completed resident entry to the attached store (no-op
     /// without one; entries the store already holds are skipped).  The
     /// destructor calls this, so a cache that dies with its engine leaves
@@ -241,16 +233,9 @@ private:
     mutable std::mutex mutex_;
     std::map<EvaluationKey, Entry> entries_;
     std::list<EvaluationKey> lru_;  ///< completed keys, hot front, cold back
-    double resident_cost_ = 0.0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t store_hits_ = 0;
-    std::uint64_t store_misses_ = 0;
-    std::uint64_t spills_ = 0;
-    std::uint64_t store_rejects_ = 0;
-    std::uint64_t remote_hits_ = 0;
-    std::uint64_t remote_misses_ = 0;
+    /// The counters and `resident_cost`; `entries` is read off `entries_`
+    /// when a snapshot is taken.
+    Stats stats_;
     /// Read under `mutex_`, invoked outside it (a fetch is a blocking RPC).
     RemoteFetch remote_fetch_;
 };

@@ -7,15 +7,12 @@
 #include <string>
 #include <utility>
 
-#include "core/wire.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define TEAMPLAY_STORE_HAS_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "core/wire.hpp"
 
 namespace teamplay::core {
 
@@ -54,7 +51,6 @@ struct ResultStore::Segment {
     /// Map (or read) the file; a segment that cannot be opened at all gets
     /// base == nullptr / size == 0 and is rejected by the header check.
     explicit Segment(std::filesystem::path file) : path(std::move(file)) {
-#if TEAMPLAY_STORE_HAS_MMAP
         const int fd = ::open(path.c_str(), O_RDONLY);
         if (fd < 0) return;
         struct stat status {};
@@ -70,8 +66,7 @@ struct ResultStore::Segment {
         }
         ::close(fd);
         if (mapped_) return;
-#endif
-        // Streaming fallback (and the zero-length-file case, which mmap
+        // A failed mmap (and the zero-length-file case, which mmap
         // rejects): pull the bytes onto the heap.
         std::FILE* file_handle = std::fopen(path.c_str(), "rb");
         if (file_handle == nullptr) return;
@@ -92,10 +87,7 @@ struct ResultStore::Segment {
     }
 
     ~Segment() {
-#if TEAMPLAY_STORE_HAS_MMAP
-        if (mapped_)
-            ::munmap(const_cast<std::uint8_t*>(base), size);
-#endif
+        if (mapped_) ::munmap(const_cast<std::uint8_t*>(base), size);
     }
 
     [[nodiscard]] std::span<const std::uint8_t> bytes() const {
@@ -137,7 +129,7 @@ void ResultStore::scan_directory_locked() {
         if (!check_segment_header(segments_.back()->bytes())) {
             // Empty, foreign or stale-version file: not ours to read.  One
             // reject per file, and nothing from it enters the index.
-            ++scan_rejects_;
+            ++stats_.scan_rejects;
             segments_.pop_back();
             continue;
         }
@@ -158,11 +150,11 @@ void ResultStore::scan_segment_locked(std::size_t segment_index) {
         } catch (const wire::WireError&) {
             // Torn framing (an interrupted append): nothing after this
             // point is trustworthy.  Count once and stop this segment.
-            ++scan_rejects_;
+            ++stats_.scan_rejects;
             return;
         }
         if (!result_frame.has_value()) {
-            ++scan_rejects_;  // key without its result: torn final record
+            ++stats_.scan_rejects;  // key without its result: torn final record
             return;
         }
         // Index by strictly-decoded key; the result frame is *not* decoded
@@ -175,7 +167,7 @@ void ResultStore::scan_segment_locked(std::size_t segment_index) {
                 static_cast<std::size_t>(result_frame->data() - bytes.data()),
                 result_frame->size()};
         } catch (const wire::WireError&) {
-            ++scan_rejects_;
+            ++stats_.scan_rejects;
         }
     }
 }
@@ -189,7 +181,7 @@ ResultStore::Loaded ResultStore::load(const EvaluationKey& key) {
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = index_.find(key);
         if (it == index_.end()) {
-            ++load_misses_;
+            ++stats_.load_misses;
             return {};
         }
         location = it->second;
@@ -202,7 +194,6 @@ ResultStore::Loaded ResultStore::load(const EvaluationKey& key) {
     std::span<const std::uint8_t> frame;
     bool readable = false;
     if (location.segment == kActiveSegment) {
-#if TEAMPLAY_STORE_HAS_MMAP
         scratch.resize(location.length);
         const auto got =
             ::pread(active_fd, scratch.data(), location.length,
@@ -211,7 +202,6 @@ ResultStore::Loaded ResultStore::load(const EvaluationKey& key) {
             frame = scratch;
             readable = true;
         }
-#endif
     } else {
         frame = segments_[location.segment]->bytes().subspan(
             location.offset, location.length);
@@ -222,7 +212,7 @@ ResultStore::Loaded ResultStore::load(const EvaluationKey& key) {
         try {
             EvaluationResult result = wire::decode_result(frame);
             const std::lock_guard<std::mutex> lock(mutex_);
-            ++load_hits_;
+            ++stats_.load_hits;
             return {LoadStatus::kHit, std::move(result)};
         } catch (const wire::WireError&) {
             // Fall through to the reject path.
@@ -232,7 +222,7 @@ ResultStore::Loaded ResultStore::load(const EvaluationKey& key) {
     // Corrupt or unreadable frame: drop it from the index so the
     // recomputed result can be re-appended, and count the reject.
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++load_rejects_;
+    ++stats_.load_rejects;
     const auto it = index_.find(key);
     if (it != index_.end() && it->second.segment == location.segment &&
         it->second.offset == location.offset)
@@ -270,9 +260,7 @@ bool ResultStore::open_write_segment_locked() {
             break;
         }
         write_file_ = file;
-#if TEAMPLAY_STORE_HAS_MMAP
         write_fd_ = ::fileno(file);
-#endif
         write_offset_ = sizeof header;
         return true;
     }
@@ -319,29 +307,20 @@ bool ResultStore::store(const EvaluationKey& key,
         write_failed_ = true;
         return false;
     }
-#if TEAMPLAY_STORE_HAS_MMAP
     index_[key] =
         Location{kActiveSegment,
                  write_offset_ + 4 + key_message.size() + 4,
                  result_message.size()};
-#endif
-    // Without pread the active segment is write-only this process: entries
-    // stay un-indexed and load() recomputes, which is still correct.
     write_offset_ += record.size();
-    ++appended_;
+    ++stats_.appended;
     return true;
 }
 
 ResultStore::Stats ResultStore::stats() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    Stats stats;
+    Stats stats = stats_;
     stats.segments = segments_.size() + (write_file_ != nullptr ? 1 : 0);
     stats.indexed = index_.size();
-    stats.appended = appended_;
-    stats.scan_rejects = scan_rejects_;
-    stats.load_hits = load_hits_;
-    stats.load_misses = load_misses_;
-    stats.load_rejects = load_rejects_;
     return stats;
 }
 

@@ -18,10 +18,10 @@
 //     frame  u32 LE length + wire-encoded EvaluationKey
 //     frame  u32 LE length + wire-encoded EvaluationResult
 //
-// Startup mmaps every regular file in the directory (streaming fallback
-// when mmap is unavailable) and indexes result-frame offsets by decoded
-// key *without* decoding any result — warm start touches a few hundred
-// bytes per entry, not the megabytes of compiled programs behind them.
+// Startup mmaps every regular file in the directory (a heap read when
+// mmap fails) and indexes result-frame offsets by decoded key *without*
+// decoding any result — warm start touches a few hundred bytes per entry,
+// not the megabytes of compiled programs behind them.
 // Result frames are verified lazily: a `load` hit strictly decodes the
 // frame through the wire codec (checksum, bounds, enum validation), and a
 // torn, byte-flipped or version-skewed frame is dropped from the index and
@@ -134,11 +134,9 @@ private:
     std::size_t write_offset_ = 0;  ///< flushed bytes in the active segment
     bool write_failed_ = false;
 
-    std::uint64_t appended_ = 0;
-    std::uint64_t scan_rejects_ = 0;
-    std::uint64_t load_hits_ = 0;
-    std::uint64_t load_misses_ = 0;
-    std::uint64_t load_rejects_ = 0;
+    /// The counters; `segments` and `indexed` are read off the members
+    /// above when a snapshot is taken.
+    Stats stats_;
 };
 
 }  // namespace teamplay::core

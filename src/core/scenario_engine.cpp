@@ -338,9 +338,14 @@ std::vector<ToolchainReport> ScenarioEngine::run_all(
     return reports;
 }
 
-StageTelemetry ScenarioEngine::stage_telemetry() const {
+BatchStats ScenarioEngine::stats() const {
+    BatchStats stats;
+    stats.workers = pool_.concurrency();
+    stats.cache = cache_.stats();
+    stats.admission = admission_.stats();
     const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-    return telemetry_;
+    stats.stage_telemetry = telemetry_;
+    return stats;
 }
 
 }  // namespace teamplay::core

@@ -80,7 +80,9 @@ struct ScenarioRequest {
     std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
-/// Aggregate throughput statistics of one `run_all` batch.
+/// Aggregate throughput statistics of one `run_all` batch, and the one
+/// snapshot shape of a front's state (`ScenarioEngine::stats`,
+/// `net::Router::stats`, the kStats reply), whose batch fields stay zero.
 struct BatchStats {
     std::size_t scenarios = 0;
     std::size_t workers = 0;          ///< pool concurrency during the batch
@@ -220,7 +222,6 @@ public:
     [[nodiscard]] EvaluationCache::Stats cache_stats() const {
         return cache_.stats();
     }
-    void clear_cache() { cache_.clear(); }
 
     /// Probe for a completed cache entry (falling back to the attached
     /// result store) without computing, blocking or perturbing statistics.
@@ -241,9 +242,12 @@ public:
     /// explicitly before sampling store statistics mid-lifetime.
     void flush_result_store() { cache_.flush_to_store(); }
 
-    /// Cumulative per-stage telemetry across every scenario this engine
-    /// completed (streamed and batched).
-    [[nodiscard]] StageTelemetry stage_telemetry() const;
+    /// One snapshot of this engine: workers, cache counters, cumulative
+    /// per-stage telemetry across every scenario it completed (streamed
+    /// and batched) and admission counters since construction.  The batch
+    /// fields (scenarios, wall_s, scenarios_per_s) stay zero.  A
+    /// ShardServer answers the kStats RPC with it.
+    [[nodiscard]] BatchStats stats() const;
 
     /// Cumulative admission accounting (submitted/admitted/rejected/shed
     /// per priority class) since construction.

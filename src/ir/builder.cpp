@@ -87,7 +87,6 @@ Reg FunctionBuilder::neg(Reg a) { return emit_unop(Opcode::kNeg, a); }
 Reg FunctionBuilder::cmp_eq(Reg a, Reg b) { return emit_binop(Opcode::kCmpEq, a, b); }
 Reg FunctionBuilder::cmp_ne(Reg a, Reg b) { return emit_binop(Opcode::kCmpNe, a, b); }
 Reg FunctionBuilder::cmp_lt(Reg a, Reg b) { return emit_binop(Opcode::kCmpLt, a, b); }
-Reg FunctionBuilder::cmp_le(Reg a, Reg b) { return emit_binop(Opcode::kCmpLe, a, b); }
 Reg FunctionBuilder::cmp_gt(Reg a, Reg b) { return emit_binop(Opcode::kCmpGt, a, b); }
 Reg FunctionBuilder::cmp_ge(Reg a, Reg b) { return emit_binop(Opcode::kCmpGe, a, b); }
 Reg FunctionBuilder::smin(Reg a, Reg b) { return emit_binop(Opcode::kMin, a, b); }
@@ -96,10 +95,8 @@ Reg FunctionBuilder::sabs(Reg a) { return emit_unop(Opcode::kAbs, a); }
 Reg FunctionBuilder::popcnt(Reg a) { return emit_unop(Opcode::kPopcnt, a); }
 
 Reg FunctionBuilder::add_imm(Reg a, Word v) { return add(a, imm(v)); }
-Reg FunctionBuilder::sub_imm(Reg a, Word v) { return sub(a, imm(v)); }
 Reg FunctionBuilder::mul_imm(Reg a, Word v) { return mul(a, imm(v)); }
 Reg FunctionBuilder::and_imm(Reg a, Word v) { return band(a, imm(v)); }
-Reg FunctionBuilder::xor_imm(Reg a, Word v) { return bxor(a, imm(v)); }
 Reg FunctionBuilder::shl_imm(Reg a, Word v) { return shl(a, imm(v)); }
 Reg FunctionBuilder::shr_imm(Reg a, Word v) { return shr(a, imm(v)); }
 

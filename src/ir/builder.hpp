@@ -59,7 +59,6 @@ public:
     Reg cmp_eq(Reg a, Reg b);
     Reg cmp_ne(Reg a, Reg b);
     Reg cmp_lt(Reg a, Reg b);
-    Reg cmp_le(Reg a, Reg b);
     Reg cmp_gt(Reg a, Reg b);
     Reg cmp_ge(Reg a, Reg b);
     Reg smin(Reg a, Reg b);
@@ -69,10 +68,8 @@ public:
 
     // Immediate-operand conveniences (materialise the constant first).
     Reg add_imm(Reg a, Word v);
-    Reg sub_imm(Reg a, Word v);
     Reg mul_imm(Reg a, Word v);
     Reg and_imm(Reg a, Word v);
-    Reg xor_imm(Reg a, Word v);
     Reg shl_imm(Reg a, Word v);
     Reg shr_imm(Reg a, Word v);
 

@@ -74,12 +74,27 @@ core::ScenarioTicket RemoteShard::submit(
     auto sent_at = std::make_shared<Clock::time_point>(Clock::now());
     Handler handler = [this, state, encode_s, sent_at](
                           Envelope* reply, const std::string& failure) {
-        if (reply == nullptr) {
+        // A transport failure bumps the consecutive-failure gauge; any
+        // answer from the server proves the remote alive and resets it.
+        // The gauge moves before the ticket completes, so a caller that
+        // waited on the ticket reads the new count.
+        const auto transport_failure = [&](const std::string& cause) {
+            failures_.fetch_add(1, std::memory_order_relaxed);
             core::detail::complete_external_ticket(
                 *state, {},
                 std::make_exception_ptr(
-                    RemoteShardError(endpoint() + ": " + failure)),
+                    RemoteShardError(endpoint() + ": " + cause)),
                 /*cancelled=*/false);
+        };
+        const auto answered = [&](core::ToolchainReport report,
+                                  std::exception_ptr error, bool cancelled,
+                                  bool shed) {
+            failures_.store(0, std::memory_order_relaxed);
+            core::detail::complete_external_ticket(
+                *state, std::move(report), std::move(error), cancelled, shed);
+        };
+        if (reply == nullptr) {
+            transport_failure(failure);
             return;
         }
         const double rtt_s = seconds_since(*sent_at);
@@ -90,11 +105,8 @@ core::ScenarioTicket RemoteShard::submit(
                 try {
                     report = core::wire::decode_report(reply->payload);
                 } catch (const core::wire::WireError& e) {
-                    core::detail::complete_external_ticket(
-                        *state, {},
-                        std::make_exception_ptr(RemoteShardError(
-                            endpoint() + ": reply rejected: " + e.what())),
-                        /*cancelled=*/false);
+                    transport_failure(std::string("reply rejected: ") +
+                                      e.what());
                     return;
                 }
                 const double decode_s = seconds_since(decode_start);
@@ -107,43 +119,36 @@ core::ScenarioTicket RemoteShard::submit(
                     telemetry_.record("net/rtt", rtt_s);
                     telemetry_.record("net/decode", decode_s);
                 }
-                core::detail::complete_external_ticket(
-                    *state, std::move(report), nullptr, /*cancelled=*/false);
+                answered(std::move(report), nullptr, /*cancelled=*/false,
+                         /*shed=*/false);
                 return;
             }
             case MsgType::kReplyCancelled:
-                core::detail::complete_external_ticket(
-                    *state, {},
-                    std::make_exception_ptr(core::CancelledError(
-                        core::detail::ticket_request(*state).label)),
-                    /*cancelled=*/true);
+                answered({},
+                         std::make_exception_ptr(core::CancelledError(
+                             core::detail::ticket_request(*state).label)),
+                         /*cancelled=*/true, /*shed=*/false);
                 return;
             case MsgType::kReplyShed:
                 // Server-side admission refusal or budget shed: re-raise
                 // as the same retryable class the local engine throws,
                 // carrying the server's reason text.
-                core::detail::complete_external_ticket(
-                    *state, {},
-                    std::make_exception_ptr(core::ShedError(
-                        core::ShedError::Reason::kRemote,
-                        core::detail::ticket_request(*state).label,
-                        payload_text(reply->payload))),
-                    /*cancelled=*/false, /*shed=*/true);
+                answered({},
+                         std::make_exception_ptr(core::ShedError(
+                             core::ShedError::Reason::kRemote,
+                             core::detail::ticket_request(*state).label,
+                             payload_text(reply->payload))),
+                         /*cancelled=*/false, /*shed=*/true);
                 return;
             case MsgType::kReplyError:
-                core::detail::complete_external_ticket(
-                    *state, {},
-                    std::make_exception_ptr(std::runtime_error(
-                        "remote shard error: " +
-                        payload_text(reply->payload))),
-                    /*cancelled=*/false);
+                answered({},
+                         std::make_exception_ptr(std::runtime_error(
+                             "remote shard error: " +
+                             payload_text(reply->payload))),
+                         /*cancelled=*/false, /*shed=*/false);
                 return;
             default:
-                core::detail::complete_external_ticket(
-                    *state, {},
-                    std::make_exception_ptr(RemoteShardError(
-                        endpoint() + ": unexpected reply type")),
-                    /*cancelled=*/false);
+                transport_failure("unexpected reply type");
                 return;
         }
     };
@@ -313,8 +318,7 @@ std::shared_ptr<RemoteShard::Connection> RemoteShard::ensure_connected(
     int attempts_override) {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        if (stopped_)
-            throw RemoteShardError(endpoint() + ": client shut down");
+        if (stopped_) throw TransportError("client shut down");
         if (conn_ != nullptr) return conn_;
     }
     double backoff_s = options_.initial_backoff_s;
@@ -329,23 +333,21 @@ std::shared_ptr<RemoteShard::Connection> RemoteShard::ensure_connected(
                 std::chrono::duration<double>(backoff_s));
             backoff_s = std::min(backoff_s * 2.0, options_.max_backoff_s);
         }
+        auto conn = std::make_shared<Connection>();
         try {
-            auto socket =
-                Socket::connect_to(options_.host, options_.port);
-            auto conn = std::make_shared<Connection>();
-            conn->socket = std::move(socket);
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (stopped_)
-                throw RemoteShardError(endpoint() + ": client shut down");
-            conn_ = conn;
-            connections_.push_back(conn);
-            readers_.emplace_back([this, conn] { reader_loop(conn); });
-            return conn;
+            conn->socket = Socket::connect_to(options_.host, options_.port);
         } catch (const TransportError& e) {
             last_error = e.what();
+            continue;
         }
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (stopped_) throw TransportError("client shut down");
+        conn_ = conn;
+        connections_.push_back(conn);
+        readers_.emplace_back([this, conn] { reader_loop(conn); });
+        return conn;
     }
-    throw RemoteShardError(endpoint() + ": " + last_error);
+    throw TransportError(last_error);
 }
 
 void RemoteShard::reader_loop(const std::shared_ptr<Connection>& conn) {

@@ -14,9 +14,12 @@
 // (request serialisation), "net/rtt" (frame out to reply frame in) and
 // "net/decode" (report deserialisation) — into the returned report's
 // stage_laps and into `transport_telemetry()`, which a net::Router folds
-// into its service-wide StageTelemetry.
+// into its service-wide StageTelemetry.  The client also keeps the
+// remote's consecutive-failure gauge (`consecutive_failures()`), since
+// its reply handler is the one place that sees how each submit ended.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -80,8 +83,8 @@ public:
     [[nodiscard]] std::optional<core::EvaluationResult> fetch(
         const core::EvaluationKey& key);
 
-    /// Snapshot of the remote engine's cache/telemetry counters (kStats
-    /// RPC); nullopt when the shard is unreachable.
+    /// The remote engine's `stats()` snapshot (kStats RPC); nullopt when
+    /// the shard is unreachable.
     [[nodiscard]] std::optional<core::BatchStats> stats();
 
     /// Cheap liveness probe: true when a connection is up, or when one
@@ -94,6 +97,14 @@ public:
     /// Client-side per-hop laps (net/encode, net/rtt, net/decode) across
     /// every completed round trip.
     [[nodiscard]] core::StageTelemetry transport_telemetry() const;
+
+    /// Submits in a row that failed with RemoteShardError.  Any other
+    /// completion — a report, a cancel, a shed, even an error reply —
+    /// proves the remote alive and resets it; a request refused before
+    /// sending (no program or platform) leaves it alone.
+    [[nodiscard]] std::uint64_t consecutive_failures() const {
+        return failures_.load(std::memory_order_relaxed);
+    }
 
     [[nodiscard]] std::string endpoint() const {
         return options_.host + ":" + std::to_string(options_.port);
@@ -123,9 +134,10 @@ private:
                   const std::shared_ptr<Clock::time_point>& sent_at);
 
     /// Requires send_mutex_.  Returns the live connection, establishing
-    /// one (attempts × backoff) if necessary; throws RemoteShardError when
-    /// the endpoint stays unreachable.  `attempts_override` > 0 caps the
-    /// connect attempts for this call (healthy() probes with 1).
+    /// one (attempts × backoff) if necessary; throws TransportError with
+    /// the plain cause when the endpoint stays unreachable (the submit
+    /// handler names the endpoint once).  `attempts_override` > 0 caps
+    /// the connect attempts for this call (healthy() probes with 1).
     [[nodiscard]] std::shared_ptr<Connection> ensure_connected(
         int attempts_override = 0);
 
@@ -138,6 +150,7 @@ private:
 
     Options options_;
     std::atomic<std::uint64_t> next_id_{1};
+    std::atomic<std::uint64_t> failures_{0};
     /// Coarse: serialises connect/reconnect/frame-send sequences so the
     /// connection generation cannot change under a sender.  Never held
     /// while a handler (and thus user code) runs.

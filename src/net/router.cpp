@@ -1,6 +1,5 @@
 #include "net/router.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -48,6 +47,20 @@ RemoteShard::Options parse_endpoint(const std::string& endpoint) {
     return options;
 }
 
+/// Fold each remote's consecutive-failure gauge into `admission`, in
+/// endpoint order.  merge() sums element-wise, so remote-side entries
+/// (normally empty: a served engine has no remotes) would stack under
+/// these.
+void fold_failure_gauges(
+    const std::vector<std::unique_ptr<RemoteShard>>& remotes,
+    core::AdmissionStats& admission) {
+    core::AdmissionStats gauges;
+    gauges.remote_failures.reserve(remotes.size());
+    for (const auto& remote : remotes)
+        gauges.remote_failures.push_back(remote->consecutive_failures());
+    admission.merge(gauges);
+}
+
 }  // namespace
 
 core::EvaluationCache::RemoteFetch fetch_from(
@@ -71,15 +84,11 @@ core::EvaluationCache::RemoteFetch fetch_from(
 Router::Router(const std::vector<std::string>& endpoints) {
     if (endpoints.empty())
         throw std::invalid_argument("a router needs at least one endpoint");
-    failures_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-        endpoints.size());  // value-initialised: all zero
     remotes_.reserve(endpoints.size());
     for (const auto& endpoint : endpoints)
         remotes_.push_back(
             std::make_unique<RemoteShard>(parse_endpoint(endpoint)));
 }
-
-Router::~Router() = default;
 
 std::size_t Router::shard_of(const core::ScenarioRequest& request) const {
     // Nothing to route with one remote: skip the transient parse and the
@@ -111,28 +120,8 @@ std::size_t Router::shard_of(const core::ScenarioRequest& request) const {
 core::ScenarioTicket Router::submit(core::ScenarioRequest request,
                                     Completion on_complete) {
     const std::size_t remote = shard_of(request);
-    // Health bookkeeping rides the completion: a transport failure
-    // (RemoteShardError) bumps the remote's consecutive-failure gauge;
-    // any completed exchange — a report, a server-side shed, a cancel,
-    // even a server error reply — proves the remote alive and resets it.
-    // A request refused before it was sent (std::invalid_argument) says
-    // nothing about the remote.
-    std::atomic<std::uint64_t>* failures = &failures_[remote];
-    return remotes_[remote]->submit(
-        std::move(request),
-        [failures, on_complete = std::move(on_complete)](
-            const core::ScenarioOutcome& outcome) {
-            try {
-                if (outcome.error) std::rethrow_exception(outcome.error);
-                failures->store(0, std::memory_order_relaxed);
-            } catch (const RemoteShardError&) {
-                failures->fetch_add(1, std::memory_order_relaxed);
-            } catch (const std::invalid_argument&) {
-            } catch (...) {
-                failures->store(0, std::memory_order_relaxed);
-            }
-            if (on_complete) on_complete(outcome);
-        });
+    return remotes_[remote]->submit(std::move(request),
+                                    std::move(on_complete));
 }
 
 core::ToolchainReport Router::run(const core::ScenarioRequest& request) {
@@ -165,7 +154,6 @@ std::vector<core::ToolchainReport> Router::run_all(
 
     if (stats != nullptr) {
         stats->scenarios = requests.size();
-        stats->workers = concurrency();
         stats->wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -173,29 +161,22 @@ std::vector<core::ToolchainReport> Router::run_all(
             stats->wall_s > 0.0
                 ? static_cast<double>(requests.size()) / stats->wall_s
                 : 0.0;
-        // Each remote contributes the delta of two stats RPCs; a remote
-        // that was unreachable at either edge contributes nothing rather
-        // than a bogus delta.
+        // Each remote contributes its workers and the delta of two stats
+        // RPCs; a remote that was unreachable at either edge contributes
+        // nothing rather than a bogus delta.
+        stats->workers = 0;
         stats->cache = {};
         stats->admission = {};
         for (std::size_t i = 0; i < remotes_.size(); ++i) {
             if (!before[i].has_value()) continue;
             const auto after = remotes_[i]->stats();
-            if (after.has_value()) {
-                stats->cache.merge(after->cache.since(before[i]->cache));
-                stats->admission.merge(
-                    after->admission.since(before[i]->admission));
-            }
+            if (!after.has_value()) continue;
+            stats->workers += after->workers;
+            stats->cache.merge(after->cache.since(before[i]->cache));
+            stats->admission.merge(
+                after->admission.since(before[i]->admission));
         }
-        // The per-remote consecutive-failure gauges ride along so a batch
-        // caller sees transport health without a second accessor.
-        stats->admission.remote_failures.resize(
-            std::max(stats->admission.remote_failures.size(),
-                     remotes_.size()),
-            0);
-        for (std::size_t i = 0; i < remotes_.size(); ++i)
-            stats->admission.remote_failures[i] +=
-                failures_[i].load(std::memory_order_relaxed);
+        fold_failure_gauges(remotes_, stats->admission);
         // Remote reports carry their server-side stage laps plus the
         // client-side net/* hop laps, so one fold covers both sides.
         for (const auto& report : reports)
@@ -205,49 +186,19 @@ std::vector<core::ToolchainReport> Router::run_all(
     return reports;
 }
 
-core::AdmissionStats Router::admission_stats() const {
-    core::AdmissionStats folded;
-    for (const auto& remote : remotes_)
-        if (const auto stats = remote->stats())
-            folded.merge(stats->admission);
-    // This router's transport-health gauges, in endpoint order.  The merge
-    // above sums element-wise, so remote-side entries (normally empty — a
-    // server engine has no remotes) would stack under ours; acceptable
-    // for a gauge vector documented as "this router's view".
-    core::AdmissionStats gauges;
-    gauges.remote_failures.reserve(remotes_.size());
-    for (std::size_t i = 0; i < remotes_.size(); ++i)
-        gauges.remote_failures.push_back(
-            failures_[i].load(std::memory_order_relaxed));
-    folded.merge(gauges);
-    return folded;
-}
-
-core::EvaluationCache::Stats Router::cache_stats() const {
-    core::EvaluationCache::Stats folded;
-    for (const auto& remote : remotes_)
-        if (const auto stats = remote->stats()) folded.merge(stats->cache);
-    return folded;
-}
-
-core::StageTelemetry Router::stage_telemetry() const {
-    core::StageTelemetry folded;
+core::BatchStats Router::stats() const {
+    core::BatchStats folded;
     for (const auto& remote : remotes_) {
-        // Server-side pipeline stages and client-side transport hops are
-        // disjoint lap sets (net/* laps are only ever recorded on this
-        // side), so folding both never double-counts.
-        if (const auto stats = remote->stats())
-            folded.merge(stats->stage_telemetry);
-        folded.merge(remote->transport_telemetry());
+        if (const auto snapshot = remote->stats()) {
+            folded.workers += snapshot->workers;
+            folded.cache.merge(snapshot->cache);
+            folded.stage_telemetry.merge(snapshot->stage_telemetry);
+            folded.admission.merge(snapshot->admission);
+        }
+        folded.stage_telemetry.merge(remote->transport_telemetry());
     }
+    fold_failure_gauges(remotes_, folded.admission);
     return folded;
-}
-
-std::size_t Router::concurrency() const {
-    std::size_t total = 0;
-    for (const auto& remote : remotes_)
-        if (const auto stats = remote->stats()) total += stats->workers;
-    return total;
 }
 
 }  // namespace teamplay::net

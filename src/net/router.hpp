@@ -17,18 +17,16 @@
 // processes and restarts.
 //
 // The router keeps the engine's method names — `submit` (the in-flight RPC
-// of the remote it routes to), `run`, `run_all` and the stats accessors,
-// here commutative folds over the remotes' stats RPCs — so a caller can
-// drive either type through one generic body.
+// of the remote it routes to), `run`, `run_all` and `stats`, here one
+// commutative fold over the remotes' stats RPCs — so a caller can drive
+// either type through one generic body.
 //
 // Determinism: every cache key folds in every byte that can influence
 // engine output, so whichever remote computes a key, the observable report
 // bytes are identical to a local engine's on the same batch.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -57,17 +55,17 @@ public:
     /// connections are lazy, so an unreachable endpoint surfaces
     /// per-ticket, not here.
     explicit Router(const std::vector<std::string>& endpoints);
-    ~Router();
 
     Router(const Router&) = delete;
     Router& operator=(const Router&) = delete;
 
     /// Route one scenario and send it.  Same contract as
-    /// ScenarioEngine::submit: the request is forwarded untouched (a
-    /// CSL-only request is parsed transiently for routing, then parsed for
-    /// real inside the remote engine's parse stage, so stage telemetry and
-    /// the error surface match a local engine; malformed CSL and a missing
-    /// program surface through the ticket).
+    /// ScenarioEngine::submit: the request and the completion are
+    /// forwarded untouched to the routed remote (a CSL-only request is
+    /// parsed transiently for routing, then parsed for real inside the
+    /// remote engine's parse stage, so stage telemetry and the error
+    /// surface match a local engine; malformed CSL and a missing program
+    /// surface through the ticket).
     [[nodiscard]] core::ScenarioTicket submit(core::ScenarioRequest request,
                                               Completion on_complete = {});
 
@@ -76,9 +74,12 @@ public:
         const core::ScenarioRequest& request);
 
     /// Execute a batch.  Reports come back in request order; the first
-    /// scenario error is rethrown after the batch drains.  `stats` cache
-    /// and admission counters are the fold of per-remote deltas, and
-    /// telemetry the fold of per-report laps.
+    /// scenario error is rethrown after the batch drains.  `stats` workers
+    /// and cache and admission counters fold the remotes' snapshots taken
+    /// before and after the batch (deltas for the counters; a remote
+    /// unreachable at either edge adds nothing), telemetry folds the
+    /// per-report laps, and `admission.remote_failures` carries the
+    /// per-remote failure gauges.
     [[nodiscard]] std::vector<core::ToolchainReport> run_all(
         std::span<const core::ScenarioRequest> requests,
         core::BatchStats* stats = nullptr);
@@ -92,31 +93,15 @@ public:
     [[nodiscard]] std::size_t shard_of(
         const core::ScenarioRequest& request) const;
 
-    /// The fold of the remotes' admission counters via the stats RPC (an
-    /// unreachable remote contributes nothing); `remote_failures[i]`
-    /// carries this router's consecutive-transport-failure gauge for
-    /// remote i, in endpoint order.
-    [[nodiscard]] core::AdmissionStats admission_stats() const;
-
-    /// The fold of the remotes' cache counters via the stats RPC; an
-    /// unreachable remote contributes nothing.
-    [[nodiscard]] core::EvaluationCache::Stats cache_stats() const;
-
-    /// The fold of the server-side stage laps (stats RPC) *and* the
-    /// client-side transport laps (net/encode, net/rtt, net/decode) — the
-    /// transport laps exist only on this side, so nothing double-counts.
-    [[nodiscard]] core::StageTelemetry stage_telemetry() const;
-
-    /// Every reachable remote's advertised worker count, summed.
-    [[nodiscard]] std::size_t concurrency() const;
+    /// One stats RPC per remote, folded: workers, cache and admission
+    /// counters and server-side stage laps sum over the reachable remotes
+    /// (an unreachable one adds nothing); the client-side net/* laps are
+    /// folded in (only this side records them, so nothing double-counts),
+    /// and `admission.remote_failures[i]` is remote i's consecutive-
+    /// failure gauge, in endpoint order.
+    [[nodiscard]] core::BatchStats stats() const;
 
 private:
-    /// Consecutive transport failures per remote (reset by any completed
-    /// exchange, including server-side sheds and error replies — those
-    /// prove the remote alive).  Declared *before* `remotes_` so it
-    /// outlives the remotes' reader threads, whose completion callbacks
-    /// update it during teardown.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> failures_;
     std::vector<std::unique_ptr<RemoteShard>> remotes_;
 };
 

@@ -235,16 +235,10 @@ void ShardServer::handle_frame(const std::shared_ptr<Connection>& connection,
             }
             return;
         }
-        case MsgType::kStats: {
-            core::BatchStats stats;
-            stats.workers = engine_.concurrency();
-            stats.cache = engine_.cache_stats();
-            stats.stage_telemetry = engine_.stage_telemetry();
-            stats.admission = engine_.admission_stats();
-            connection->reply(
-                {id, MsgType::kReplyStats, core::wire::encode(stats)});
+        case MsgType::kStats:
+            connection->reply({id, MsgType::kReplyStats,
+                               core::wire::encode(engine_.stats())});
             return;
-        }
         default:
             // A reply type arriving at the server: protocol confusion,
             // answered in kind so the peer can diagnose it.

@@ -7,17 +7,6 @@
 #include "ir/lowering.hpp"
 #include "sim/trace.hpp"
 
-// Threaded dispatch for the trace executor: computed goto on toolchains
-// that support the labels-as-values extension (GCC, Clang), a dense switch
-// inside a loop otherwise.  Both forms share the same handler bodies: every
-// handler updates `pc` explicitly and ends in TP_DISPATCH().
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(TEAMPLAY_FORCE_SWITCH_DISPATCH)
-#define TEAMPLAY_COMPUTED_GOTO 1
-#else
-#define TEAMPLAY_COMPUTED_GOTO 0
-#endif
-
 namespace teamplay::sim {
 
 namespace {
@@ -489,8 +478,9 @@ void Machine::exec_trace(const CompiledTrace& trace,
     } while (0)
 #define TP_REG(index) frame[(index)]
 
-#if TEAMPLAY_COMPUTED_GOTO
-    // One label per TOp, in enum order.
+    // Threaded dispatch: computed goto (the labels-as-values extension of
+    // GCC and Clang), one label per TOp in enum order.  Every handler
+    // updates `pc` explicitly and ends in TP_DISPATCH().
     static const void* const kDispatch[kNumTOps] = {
         &&L_kNop,    &&L_kMovImm, &&L_kMov,    &&L_kNot,    &&L_kNeg,
         &&L_kAbs,    &&L_kPopcnt, &&L_kLoad,   &&L_kStore,  &&L_kSelect,
@@ -500,21 +490,11 @@ void Machine::exec_trace(const CompiledTrace& trace,
         &&L_kCmpGe,  &&L_kMin,    &&L_kMax,    &&L_kBranch, &&L_kJump,
         &&L_kLoopEnter, &&L_kLoopIter, &&L_kLoopBack, &&L_kCall, &&L_kRet,
     };
-#define TP_BEGIN() TP_DISPATCH();
 #define TP_CASE(name) L_##name:
 #define TP_DISPATCH() \
     goto* kDispatch[static_cast<std::size_t>(code[pc].op)]
-#define TP_END()
-#else
-#define TP_BEGIN() \
-    tp_dispatch:   \
-    switch (code[pc].op) {
-#define TP_CASE(name) case TOp::name:
-#define TP_DISPATCH() goto tp_dispatch
-#define TP_END() }
-#endif
 
-// Unary/binary compute-op bodies shared by both dispatch forms.
+// Unary/binary compute-op bodies.
 #define TP_UNARY(name, expr)                            \
     TP_CASE(name) {                                     \
         const TraceInstr& in = code[pc];                \
@@ -541,7 +521,7 @@ void Machine::exec_trace(const CompiledTrace& trace,
     }
 
     using U = std::uint64_t;
-    TP_BEGIN()
+    TP_DISPATCH();
 
     TP_CASE(kNop) {
         TP_CHARGE(code[pc], 0, false);
@@ -694,17 +674,14 @@ void Machine::exec_trace(const CompiledTrace& trace,
         TP_DISPATCH();
     }
 
-    TP_END()
 tp_done:
     result.cycles = cycles_acc;  // 0 in lockstep: the lanes hold cycles
     result.dynamic_energy_j = energy_acc;
     result.instrs_executed = instrs;
     result.class_counts = counts;
 
-#undef TP_BEGIN
 #undef TP_CASE
 #undef TP_DISPATCH
-#undef TP_END
 #undef TP_UNARY
 #undef TP_BINOP
 #undef TP_STOCH

@@ -56,9 +56,6 @@ struct RunResult {
     [[nodiscard]] double energy_j() const {
         return dynamic_energy_j + static_energy_j;
     }
-    [[nodiscard]] double average_power_w() const {
-        return time_s > 0.0 ? energy_j() / time_s : 0.0;
-    }
 };
 
 /// Interpreter + trace executor for one program on one core at one DVFS

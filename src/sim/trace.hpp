@@ -16,7 +16,7 @@
 //     Call jumps into the callee's segment of the same stream.
 //
 // The stream is executed by Machine's threaded-dispatch loop (computed
-// goto under GCC/Clang, dense switch otherwise) — see machine.cpp.
+// goto, a GCC/Clang extension) — see machine.cpp.
 //
 // Identity guarantee: a compiled trace charges *exactly* the sequence of
 // (instruction class, data value) and overhead events the interpreter

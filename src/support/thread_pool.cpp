@@ -34,11 +34,6 @@ ThreadPool::~ThreadPool() {
     for (auto& thread : threads_) thread.join();
 }
 
-std::size_t ThreadPool::default_workers() {
-    const std::size_t hw = std::thread::hardware_concurrency();
-    return hw > 1 ? hw - 1 : 0;
-}
-
 bool ThreadPool::QueuedTask::before(const QueuedTask& other) const {
     // Deadline-bearing tasks drain first (EDF), deadline-less ones keep
     // submission order after them; `seq` breaks every remaining tie, so

@@ -104,9 +104,6 @@ public:
     /// helper's check or lands while the helper sleeps — never in between.
     void wake_helpers();
 
-    /// Sensible default worker count for batch jobs on this host.
-    [[nodiscard]] static std::size_t default_workers();
-
 private:
     /// One queued task with its lane-ordering key.  Lanes are binary
     /// min-heaps over `before` (std::push_heap/pop_heap), so EDF popping

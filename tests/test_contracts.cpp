@@ -114,9 +114,12 @@ void collect_nodes(ProofNode& node, std::vector<ProofNode*>& out) {
 TEST_P(ProofTamper, AnySingleNodeCorruptionDetected) {
     const auto app = usecases::make_camera_pill_app();
     const auto& core = app.platform.cores[0];
-    auto proof = contracts::build_energy_proof_joules(app.program,
-                                                      "pill_compress", core,
-                                                      1);
+    auto proof = contracts::build_energy_proof_joules(
+        app.program, "pill_compress", core, 1,
+        contracts::scale_to_seconds(
+            contracts::build_time_proof_cycles(app.program, "pill_compress",
+                                               core.model),
+            core.opp(1).freq_hz));
     ASSERT_TRUE(contracts::verify_proof(proof));
 
     std::vector<ProofNode*> nodes;
@@ -259,7 +262,7 @@ TEST(Contracts, TimeProofRejectsComplexCore) {
                      app.program, "pill_delta", tk1.cores[0].model),
                  std::invalid_argument);
     EXPECT_THROW((void)contracts::build_energy_proof_joules(
-                     app.program, "pill_delta", tk1.cores[0], 0),
+                     app.program, "pill_delta", tk1.cores[0], 0, {}),
                  std::invalid_argument);
 }
 
@@ -269,7 +272,7 @@ TEST(Contracts, ProofForUnknownFunctionThrows) {
                      app.program, "ghost", app.platform.cores[0].model),
                  std::invalid_argument);
     EXPECT_THROW((void)contracts::build_energy_proof_joules(
-                     app.program, "ghost", app.platform.cores[0], 0),
+                     app.program, "ghost", app.platform.cores[0], 0, {}),
                  std::invalid_argument);
 }
 

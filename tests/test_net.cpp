@@ -6,17 +6,22 @@
 // cancels propagate across the wire, a warm
 // fabric peer serves a cold engine's misses with zero recomputes, and
 // resealed mutants of a kReplyStats envelope round-trip or raise WireError.
-// The router (net/router.hpp): fingerprint routing is stable, pinned and
-// colocates scenarios that share their primary kernel.
+// A client's failure gauge counts transport failures in a row and resets
+// on any answer.  The router (net/router.hpp): one stats RPC per remote
+// per snapshot, and fingerprint routing is stable, pinned and colocates
+// scenarios that share their primary kernel.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -253,7 +258,15 @@ TEST(Net, UnreachableEndpointFailsTicketAfterBackoff) {
     options.max_backoff_s = 0.002;
     net::RemoteShard remote(options);
     auto ticket = remote.submit(light_request());
-    EXPECT_THROW((void)ticket.get(), core::CancelledError);
+    try {
+        (void)ticket.get();
+        FAIL() << "an unreachable remote must fail the ticket";
+    } catch (const core::CancelledError& e) {
+        // The endpoint is named once, before the transport's own text.
+        EXPECT_STREQ(e.what(),
+                     "remote shard unavailable: 127.0.0.1:1: cannot "
+                     "connect to 127.0.0.1:1");
+    }
     EXPECT_FALSE(remote.fetch(core::EvaluationKey{}).has_value());
     EXPECT_FALSE(remote.stats().has_value());
 }
@@ -484,9 +497,107 @@ TEST(Net, ConsecutiveRemoteFailureGaugeCountsTransportLoss) {
     auto second = router.submit(light_request("pill#gauge_b"));
     EXPECT_THROW((void)second.get(), core::CancelledError);
 
-    const auto admission = router.admission_stats();
+    const auto admission = router.stats().admission;
     ASSERT_GE(admission.remote_failures.size(), 1U);
     EXPECT_GE(admission.remote_failures[0], 2U);  // consecutive, summed up
+}
+
+TEST(Net, FailureGaugeCountsTransportFailuresAndResetsOnAnswer) {
+    // A port where nothing listens now and a server can bind later.
+    std::uint16_t port = 0;
+    {
+        const net::Listener probe(0);
+        port = probe.port();
+    }
+    auto options = client_options(port);
+    options.connect_attempts = 2;
+    options.initial_backoff_s = 0.001;
+    options.max_backoff_s = 0.002;
+    net::RemoteShard remote(options);
+    for (const char* label : {"pill#down_a", "pill#down_b"})
+        EXPECT_THROW((void)remote.submit(light_request(label)).get(),
+                     net::RemoteShardError);
+    EXPECT_EQ(remote.consecutive_failures(), 2U);
+
+    // Refused before sending: says nothing about the remote.
+    auto no_program = light_request("pill#no_program");
+    no_program.program = nullptr;
+    EXPECT_THROW((void)remote.submit(no_program).get(),
+                 std::invalid_argument);
+    EXPECT_EQ(remote.consecutive_failures(), 2U);
+
+    const auto server = make_server(port);
+    (void)remote.submit(light_request("pill#up")).get();
+    EXPECT_EQ(remote.consecutive_failures(), 0U);
+}
+
+/// A stand-in shard server: answers each kStats envelope with a snapshot
+/// that advertises `workers`, and counts the envelopes.
+class StatsStub {
+public:
+    explicit StatsStub(std::size_t workers)
+        : workers_(workers), listener_(0), thread_([this] { serve(); }) {}
+    StatsStub(const StatsStub&) = delete;
+    StatsStub& operator=(const StatsStub&) = delete;
+    ~StatsStub() {
+        listener_.stop();
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            if (connection_ != nullptr) connection_->shutdown_both();
+        }
+        thread_.join();
+    }
+
+    [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+    [[nodiscard]] std::size_t stats_requests() const { return requests_; }
+
+private:
+    void serve() {
+        // One connection at a time: a RemoteShard keeps one open.
+        while (auto socket = listener_.accept_one()) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex_);
+                connection_ = &*socket;
+            }
+            try {
+                while (const auto frame = net::recv_frame(*socket)) {
+                    const auto request = net::decode_envelope(*frame);
+                    if (request.type != net::MsgType::kStats) continue;
+                    ++requests_;
+                    core::BatchStats stats;
+                    stats.workers = workers_;
+                    net::send_frame(
+                        *socket,
+                        net::encode_envelope({request.id,
+                                              net::MsgType::kReplyStats,
+                                              core::wire::encode(stats)}));
+                }
+            } catch (const net::TransportError&) {
+            }
+            const std::lock_guard<std::mutex> lock(mutex_);
+            connection_ = nullptr;
+        }
+    }
+
+    std::size_t workers_;
+    std::atomic<std::size_t> requests_{0};
+    std::mutex mutex_;
+    net::Socket* connection_ = nullptr;
+    net::Listener listener_;
+    std::thread thread_;
+};
+
+TEST(Net, RouterStatsSendsOneStatsRpcPerRemoteAndFoldsThem) {
+    StatsStub stub_a(3);
+    StatsStub stub_b(5);
+    const net::Router router({"127.0.0.1:" + std::to_string(stub_a.port()),
+                              "127.0.0.1:" + std::to_string(stub_b.port())});
+    const auto stats = router.stats();
+    EXPECT_EQ(stub_a.stats_requests(), 1U);
+    EXPECT_EQ(stub_b.stats_requests(), 1U);
+    EXPECT_EQ(stats.workers, 8U);
+    EXPECT_EQ(stats.admission.remote_failures,
+              (std::vector<std::uint64_t>{0, 0}));
 }
 
 TEST(Net, MalformedEndpointsAreRejected) {

@@ -379,7 +379,7 @@ TEST_P(AnalyserProofAgreement, AverageNeverExceedsWorstCase) {
             contracts::scale_to_seconds(cycles, core.opp(opp).freq_hz);
         EXPECT_TRUE(contracts::verify_proof(time));
         const auto joules =
-            contracts::build_energy_proof_joules(program, "f", core, opp);
+            contracts::build_energy_proof_joules(program, "f", core, opp, time);
         EXPECT_TRUE(contracts::verify_proof(joules));
         EXPECT_NEAR(joules.value, energy.wcec_j, 1e-9 * energy.wcec_j);
 

@@ -128,20 +128,6 @@ TEST(EvaluationCache, ThrowingComputePropagatesAndRetries) {
     EXPECT_DOUBLE_EQ(result->leakage, 1.0);
 }
 
-TEST(EvaluationCache, ClearDropsEntries) {
-    core::EvaluationCache cache;
-    const std::uint64_t marker = 1;
-    int computes = 0;
-    const auto compute = [&computes] {
-        ++computes;
-        return core::EvaluationResult{};
-    };
-    (void)cache.lookup(taint_key(marker, "f"), compute);
-    cache.clear();
-    (void)cache.lookup(taint_key(marker, "f"), compute);
-    EXPECT_EQ(computes, 2);
-}
-
 // -- requests through the engine ----------------------------------------------
 
 core::WorkflowOptions fast_options() {

@@ -443,24 +443,6 @@ TEST(BoundedCache, InFlightSlotIsNeverEvicted) {
     EXPECT_DOUBLE_EQ(stats.resident_cost, 1.0);
 }
 
-TEST(BoundedCache, ClearResetsCountersAndKeepsNothing) {
-    core::EvaluationCache cache({.max_entries = 2});
-    int computes = 0;
-    (void)cache.lookup(scalar_key(1), scalar_compute(computes, 1.0));
-    (void)cache.lookup(scalar_key(1), scalar_compute(computes, 1.0));
-    (void)cache.lookup(scalar_key(2), scalar_compute(computes, 2.0));
-    (void)cache.lookup(scalar_key(3), scalar_compute(computes, 3.0));
-    cache.clear();
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 0u);
-    EXPECT_EQ(stats.evictions, 0u);
-    EXPECT_EQ(stats.entries, 0u);
-    EXPECT_DOUBLE_EQ(stats.resident_cost, 0.0);
-    (void)cache.lookup(scalar_key(1), scalar_compute(computes, 1.0));
-    EXPECT_EQ(computes, 4);  // recomputed after clear
-}
-
 // -- per-stage telemetry -------------------------------------------------------
 
 TEST(StageTelemetry, MergeIsOrderIndependentAndAggregates) {
@@ -513,7 +495,7 @@ TEST(StageTelemetry, ReportsAndBatchStatsCarryLaps) {
         EXPECT_LE(per_stage.max_s, per_stage.total_s + 1e-12) << stage;
     }
     // The engine's cumulative view saw the same laps.
-    const auto cumulative = engine.stage_telemetry();
+    const auto cumulative = engine.stats().stage_telemetry;
     ASSERT_EQ(cumulative.stages().size(), 5u);
     EXPECT_EQ(cumulative.stages().at("certify").count, requests.size());
     EXPECT_FALSE(stats.to_string().empty());

@@ -337,7 +337,11 @@ TEST(Contracts, EnergyProofMatchesAnalyser) {
     const auto app = usecases::make_camera_pill_app();
     const auto& core = app.platform.cores[0];
     const auto proof = contracts::build_energy_proof_joules(
-        app.program, "pill_delta", core, 1);
+        app.program, "pill_delta", core, 1,
+        contracts::scale_to_seconds(
+            contracts::build_time_proof_cycles(app.program, "pill_delta",
+                                               core.model),
+            core.opp(1).freq_hz));
     EXPECT_TRUE(contracts::verify_proof(proof));
 
     const energy::Analyser analyser(app.program);
