@@ -1,6 +1,8 @@
 #include "net/remote_shard.hpp"
 
+#include <algorithm>
 #include <future>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -27,19 +29,13 @@ RemoteShard::~RemoteShard() {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         stopped_ = true;
-        connections = connections_;
+        connections.swap(connections_);
     }
     for (const auto& connection : connections)
         connection->socket.shutdown_both();
-    std::vector<std::thread> readers;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        readers.swap(readers_);
-    }
     // Each reader fails the pendings of its connection on the way out, so
     // every outstanding ticket completes before destruction finishes.
-    for (auto& reader : readers)
-        if (reader.joinable()) reader.join();
+    for (const auto& connection : connections) connection->reader.join();
 }
 
 core::ScenarioTicket RemoteShard::submit(
@@ -153,69 +149,47 @@ core::ScenarioTicket RemoteShard::submit(
         }
     };
 
-    transact(id, frame, std::move(handler), sent_at);
+    transact(id, frame, std::move(handler), sent_at.get());
     return core::detail::wrap_external_ticket(state);
+}
+
+std::optional<Envelope> RemoteShard::round_trip(MsgType type,
+                                                core::wire::Buffer payload) {
+    const std::uint64_t id =
+        next_id_.fetch_add(1, std::memory_order_relaxed);
+    auto reply = std::make_shared<std::promise<std::optional<Envelope>>>();
+    auto future = reply->get_future();
+    transact(id, encode_envelope({id, type, std::move(payload)}),
+             [reply](Envelope* envelope, const std::string&) {
+                 reply->set_value(envelope == nullptr
+                                      ? std::nullopt
+                                      : std::optional(std::move(*envelope)));
+             },
+             nullptr);
+    return future.get();
 }
 
 std::optional<core::EvaluationResult> RemoteShard::fetch(
     const core::EvaluationKey& key) {
-    const std::uint64_t id =
-        next_id_.fetch_add(1, std::memory_order_relaxed);
-    Envelope envelope;
-    envelope.id = id;
-    envelope.type = MsgType::kFetch;
-    envelope.payload = core::wire::encode(key);
-    const auto frame = encode_envelope(envelope);
-
-    auto promise = std::make_shared<
-        std::promise<std::optional<core::EvaluationResult>>>();
-    auto future = promise->get_future();
-    transact(
-        id, frame,
-        [promise](Envelope* reply, const std::string&) {
-            if (reply == nullptr ||
-                reply->type != MsgType::kReplyResult) {
-                promise->set_value(std::nullopt);
-                return;
-            }
-            try {
-                promise->set_value(
-                    core::wire::decode_result(reply->payload));
-            } catch (const core::wire::WireError&) {
-                promise->set_value(std::nullopt);
-            }
-        },
-        nullptr);
-    return future.get();
+    const auto reply = round_trip(MsgType::kFetch, core::wire::encode(key));
+    if (!reply.has_value() || reply->type != MsgType::kReplyResult)
+        return std::nullopt;
+    try {
+        return core::wire::decode_result(reply->payload);
+    } catch (const core::wire::WireError&) {
+        return std::nullopt;
+    }
 }
 
 std::optional<core::BatchStats> RemoteShard::stats() {
-    const std::uint64_t id =
-        next_id_.fetch_add(1, std::memory_order_relaxed);
-    Envelope envelope;
-    envelope.id = id;
-    envelope.type = MsgType::kStats;
-    const auto frame = encode_envelope(envelope);
-
-    auto promise =
-        std::make_shared<std::promise<std::optional<core::BatchStats>>>();
-    auto future = promise->get_future();
-    transact(
-        id, frame,
-        [promise](Envelope* reply, const std::string&) {
-            if (reply == nullptr || reply->type != MsgType::kReplyStats) {
-                promise->set_value(std::nullopt);
-                return;
-            }
-            try {
-                promise->set_value(
-                    core::wire::decode_batch_stats(reply->payload));
-            } catch (const core::wire::WireError&) {
-                promise->set_value(std::nullopt);
-            }
-        },
-        nullptr);
-    return future.get();
+    const auto reply = round_trip(MsgType::kStats, {});
+    if (!reply.has_value() || reply->type != MsgType::kReplyStats)
+        return std::nullopt;
+    try {
+        return core::wire::decode_batch_stats(reply->payload);
+    } catch (const core::wire::WireError&) {
+        return std::nullopt;
+    }
 }
 
 core::StageTelemetry RemoteShard::transport_telemetry() const {
@@ -226,7 +200,7 @@ core::StageTelemetry RemoteShard::transport_telemetry() const {
 bool RemoteShard::healthy() {
     const std::lock_guard<std::mutex> send_lock(send_mutex_);
     try {
-        return ensure_connected(/*attempts_override=*/1) != nullptr;
+        return connection() != nullptr;
     } catch (const std::exception&) {
         return false;
     }
@@ -234,120 +208,66 @@ bool RemoteShard::healthy() {
 
 void RemoteShard::transact(std::uint64_t id,
                            const core::wire::Buffer& frame, Handler handler,
-                           const std::shared_ptr<Clock::time_point>& sent_at) {
+                           Clock::time_point* sent_at) {
     std::string failure;
-    bool fail = false;
     {
         const std::lock_guard<std::mutex> send_lock(send_mutex_);
-        std::shared_ptr<Connection> conn;
         try {
-            conn = ensure_connected();
-        } catch (const std::exception& e) {
-            failure = e.what();
-            fail = true;
-        }
-        if (!fail) {
+            const auto conn = connection();
             {
+                // Registered only on the live connection: once a reader
+                // has retired its connection and failed that connection's
+                // pendings, nothing can join them unanswered.
                 const std::lock_guard<std::mutex> lock(mutex_);
+                if (conn_ != conn)
+                    throw TransportError(
+                        "connection lost before the request was sent");
                 pending_.emplace(id, Pending{conn, handler});
             }
-            bool sent = false;
+            if (sent_at != nullptr) *sent_at = Clock::now();
             try {
-                if (sent_at) *sent_at = Clock::now();
                 send_frame(conn->socket, frame);
-                sent = true;
             } catch (const TransportError&) {
-                drop_connection(conn);
+                // The reader then fails every request sent on this
+                // connection, this one included.
+                conn->socket.shutdown_both();
             }
-            if (!sent) {
-                // The connection died since the last exchange (half-open
-                // TCP looks alive until the first write).  One reconnect
-                // and resend; the pending entry is re-tagged so the dying
-                // reader's cleanup does not fail it underneath us — unless
-                // that cleanup already won, in which case the handler has
-                // fired and we must stay silent.
-                bool still_pending = false;
-                {
-                    const std::lock_guard<std::mutex> lock(mutex_);
-                    still_pending = pending_.find(id) != pending_.end();
-                }
-                if (still_pending) {
-                    std::shared_ptr<Connection> fresh;
-                    try {
-                        fresh = ensure_connected();
-                    } catch (const std::exception& e) {
-                        if (take_pending(id)) {
-                            failure = e.what();
-                            fail = true;
-                        }
-                        fresh = nullptr;
-                    }
-                    if (fresh != nullptr) {
-                        bool retagged = false;
-                        {
-                            const std::lock_guard<std::mutex> lock(mutex_);
-                            const auto it = pending_.find(id);
-                            if (it != pending_.end()) {
-                                it->second.conn = fresh;
-                                retagged = true;
-                            }
-                        }
-                        if (retagged) {
-                            try {
-                                if (sent_at) *sent_at = Clock::now();
-                                send_frame(fresh->socket, frame);
-                            } catch (const TransportError& e) {
-                                drop_connection(fresh);
-                                if (take_pending(id)) {
-                                    failure = e.what();
-                                    fail = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            return;
+        } catch (const std::exception& e) {
+            failure = e.what();
         }
     }
     // Outside send_mutex_: the handler runs user code (ticket completions)
     // that may itself submit.
-    if (fail) handler(nullptr, failure);
+    handler(nullptr, failure);
 }
 
-std::shared_ptr<RemoteShard::Connection> RemoteShard::ensure_connected(
-    int attempts_override) {
+std::shared_ptr<RemoteShard::Connection> RemoteShard::connection() {
+    std::vector<std::shared_ptr<Connection>> finished;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (stopped_) throw TransportError("client shut down");
-        if (conn_ != nullptr) return conn_;
+        if (conn_ != nullptr && !conn_->socket.peer_closed()) return conn_;
+        // Retired, not shut down: its reader still drains the replies the
+        // peer sent before hanging up.
+        conn_ = nullptr;
+        const auto ended = std::partition(
+            connections_.begin(), connections_.end(),
+            [](const auto& open) { return !open->finished.load(); });
+        finished.assign(std::make_move_iterator(ended),
+                        std::make_move_iterator(connections_.end()));
+        connections_.erase(ended, connections_.end());
     }
-    double backoff_s = options_.initial_backoff_s;
-    std::string last_error = "unreachable";
-    const int attempts =
-        attempts_override > 0 ? attempts_override
-        : options_.connect_attempts > 0 ? options_.connect_attempts
-                                        : 1;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(backoff_s));
-            backoff_s = std::min(backoff_s * 2.0, options_.max_backoff_s);
-        }
-        auto conn = std::make_shared<Connection>();
-        try {
-            conn->socket = Socket::connect_to(options_.host, options_.port);
-        } catch (const TransportError& e) {
-            last_error = e.what();
-            continue;
-        }
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (stopped_) throw TransportError("client shut down");
-        conn_ = conn;
-        connections_.push_back(conn);
-        readers_.emplace_back([this, conn] { reader_loop(conn); });
-        return conn;
-    }
-    throw TransportError(last_error);
+    for (const auto& ended : finished) ended->reader.join();
+
+    auto conn = std::make_shared<Connection>();
+    conn->socket = Socket::connect_to(options_.host, options_.port);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (stopped_) throw TransportError("client shut down");
+    conn->reader = std::thread([this, conn] { reader_loop(conn); });
+    conn_ = conn;
+    connections_.push_back(conn);
+    return conn;
 }
 
 void RemoteShard::reader_loop(const std::shared_ptr<Connection>& conn) {
@@ -377,9 +297,8 @@ void RemoteShard::reader_loop(const std::shared_ptr<Connection>& conn) {
         // Unmatched ids (a reply raced a local failure) are dropped.
         if (handler) handler(&envelope, {});
     }
-    // This connection generation is dead: fail every request that was sent
-    // on it and will never be answered.  Requests already re-tagged onto a
-    // newer connection are left alone.
+    // This connection is dead: fail every request that was sent on it and
+    // will never be answered.
     std::vector<Handler> orphans;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -395,20 +314,7 @@ void RemoteShard::reader_loop(const std::shared_ptr<Connection>& conn) {
     }
     for (auto& handler : orphans)
         handler(nullptr, "connection lost before the reply arrived");
-}
-
-void RemoteShard::drop_connection(
-    const std::shared_ptr<Connection>& conn) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (conn_ == conn) conn_ = nullptr;
-    }
-    conn->socket.shutdown_both();  // unblocks the reader, which cleans up
-}
-
-bool RemoteShard::take_pending(std::uint64_t id) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return pending_.erase(id) != 0;
+    conn->finished.store(true);
 }
 
 void RemoteShard::send_cancel(std::uint64_t id) {
@@ -428,7 +334,7 @@ void RemoteShard::send_cancel(std::uint64_t id) {
     try {
         send_frame(conn->socket, frame);
     } catch (const TransportError&) {
-        drop_connection(conn);
+        conn->socket.shutdown_both();
     }
 }
 

@@ -6,9 +6,18 @@
 // cancel RPC, and a dropped connection fails the ticket with
 // RemoteShardError — a subclass of the retryable CancelledError class, so
 // existing retry loops cover transport loss without learning a new
-// exception type.  Reconnection uses capped exponential backoff; a send
-// onto a connection that died since the last exchange gets one
-// reconnect-and-resend before the ticket fails.
+// exception type.
+//
+// One connection lifecycle (DESIGN.md §11): a request that finds no live
+// connection makes one connect attempt, and a refused one fails the
+// request at once; retrying is the caller's.  Before reusing the live
+// connection the client checks that the peer has not hung up, and if it
+// has, connects afresh, while the old connection's reader drains the
+// replies already queued on it and fails the rest.  A request is
+// registered only while its connection is still the live one, so the
+// reader that retires a connection answers or fails every request sent
+// on it; nothing is resent.  A connection whose reader has ended is
+// joined and closed when the next one opens, or by the destructor.
 //
 // Every completed round trip records three per-hop laps — "net/encode"
 // (request serialisation), "net/rtt" (frame out to reply frame in) and
@@ -51,11 +60,6 @@ public:
     struct Options {
         std::string host = "127.0.0.1";
         std::uint16_t port = 0;
-        /// Connection establishment: attempts before giving up, with
-        /// exponential backoff between them, capped.
-        int connect_attempts = 5;
-        double initial_backoff_s = 0.01;
-        double max_backoff_s = 0.25;
     };
 
     explicit RemoteShard(Options options);
@@ -87,11 +91,9 @@ public:
     /// the shard is unreachable.
     [[nodiscard]] std::optional<core::BatchStats> stats();
 
-    /// Cheap liveness probe: true when a connection is up, or when one
-    /// single connect attempt (no backoff) succeeds.  A live-looking
-    /// half-open connection counts as healthy — the probe never sends
-    /// traffic; the first real exchange flushes out stale liveness.
-    /// Groundwork for health-checked rerouting in the shard router.
+    /// Cheap liveness probe: true when a connection whose peer has not
+    /// hung up is open, or when the one connect attempt every request
+    /// makes succeeds.  The probe never sends traffic.
     [[nodiscard]] bool healthy();
 
     /// Client-side per-hop laps (net/encode, net/rtt, net/decode) across
@@ -119,53 +121,55 @@ private:
 
     struct Connection {
         Socket socket;
+        std::thread reader;
+        /// Set by the reader as its last act: the connection can be
+        /// joined and closed.
+        std::atomic<bool> finished{false};
     };
     struct Pending {
-        std::shared_ptr<Connection> conn;  ///< generation the send used
+        std::shared_ptr<Connection> conn;  ///< the connection the send used
         Handler handler;
     };
 
-    /// Register `handler` under `id` and send `frame`, reconnecting (with
-    /// backoff) as needed and retrying the send once on a connection that
-    /// died since the last exchange.  Never throws: failures route to the
-    /// handler exactly once, outside the send lock.
+    /// Register `handler` under `id` on the live connection and send
+    /// `frame`.  Never throws: failures route to the handler exactly once,
+    /// outside the send lock.  `sent_at`, when given, is stamped just
+    /// before the send.
     void transact(std::uint64_t id, const core::wire::Buffer& frame,
-                  Handler handler,
-                  const std::shared_ptr<Clock::time_point>& sent_at);
+                  Handler handler, Clock::time_point* sent_at);
 
-    /// Requires send_mutex_.  Returns the live connection, establishing
-    /// one (attempts × backoff) if necessary; throws TransportError with
-    /// the plain cause when the endpoint stays unreachable (the submit
-    /// handler names the endpoint once).  `attempts_override` > 0 caps
-    /// the connect attempts for this call (healthy() probes with 1).
-    [[nodiscard]] std::shared_ptr<Connection> ensure_connected(
-        int attempts_override = 0);
+    /// One blocking request: the reply envelope, or nullopt when the
+    /// request could not be answered.
+    [[nodiscard]] std::optional<Envelope> round_trip(
+        MsgType type, core::wire::Buffer payload);
+
+    /// Requires send_mutex_.  Returns the live connection unless its peer
+    /// has hung up; otherwise retires it, joins and closes the connections
+    /// whose readers have ended, and makes one connect attempt, throwing
+    /// TransportError with the plain cause when that fails (the submit
+    /// handler names the endpoint once).
+    [[nodiscard]] std::shared_ptr<Connection> connection();
 
     void reader_loop(const std::shared_ptr<Connection>& conn);
-    void drop_connection(const std::shared_ptr<Connection>& conn);
-    /// Remove the pending entry for `id`; true when this call removed it
-    /// (the caller then owns invoking its handler).
-    [[nodiscard]] bool take_pending(std::uint64_t id);
     void send_cancel(std::uint64_t id);
 
     Options options_;
     std::atomic<std::uint64_t> next_id_{1};
     std::atomic<std::uint64_t> failures_{0};
-    /// Coarse: serialises connect/reconnect/frame-send sequences so the
-    /// connection generation cannot change under a sender.  Never held
-    /// while a handler (and thus user code) runs.
+    /// Coarse: serialises connects (one attempt at a time) and frame
+    /// sends (whole frames on the socket).  Never held while a handler
+    /// (and thus user code) runs.
     std::mutex send_mutex_;
-    /// Leaf lock: pending map, live connection pointer, telemetry,
-    /// shutdown flag.
+    /// Leaf lock: pending map, live connection pointer, open connections,
+    /// telemetry, shutdown flag.
     mutable std::mutex mutex_;
     std::shared_ptr<Connection> conn_;
     std::map<std::uint64_t, Pending> pending_;
     core::StageTelemetry telemetry_;
     bool stopped_ = false;
-    /// Every connection ever opened (for shutdown) and every reader
-    /// thread (for join); both bounded by the reconnect count.
+    /// Every connection not yet joined and closed: the live one and those
+    /// retired since the last connect.
     std::vector<std::shared_ptr<Connection>> connections_;
-    std::vector<std::thread> readers_;
 };
 
 }  // namespace teamplay::net

@@ -1,5 +1,8 @@
 #include "net/shard_server.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -29,6 +32,8 @@ core::wire::Buffer text_payload(const std::string& text) {
 struct ShardServer::Connection {
     Socket socket;
     std::thread reader;
+    /// Set by the reader as its last act.
+    std::atomic<bool> finished{false};
     /// One reply frame at a time; completions run on engine pool threads.
     std::mutex write_mutex;
     std::mutex inflight_mutex;
@@ -39,6 +44,15 @@ struct ShardServer::Connection {
         bool cancel_requested = false;
     };
     std::map<std::uint64_t, InflightSlot> inflight;
+
+    /// The reader has ended and no scenario still owes a reply, so
+    /// nothing will use the connection again: it can be joined and closed
+    /// without `stop` losing an in-flight scenario to drain.
+    [[nodiscard]] bool released() {
+        if (!finished.load()) return false;
+        const std::lock_guard<std::mutex> lock(inflight_mutex);
+        return inflight.empty();
+    }
 
     /// Best-effort reply: a peer that vanished mid-scenario simply never
     /// hears the answer — the scenario itself completed and is cached.
@@ -110,11 +124,19 @@ void ShardServer::accept_loop() {
     while (auto socket = listener_.accept_one()) {
         auto connection = std::make_shared<Connection>();
         connection->socket = std::move(*socket);
+        std::vector<std::shared_ptr<Connection>> released;
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             if (stopped_) return;
+            const auto ended = std::partition(
+                connections_.begin(), connections_.end(),
+                [](const auto& open) { return !open->released(); });
+            released.assign(std::make_move_iterator(ended),
+                            std::make_move_iterator(connections_.end()));
+            connections_.erase(ended, connections_.end());
             connections_.push_back(connection);
         }
+        for (const auto& ended : released) ended->reader.join();
         connection->reader = std::thread(
             [this, connection] { serve_connection(connection); });
     }
@@ -140,6 +162,7 @@ void ShardServer::serve_connection(
             break;
         }
     }
+    connection->finished.store(true);
 }
 
 void ShardServer::handle_frame(const std::shared_ptr<Connection>& connection,

@@ -5,7 +5,9 @@
 // pool executes the scenarios, and each completion callback writes the
 // reply back under the connection's write lock (replies interleave in
 // completion order — the correlation id in the envelope is what matches
-// them to requests, not arrival order).  A structurally valid envelope
+// them to requests, not arrival order).  Each accept joins and closes the
+// connections whose reader has ended and whose scenarios have all
+// replied, so departed clients do not pile up until `stop`.  A structurally valid envelope
 // whose payload fails strict wire decoding is answered with kReplyError
 // and the connection keeps serving; a torn frame drops the connection
 // (the framing itself can no longer be trusted).
@@ -61,6 +63,7 @@ private:
     core::ScenarioEngine engine_;
     Listener listener_;
     std::mutex mutex_;  ///< guards connections_ and stopped_
+    /// Every connection not yet joined and closed.
     std::vector<std::shared_ptr<Connection>> connections_;
     bool stopped_ = false;
     std::thread accept_thread_;

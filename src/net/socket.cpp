@@ -4,11 +4,14 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 namespace teamplay::net {
@@ -102,6 +105,13 @@ std::size_t Socket::recv_some(void* data, std::size_t size) {
     }
 }
 
+bool Socket::peer_closed() const noexcept {
+    // POLLRDHUP is Linux-specific, like the MSG_NOSIGNAL the sends use.
+    pollfd entry{fd_, POLLRDHUP, 0};
+    return ::poll(&entry, 1, 0) > 0 &&
+           (entry.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+}
+
 void Socket::shutdown_both() noexcept {
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
@@ -157,14 +167,21 @@ std::optional<Socket> Listener::accept_one() {
             set_nodelay(fd);
             return Socket(fd);
         }
-        if (errno == EINTR) continue;
         // `stop` shut the listening socket down: accept fails from then on
-        // (EINVAL on Linux), which is the clean way to end the loop.
-        return std::nullopt;
+        // (EINVAL on Linux), which is the one way to end the loop.
+        if (stopped_.load()) return std::nullopt;
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        // Out of descriptors or kernel memory (EMFILE, ENFILE, ENOBUFS,
+        // ENOMEM): connections closing elsewhere release them, and until
+        // then the kernel keeps completing handshakes into the backlog, so
+        // ending the loop would leave those clients waiting forever.  Any
+        // other error is retried at the same pace.
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
 }
 
 void Listener::stop() noexcept {
+    stopped_.store(true);
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 

@@ -1,7 +1,8 @@
 // Blocking POSIX TCP primitives for the shard fabric (DESIGN.md §11).
 //
 // Deliberately minimal: RAII sockets, a listener with an unblockable
-// accept, and length-prefixed framing (the same u32 LE prefix the wire
+// accept that outlives a shortage of descriptors, a zero-wait hang-up
+// check, and length-prefixed framing (the same u32 LE prefix the wire
 // codec's `append_frame` uses on disk) — no event loop, no non-blocking
 // I/O.  The fabric's concurrency comes from threads (one reader per
 // connection, the engine's own pool for work), which keeps the transport
@@ -9,6 +10,7 @@
 // surfaces as a TransportError on the thread that owns the operation.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -66,6 +68,11 @@ public:
     /// rather than a torn message.
     [[nodiscard]] std::size_t recv_some(void* data, std::size_t size);
 
+    /// True when the peer has hung up or the connection has failed
+    /// (POLLRDHUP, POLLHUP or POLLERR, polled without waiting).  Replies
+    /// the peer sent before hanging up may still be waiting to be read.
+    [[nodiscard]] bool peer_closed() const noexcept;
+
     /// Unblock any thread sitting in recv/send on this socket.
     void shutdown_both() noexcept;
 
@@ -88,7 +95,9 @@ public:
 
     [[nodiscard]] std::uint16_t port() const { return port_; }
 
-    /// Block for the next connection; nullopt once `stop` was called.
+    /// Block for the next connection; nullopt once `stop` was called, and
+    /// only then.  A handshake the peer abandoned is skipped, and a
+    /// shortage of descriptors or kernel memory is waited out.
     [[nodiscard]] std::optional<Socket> accept_one();
 
     /// Unblock a pending `accept_one` and refuse further connections.
@@ -97,6 +106,7 @@ public:
 private:
     int fd_ = -1;
     std::uint16_t port_ = 0;
+    std::atomic<bool> stopped_{false};
 };
 
 // -- framing ------------------------------------------------------------------

@@ -7,13 +7,23 @@
 // fabric peer serves a cold engine's misses with zero recomputes, and
 // resealed mutants of a kReplyStats envelope round-trip or raise WireError.
 // A client's failure gauge counts transport failures in a row and resets
-// on any answer.  The router (net/router.hpp): one stats RPC per remote
+// on any answer.  The connection lifecycle: a down endpoint costs one
+// refused connect per request, a client that reconnects across server
+// restarts holds one connection, a server releases departed clients and
+// outlives running out of descriptors, and every ticket completes while
+// the server restarts under concurrent submits.  The router (net/router.hpp): one stats RPC per remote
 // per snapshot, and fingerprint routing is stable, pinned and colocates
 // scenarios that share their primary kernel.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <future>
 #include <limits>
 #include <memory>
@@ -225,7 +235,7 @@ TEST(Net, ServerGoneMidScenarioFailsTicketRetryably) {
     }
     EXPECT_TRUE(retryable) << message;
 
-    // Retry after restart on the same port: reconnect (with backoff) and
+    // Retry after restart on the same port: the client connects afresh and
     // the replayed scenario is byte-identical to an in-process run.
     server = make_server(port);
     const auto report = remote.submit(light_request()).get();
@@ -243,8 +253,8 @@ TEST(Net, ServerRestartBetweenRequestsReconnects) {
     server.reset();
     server = make_server(port);
 
-    // The old connection is dead; the next submit reconnects (directly or
-    // via the one-resend path) and must produce the same certificate.
+    // The old connection's peer hung up; the next submit retires it,
+    // connects afresh and must produce the same certificate.
     const auto second = remote.submit(light_request()).get();
     EXPECT_EQ(second.certificate.to_text(), first.certificate.to_text());
 }
@@ -253,9 +263,6 @@ TEST(Net, UnreachableEndpointFailsTicketAfterBackoff) {
     net::RemoteShard::Options options;
     options.host = "127.0.0.1";
     options.port = 1;  // reserved port: nothing listens there
-    options.connect_attempts = 2;
-    options.initial_backoff_s = 0.001;
-    options.max_backoff_s = 0.002;
     net::RemoteShard remote(options);
     auto ticket = remote.submit(light_request());
     try {
@@ -485,7 +492,7 @@ TEST(Net, HealthyProbeDistinguishesLiveFromUnreachable) {
     options.host = "127.0.0.1";
     options.port = 1;  // reserved port: nothing listens there
     net::RemoteShard dead(options);
-    // The probe caps at one connect attempt: no 5-attempt backoff stall.
+    // One connect attempt, the same as every request makes.
     EXPECT_FALSE(dead.healthy());
 }
 
@@ -509,11 +516,7 @@ TEST(Net, FailureGaugeCountsTransportFailuresAndResetsOnAnswer) {
         const net::Listener probe(0);
         port = probe.port();
     }
-    auto options = client_options(port);
-    options.connect_attempts = 2;
-    options.initial_backoff_s = 0.001;
-    options.max_backoff_s = 0.002;
-    net::RemoteShard remote(options);
+    net::RemoteShard remote(client_options(port));
     for (const char* label : {"pill#down_a", "pill#down_b"})
         EXPECT_THROW((void)remote.submit(light_request(label)).get(),
                      net::RemoteShardError);
@@ -529,6 +532,193 @@ TEST(Net, FailureGaugeCountsTransportFailuresAndResetsOnAnswer) {
     const auto server = make_server(port);
     (void)remote.submit(light_request("pill#up")).get();
     EXPECT_EQ(remote.consecutive_failures(), 0U);
+}
+
+// -- connection lifecycle -----------------------------------------------------
+
+/// Descriptors this process holds open.
+std::size_t open_fds() {
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++count;
+    return count;
+}
+
+TEST(Net, DownEndpointCostsNoBackoff) {
+    net::RemoteShard remote(client_options(1));  // nothing listens there
+    const auto start = std::chrono::steady_clock::now();
+    for (int round = 0; round < 10; ++round) {
+        EXPECT_THROW((void)remote.submit(light_request()).get(),
+                     net::RemoteShardError);
+        EXPECT_FALSE(remote.fetch(core::EvaluationKey{}).has_value());
+        EXPECT_FALSE(remote.stats().has_value());
+    }
+    // One refused connect each: a few milliseconds for all 30 requests.
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              0.5);
+}
+
+TEST(Net, ReconnectingClientHoldsOneConnection) {
+    auto server = make_server();
+    const auto port = server->port();
+    net::RemoteShard remote(client_options(port));
+    ASSERT_TRUE(remote.stats().has_value());
+    const auto after_first = open_fds();
+    for (int restart = 0; restart < 20; ++restart) {
+        server.reset();
+        server = make_server(port);
+        ASSERT_TRUE(remote.stats().has_value()) << "restart " << restart;
+    }
+    // The live connection, and at most one retired connection whose
+    // reader had not yet ended when the last one opened.
+    EXPECT_LE(open_fds(), after_first + 1);
+}
+
+TEST(Net, ServerReleasesDepartedClients) {
+    const auto server = make_server();
+    const auto before = open_fds();
+    for (int client = 0; client < 20; ++client) {
+        net::RemoteShard departing(client_options(server->port()));
+        ASSERT_TRUE(departing.stats().has_value()) << "client " << client;
+    }
+    net::RemoteShard last(client_options(server->port()));
+    ASSERT_TRUE(last.stats().has_value());
+    // Both ends of the last client's connection, and the server's end of
+    // the one before it if that reader had not yet ended at the accept.
+    EXPECT_LE(open_fds(), before + 3);
+}
+
+/// This process's soft limit on open descriptors, lowered for one scope.
+class DescriptorLimit {
+public:
+    explicit DescriptorLimit(rlim_t soft) {
+        EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+        rlimit lowered = saved_;
+        lowered.rlim_cur = soft;
+        EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    }
+    ~DescriptorLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+    DescriptorLimit(const DescriptorLimit&) = delete;
+    DescriptorLimit& operator=(const DescriptorLimit&) = delete;
+
+private:
+    rlimit saved_{};
+};
+
+/// A loopback connection made without name resolution, which may open
+/// descriptors of its own; -1 when none is left.
+int raw_connect(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    address.sin_port = htons(port);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                  sizeof address) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST(Net, AcceptOutlivesRunningOutOfDescriptors) {
+    const auto server = make_server();
+    {
+        // Both ends of every connection live in this process, so the
+        // server's accept runs out of descriptors along with the client.
+        // Eight spare descriptors keep the raw connections below the
+        // listener's backlog, so no connect can block.
+        const DescriptorLimit limit(open_fds() + 8);
+        std::vector<net::Socket> raw;
+        for (int fd; (fd = raw_connect(server->port())) >= 0;)
+            raw.emplace_back(fd);
+        ASSERT_FALSE(raw.empty());
+        // An accept parked in the kernel may hold the last free descriptor;
+        // one more connection makes it take that one and ask for another.
+        raw.pop_back();
+        if (const int fd = raw_connect(server->port()); fd >= 0)
+            raw.emplace_back(fd);
+        // Hold the shortage until the accept thread has run into it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }  // closes the raw connections and restores the limit
+
+    const int fd = raw_connect(server->port());
+    ASSERT_GE(fd, 0);
+    net::Socket probe(fd);
+    const timeval timeout{2, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+    net::send_frame(probe,
+                    net::encode_envelope({1, net::MsgType::kStats, {}}));
+    std::optional<std::vector<std::uint8_t>> reply;
+    try {
+        reply = net::recv_frame(probe);
+    } catch (const net::TransportError& e) {
+        FAIL() << "no stats reply within 2 s: " << e.what();
+    }
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(net::decode_envelope(*reply).type, net::MsgType::kReplyStats);
+}
+
+// Four threads submit while the server restarts ten times on one port.
+// Whatever connection a request meets — live, hung up, retired or not yet
+// opened — its ticket completes with a report or the retryable class.
+TEST(Net, RestartsUnderConcurrentSubmitsCompleteEveryTicket) {
+    std::mutex mutex;
+    std::condition_variable all_done;
+    std::size_t submitted = 0;
+    std::size_t completed = 0;
+    std::vector<std::string> unexpected;
+    const auto on_complete = [&](const core::ScenarioOutcome& outcome) {
+        std::string failure;
+        if (outcome.report == nullptr) {
+            try {
+                std::rethrow_exception(outcome.error);
+            } catch (const core::CancelledError&) {
+            } catch (const std::exception& e) {
+                failure = e.what();
+            }
+        }
+        const std::lock_guard<std::mutex> lock(mutex);
+        ++completed;
+        if (!failure.empty()) unexpected.push_back(failure);
+        all_done.notify_all();
+    };
+
+    auto server = make_server();
+    const auto port = server->port();
+    net::RemoteShard remote(client_options(port));
+    std::atomic<bool> restarting{true};
+    std::vector<std::thread> submitters;
+    for (int thread = 0; thread < 4; ++thread)
+        submitters.emplace_back([&] {
+            while (restarting.load()) {
+                {
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    ++submitted;
+                }
+                (void)remote.submit(light_request(), on_complete);
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        });
+    for (int restart = 0; restart < 10; ++restart) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        server.reset();
+        server = make_server(port);
+    }
+    restarting.store(false);
+    for (auto& submitter : submitters) submitter.join();
+
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(all_done.wait_for(lock, std::chrono::seconds(10), [&] {
+        return completed == submitted;
+    })) << completed << " of " << submitted << " tickets completed";
+    EXPECT_TRUE(unexpected.empty()) << unexpected.front();
 }
 
 /// A stand-in shard server: answers each kStats envelope with a snapshot
