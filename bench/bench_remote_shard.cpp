@@ -164,8 +164,8 @@ bool run_fetch_phase(const Trace& trace, const ReplayOutcome& baseline) {
         (void)replay(trace, warmer);
     }
 
-    core::ScenarioEngine fetcher({.worker_threads = 2});
-    fetcher.set_remote_fetch(net::fetch_from({endpoint}));
+    core::ScenarioEngine fetcher(
+        {.worker_threads = 2, .remote_fetch = net::fetch_from({endpoint})});
     const auto fetched = replay(trace, fetcher);
 
     const bool identical = fetched.certificates == baseline.certificates;

@@ -101,13 +101,14 @@ Percentiles percentiles(std::vector<double> latencies_s) {
 struct ReplayResult {
     std::vector<double> latencies_s;        ///< arrival -> completion
     std::vector<std::string> certificates;  ///< canonical text, trace order
-    core::EvaluationCache::Stats cache;     ///< fold after the final flush
+    core::EvaluationCache::Stats cache;     ///< after the last completion
     double analyse_s = 0.0;                 ///< summed analyse stage laps
 };
 
-/// Replay the trace against a fresh engine (optionally store-backed) and
-/// flush the store before sampling cache statistics, so `cache.spills`
-/// covers the whole replay.
+/// Replay the trace against a fresh engine (optionally store-backed).
+/// Every computed result is appended to the store as it is computed, so
+/// `cache.spills` sampled after the last completion covers the whole
+/// replay.
 ReplayResult replay(const Trace& trace, std::size_t workers,
                     std::shared_ptr<core::ResultStore> store = nullptr) {
     core::ScenarioEngine engine(
@@ -138,7 +139,6 @@ ReplayResult replay(const Trace& trace, std::size_t workers,
     for (auto& ticket : tickets)
         result.certificates.push_back(
             ticket.get().certificate.to_text());
-    engine.flush_result_store();
     const auto stats = engine.stats();
     result.cache = stats.cache;
     if (const auto it = stats.stage_telemetry.stages().find("analyse");

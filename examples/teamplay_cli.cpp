@@ -91,8 +91,9 @@ void usage() {
         "  --cache-budget <n>  evict evaluation-cache entries beyond n\n"
         "                      (default 0 = unbounded)\n"
         "  --store-dir <dir>   persistent result store: misses load from\n"
-        "                      it before computing, results spill back,\n"
-        "                      so a restarted run warm-starts from disk\n"
+        "                      it before computing, each new result is\n"
+        "                      appended when it is computed, so a\n"
+        "                      restarted run warm-starts from disk\n"
         "  --cert-dump <dir>   write each scenario's certificate text to\n"
         "                      <dir>/<label>.cert (byte-identity audits)\n"
         "  --quiet             only print the certificate verdict");
@@ -327,6 +328,9 @@ int main(int argc, char** argv) {
             .worker_threads = jobs,
             .cache_budget = {.max_entries = cache_budget},
             .result_store = store,
+            .remote_fetch = fetch_peers.empty()
+                                ? core::EvaluationCache::RemoteFetch{}
+                                : net::fetch_from(fetch_peers),
             .admission = {.queue_depths = {queue_depth, queue_depth,
                                            queue_depth}}};
 
@@ -351,7 +355,6 @@ int main(int argc, char** argv) {
             std::printf("shard server: shutting down (signal %d)\n",
                         signal_number);
             server.stop();
-            server.engine().flush_result_store();
             return 0;
         }
 
@@ -439,7 +442,6 @@ int main(int argc, char** argv) {
             const auto print_local_tiers = [&] {
                 if constexpr (std::is_same_v<decltype(front),
                                              core::ScenarioEngine&>) {
-                    front.flush_result_store();
                     print_result_store(front, store);
                     print_remote_fetch(front, !fetch_peers.empty());
                 }
@@ -551,8 +553,6 @@ int main(int argc, char** argv) {
             return run_scenarios(router);
         }
         core::ScenarioEngine engine(engine_options);
-        if (!fetch_peers.empty())
-            engine.set_remote_fetch(net::fetch_from(fetch_peers));
         return run_scenarios(engine);
     } catch (const std::exception& error) {
         std::fprintf(stderr, "error: %s\n", error.what());

@@ -206,7 +206,7 @@ double AdmissionController::estimate_locked(
 }
 
 void AdmissionController::enforce_budget(
-    Priority priority, std::chrono::steady_clock::time_point deadline,
+    std::chrono::steady_clock::time_point deadline,
     std::span<const std::string_view> remaining_stages,
     const std::string& label) const {
     double estimate_s = 0.0;
@@ -225,7 +225,6 @@ void AdmissionController::enforce_budget(
            << " s) left, "
            << std::chrono::duration<double>(deadline - now).count()
            << " s of budget";
-    (void)priority;  // the catch site attributes the shed to the class
     throw ShedError(ShedError::Reason::kBudgetExhausted, label, detail.str());
 }
 

@@ -191,8 +191,7 @@ public:
     /// when `now + estimated cost of remaining_stages` overruns the
     /// deadline.  With no recorded laps the estimate is zero, so a cold
     /// controller only sheds once the deadline has actually passed.
-    void enforce_budget(Priority priority,
-                        std::chrono::steady_clock::time_point deadline,
+    void enforce_budget(std::chrono::steady_clock::time_point deadline,
                         std::span<const std::string_view> remaining_stages,
                         const std::string& label) const;
 

@@ -29,16 +29,20 @@
 // are served).  Eviction changes only *when* a value is recomputed, never
 // the value: results stay byte-identical under any budget.
 //
-// Persistence: an optional attached ResultStore (result_store.hpp) gives
-// completed entries a life beyond the process.  A miss consults the store
-// before computing — a store hit is decoded, checksum-verified and
-// admitted exactly as if computed, so single-flight semantics, eviction
-// and determinism are untouched; entries spill to the store on LRU
-// eviction and on shutdown flush (`flush_to_store`, run by the
-// destructor).  The store is shared: several caches (engines) and
-// several processes can point at one directory, which is how a restarted
-// or sibling service warm-starts.  Store corruption is never fatal — a
-// rejected frame is counted and the entry recomputed.
+// Lower tiers: an optional ResultStore (result_store.hpp) and an optional
+// remote fetch hook, both fixed at construction.  A miss consults the store,
+// then the fabric peer, then computes; a store hit or a fetched result is
+// checksum-verified and strictly decoded, and is admitted exactly as if
+// computed, so single-flight semantics, eviction and determinism are
+// untouched.  The store has one write point: the thread that owns a miss
+// appends the result it computed or fetched right after publishing and
+// admitting it, and a store hit is never written back.  Eviction is memory
+// management only and never touches the store, so a process that dies
+// without a shutdown has already persisted everything it computed.  The
+// store is shared: several caches (engines) and several processes can
+// point at one directory, which is how a restarted or sibling service
+// warm-starts.  Store corruption is never fatal — a rejected frame is
+// counted and the entry recomputed.
 #pragma once
 
 #include <cstdint>
@@ -123,12 +127,15 @@ public:
     };
 
     EvaluationCache() = default;
-    /// `store` (may be null) persists completed entries across processes;
-    /// it is fixed for the cache's lifetime, so no lock guards the pointer.
+    /// `store` (may be null) persists computed and fetched results across
+    /// processes; `remote_fetch` (may be empty) is the fabric tier.  Both
+    /// are fixed for the cache's lifetime, so no lock guards either.
     explicit EvaluationCache(Budget budget,
-                             std::shared_ptr<ResultStore> store = nullptr)
-        : budget_(budget), store_(std::move(store)) {}
-    ~EvaluationCache();
+                             std::shared_ptr<ResultStore> store = nullptr,
+                             RemoteFetch remote_fetch = {})
+        : budget_(budget),
+          store_(std::move(store)),
+          remote_fetch_(std::move(remote_fetch)) {}
 
     /// Return the result for `key`, invoking `compute` exactly once per
     /// *resident generation* of the key across all threads (an evicted key
@@ -151,7 +158,9 @@ public:
         /// previously stored keys" is exactly this counter on a warm run.
         std::uint64_t store_hits = 0;
         std::uint64_t store_misses = 0;
-        std::uint64_t spills = 0;         ///< entries appended to the store
+        /// Results this cache appended to the store: computed or
+        /// fetched ones, never a store hit.
+        std::uint64_t spills = 0;
         std::uint64_t store_rejects = 0;  ///< corrupt frames → recomputed
         /// Remote-fetch traffic (all zero without a fetch hook): misses
         /// that the store could not serve ask a fabric peer before
@@ -184,12 +193,6 @@ public:
 
     [[nodiscard]] Stats stats() const;
 
-    /// Install (or clear, with an empty function) the remote cache tier.
-    /// Consulted on the owner path of a miss *after* the store consult and
-    /// *before* computing: local memory, then local disk, then the fabric,
-    /// then work — each tier strictly cheaper than the next.
-    void set_remote_fetch(RemoteFetch fetch);
-
     /// Completed-entry probe for serving a peer's fetch: returns the value
     /// when `key` is resident and ready, else consults the attached store
     /// directly (nothing is admitted, no LRU refresh, no counters — a
@@ -198,12 +201,6 @@ public:
     /// on an in-flight slot.
     [[nodiscard]] std::shared_ptr<const EvaluationResult> peek(
         const EvaluationKey& key) const;
-
-    /// Spill every completed resident entry to the attached store (no-op
-    /// without one; entries the store already holds are skipped).  The
-    /// destructor calls this, so a cache that dies with its engine leaves
-    /// its completed work behind for the next process.
-    void flush_to_store();
 
 private:
     using Slot = std::shared_future<std::shared_ptr<const EvaluationResult>>;
@@ -215,29 +212,22 @@ private:
         std::list<EvaluationKey>::iterator lru{}; ///< valid iff ready
     };
 
-    using Spillage =
-        std::vector<std::pair<EvaluationKey,
-                              std::shared_ptr<const EvaluationResult>>>;
-
     /// Mark `key` completed, put it at the hot end of the LRU list, and
-    /// evict cold completed entries until the budget holds (spilling the
-    /// victims to the attached store, outside the cache lock).
+    /// evict cold completed entries until the budget holds.
     void admit(const EvaluationKey& key, double cost);
-    void evict_over_budget_locked(Spillage* spillage);
-    void spill(const Spillage& spillage);
 
     Budget budget_;
-    /// Immutable after construction (no lock needed to read the pointer;
-    /// the store has its own internal synchronisation).
-    std::shared_ptr<ResultStore> store_;
+    /// The lower tiers, immutable after construction: read without a lock
+    /// (the store has its own internal synchronisation, and a fetch is a
+    /// blocking RPC invoked outside the cache lock).
+    const std::shared_ptr<ResultStore> store_;
+    const RemoteFetch remote_fetch_;
     mutable std::mutex mutex_;
     std::map<EvaluationKey, Entry> entries_;
     std::list<EvaluationKey> lru_;  ///< completed keys, hot front, cold back
     /// The counters and `resident_cost`; `entries` is read off `entries_`
     /// when a snapshot is taken.
     Stats stats_;
-    /// Read under `mutex_`, invoked outside it (a fetch is a blocking RPC).
-    RemoteFetch remote_fetch_;
 };
 
 }  // namespace teamplay::core

@@ -31,7 +31,7 @@
 //
 // Concurrency: all index and append operations are mutex-protected; loads
 // read immutable mapped bytes (or pread the active segment below its
-// flushed offset) outside the lock, so several engines can spill and load
+// flushed offset) outside the lock, so several engines can append and load
 // against one shared store concurrently (exercised under TSan).  Writing
 // is single-process per segment: each writing instance creates its own
 // exclusively-opened segment file, so two processes sharing a directory

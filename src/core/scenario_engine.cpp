@@ -177,7 +177,8 @@ std::string BatchStats::to_string() const {
 // -- ScenarioEngine -----------------------------------------------------------
 
 ScenarioEngine::ScenarioEngine(Options options)
-    : cache_(options.cache_budget, std::move(options.result_store)),
+    : cache_(options.cache_budget, std::move(options.result_store),
+             std::move(options.remote_fetch)),
       sim_(std::move(options.sim)),
       admission_(options.admission),
       // Lane 0 is reserved for parallel_for fan-out of running scenarios;
@@ -220,7 +221,7 @@ ToolchainReport ScenarioEngine::run_scenario(
         // remaining stages no longer fits before the deadline.
         if (request.deadline.has_value())
             admission_.enforce_budget(
-                request.priority, *request.deadline,
+                *request.deadline,
                 std::span<const std::string_view>(kStageNames).subspan(i),
                 request.label);
         const auto lap_start = std::chrono::steady_clock::now();

@@ -19,7 +19,10 @@
 // Scale machinery:
 //   * an EvaluationCache memoises every per-(task entry, core class, OPP)
 //     analyser/profiler result, shared across stages and scenarios, with
-//     an optional LRU budget for long-lived service use;
+//     an optional LRU budget for long-lived service use; its lower tiers,
+//     a persistent ResultStore and a fabric fetch hook, are fixed in
+//     Options at construction, and every result the cache computes or
+//     fetches is appended to the store as soon as it exists;
 //   * a support::ThreadPool evaluates independent tuples concurrently and
 //     runs whole scenarios in parallel (streamed or batched);
 //   * every stage runs inside a monotonic lap timer; laps aggregate into
@@ -173,9 +176,14 @@ public:
         EvaluationCache::Budget cache_budget;
         /// Optional persistent result store (result_store.hpp), shared
         /// with sibling engines and future processes: cache misses consult
-        /// it before computing, evicted and shutdown-resident entries
-        /// spill back.  Null = in-memory cache only.
+        /// it before computing, and each computed or fetched result is
+        /// appended once, when it is computed.  Null = in-memory cache
+        /// only.
         std::shared_ptr<ResultStore> result_store;
+        /// Optional remote cache tier (net::fetch_from): cache misses the
+        /// store cannot serve ask a fabric peer before computing.  Empty =
+        /// no peer.
+        EvaluationCache::RemoteFetch remote_fetch;
         /// Simulator tier for every machine this engine constructs
         /// (profiling campaigns, complex-core evaluation).  Defaults to the
         /// trace tier; results are backend-invariant, so this is
@@ -231,16 +239,9 @@ public:
         return cache_.peek(key);
     }
 
-    /// Install the remote cache tier: cache misses the store cannot serve
-    /// ask this hook (a fabric peer) before computing.
-    void set_remote_fetch(EvaluationCache::RemoteFetch fetch) {
-        cache_.set_remote_fetch(std::move(fetch));
-    }
-
-    /// Spill every completed cache entry to the attached result store
-    /// (no-op without one).  Runs automatically at destruction; call it
-    /// explicitly before sampling store statistics mid-lifetime.
-    void flush_result_store() { cache_.flush_to_store(); }
+    /// Does nothing: every result reaches the store when it is computed.
+    /// Kept only because perfbench's `remote_warm` fill still calls it.
+    void flush_result_store() {}
 
     /// One snapshot of this engine: workers, cache counters, cumulative
     /// per-stage telemetry across every scenario it completed (streamed

@@ -6,14 +6,7 @@
 namespace teamplay::core {
 
 void StageTelemetry::record(std::string_view stage, double seconds) {
-    const auto it = stages_.find(stage);
-    auto& entry =
-        it != stages_.end()
-            ? it->second
-            : stages_.emplace(std::string(stage), PerStage{}).first->second;
-    entry.count += 1;
-    entry.total_s += seconds;
-    entry.max_s = std::max(entry.max_s, seconds);
+    merge(stage, PerStage{1, seconds, seconds});
 }
 
 void StageTelemetry::merge(std::span<const StageLap> laps) {

@@ -40,6 +40,7 @@ public:
         }
     };
 
+    /// Fold one lap in, as a per-stage summary of count 1.
     void record(std::string_view stage, double seconds);
     void merge(std::span<const StageLap> laps);
     void merge(const StageTelemetry& other);

@@ -65,7 +65,8 @@ void fold_failure_gauges(
 
 core::EvaluationCache::RemoteFetch fetch_from(
     const std::vector<std::string>& endpoints) {
-    // Shared, not unique: the cache copies its fetch hook per lookup.
+    // Shared, not unique: a std::function needs a copyable callable, and
+    // engine options holding the hook are copied.
     auto peers = std::make_shared<std::vector<std::unique_ptr<RemoteShard>>>();
     peers->reserve(endpoints.size());
     for (const auto& endpoint : endpoints)

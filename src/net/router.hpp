@@ -37,12 +37,12 @@
 
 namespace teamplay::net {
 
-/// The remote cache tier for ScenarioEngine::set_remote_fetch over fabric
-/// peers ("host:port" each): the first peer holding a key serves it, and a
-/// transport failure counts as a miss.  The callable owns its peer clients;
-/// the engine keeps it in its cache, which outlives the engine's workers,
-/// so no lookup outlives a peer.  Throws std::invalid_argument for an
-/// endpoint of another shape or a port outside [1, 65535].
+/// The remote cache tier for ScenarioEngine::Options::remote_fetch over
+/// fabric peers ("host:port" each): the first peer holding a key serves it,
+/// and a transport failure counts as a miss.  The callable owns its peer
+/// clients; the engine keeps it in its cache, which outlives the engine's
+/// workers, so no lookup outlives a peer.  Throws std::invalid_argument for
+/// an endpoint of another shape or a port outside [1, 65535].
 [[nodiscard]] core::EvaluationCache::RemoteFetch fetch_from(
     const std::vector<std::string>& endpoints);
 

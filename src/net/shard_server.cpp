@@ -37,13 +37,10 @@ struct ShardServer::Connection {
     /// One reply frame at a time; completions run on engine pool threads.
     std::mutex write_mutex;
     std::mutex inflight_mutex;
-    struct InflightSlot {
-        core::ScenarioTicket ticket;
-        /// A cancel that arrives while the submit is still registering its
-        /// ticket is remembered and applied at registration.
-        bool cancel_requested = false;
-    };
-    std::map<std::uint64_t, InflightSlot> inflight;
+    /// Scenarios that still owe a reply, by request id.  The reader handles
+    /// a kSubmit to the end, registration included, before it reads the
+    /// next frame, so a kCancel always finds a registered ticket.
+    std::map<std::uint64_t, core::ScenarioTicket> inflight;
 
     /// The reader has ended and no scenario still owes a reply, so
     /// nothing will use the connection again: it can be joined and closed
@@ -113,8 +110,8 @@ void ShardServer::stop() {
         {
             const std::lock_guard<std::mutex> lock(
                 connection->inflight_mutex);
-            for (auto& [id, slot] : connection->inflight)
-                if (slot.ticket.valid()) tickets.push_back(slot.ticket);
+            for (auto& [id, ticket] : connection->inflight)
+                tickets.push_back(ticket);
         }
         for (auto& ticket : tickets) ticket.wait();
     }
@@ -149,7 +146,11 @@ void ShardServer::serve_connection(
         try {
             frame = recv_frame(connection->socket);
         } catch (const TransportError&) {
-            break;  // torn frame or dead peer: the stream is unusable
+            // Torn or oversized frame, or a dead peer: the stream is
+            // unusable.  Shutting the socket tells a live peer at once
+            // (it reads EOF) instead of leaving it waiting for an answer.
+            connection->socket.shutdown_both();
+            break;
         }
         if (!frame.has_value()) break;  // orderly goodbye
         try {
@@ -157,8 +158,9 @@ void ShardServer::serve_connection(
         } catch (const core::wire::WireError&) {
             // The envelope *header* could not be parsed, so there is no id
             // to answer on — framing discipline is gone, drop the
-            // connection.  (A bad payload inside a good envelope is
-            // answered with kReplyError in handle_frame instead.)
+            // connection and tell the peer.  (A bad payload inside a good
+            // envelope is answered with kReplyError in handle_frame.)
+            connection->socket.shutdown_both();
             break;
         }
     }
@@ -221,13 +223,13 @@ void ShardServer::handle_frame(const std::shared_ptr<Connection>& connection,
                     connection->inflight.erase(id);
                 });
             {
+                // The completion erases the id; if it already ran, there
+                // is nothing left to register.
                 const std::lock_guard<std::mutex> lock(
                     connection->inflight_mutex);
                 const auto it = connection->inflight.find(id);
-                if (it != connection->inflight.end()) {
-                    if (it->second.cancel_requested) ticket.cancel();
-                    it->second.ticket = std::move(ticket);
-                }
+                if (it != connection->inflight.end())
+                    it->second = std::move(ticket);
             }
             return;
         }
@@ -250,12 +252,7 @@ void ShardServer::handle_frame(const std::shared_ptr<Connection>& connection,
             const std::lock_guard<std::mutex> lock(
                 connection->inflight_mutex);
             const auto it = connection->inflight.find(id);
-            if (it != connection->inflight.end()) {
-                if (it->second.ticket.valid())
-                    it->second.ticket.cancel();
-                else
-                    it->second.cancel_requested = true;
-            }
+            if (it != connection->inflight.end()) it->second.cancel();
             return;
         }
         case MsgType::kStats:

@@ -10,8 +10,9 @@
 // on any answer.  The connection lifecycle: a down endpoint costs one
 // refused connect per request, a client that reconnects across server
 // restarts holds one connection, a server releases departed clients and
-// outlives running out of descriptors, and every ticket completes while
-// the server restarts under concurrent submits.  The router (net/router.hpp): one stats RPC per remote
+// outlives running out of descriptors, a peer that breaks framing reads
+// EOF at once, and every ticket completes while the server restarts under
+// concurrent submits.  The router (net/router.hpp): one stats RPC per remote
 // per snapshot, and fingerprint routing is stable, pinned and colocates
 // scenarios that share their primary kernel.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -410,9 +412,8 @@ TEST(Net, WarmPeerServesMissesWithZeroRecomputes) {
     net::RemoteShard peer(client_options(server->port()));
     (void)peer.submit(light_request()).get();  // warm the peer's cache
 
-    core::ScenarioEngine local;
-    local.set_remote_fetch(
-        net::fetch_from({"127.0.0.1:" + std::to_string(server->port())}));
+    core::ScenarioEngine local({.remote_fetch = net::fetch_from(
+        {"127.0.0.1:" + std::to_string(server->port())})});
     const auto report = local.submit(light_request()).get();
 
     const auto stats = local.cache_stats();
@@ -663,6 +664,37 @@ TEST(Net, AcceptOutlivesRunningOutOfDescriptors) {
     }
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(net::decode_envelope(*reply).type, net::MsgType::kReplyStats);
+}
+
+TEST(Net, BrokenFramingIsAnsweredWithEof) {
+    // A peer that breaks framing is told at once: the server shuts the
+    // connection, so the peer reads EOF instead of waiting out its own
+    // timeout.  Each check ends before the next connect, because an accept
+    // reaps finished connections and would close the first socket anyway.
+    const auto server = make_server();
+    const auto reads_eof_after = [&](std::span<const std::uint8_t> bytes) {
+        const int fd = raw_connect(server->port());
+        if (fd < 0) return false;
+        net::Socket socket(fd);
+        const timeval timeout{2, 0};
+        if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout) != 0)
+            return false;
+        socket.send_all(bytes.data(), bytes.size());
+        std::uint8_t byte = 0;
+        ssize_t got = 0;
+        do {
+            got = ::recv(fd, &byte, 1, 0);
+        } while (got < 0 && errno == EINTR);
+        return got == 0;
+    };
+    // A 3-byte frame: shorter than the 9-byte envelope header.
+    const std::uint8_t short_envelope[] = {3, 0, 0, 0, 1, 2, 3};
+    EXPECT_TRUE(reads_eof_after(short_envelope))
+        << "an envelope header that does not parse";
+    // A length prefix beyond kMaxFrameBytes.
+    const std::uint8_t oversized[] = {0xFF, 0xFF, 0xFF, 0xFF};
+    EXPECT_TRUE(reads_eof_after(oversized)) << "a frame over the size cap";
 }
 
 // Four threads submit while the server restarts ten times on one port.

@@ -1,7 +1,9 @@
 // ResultStore (core/result_store.hpp): round-trip byte identity through
 // the segment format, warm start across store instances, a store of an
-// already indexed key that encodes (allocates) nothing, spill-on-evict
-// and shutdown-flush through an attached EvaluationCache, and the whole
+// already indexed key that encodes (allocates) nothing, the one write
+// point of an attached EvaluationCache — each computed or fetched result
+// is on disk as soon as its lookup returns, evictions reload instead of
+// recomputing, and a store hit is never written back — and the whole
 // corruption surface — truncated final frame, byte-flipped payload, stale
 // frame and segment versions, empty and foreign files — each skipped and
 // counted, never fatal, with recomputed results byte-identical to the
@@ -15,9 +17,12 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "allocation_count.hpp"
@@ -162,8 +167,8 @@ TEST_F(ResultStoreTest, DeduplicatesStoredKeys) {
 }
 
 TEST_F(ResultStoreTest, StoringAnIndexedKeyEncodesNothing) {
-    // A real compiled front: its transformed program is most of the bytes a
-    // spill would encode.
+    // A real compiled front: its transformed program is most of the bytes an
+    // append would encode.
     const auto pill = usecases::make_camera_pill_app();
     const compiler::MultiCriteriaCompiler mcc(pill.program,
                                               pill.platform.cores[0]);
@@ -231,7 +236,7 @@ TEST_F(ResultStoreTest, LaterDuplicateRecordWins) {
 
 // -- cache integration --------------------------------------------------------
 
-TEST_F(ResultStoreTest, EvictionSpillsAndReloadInsteadOfRecompute) {
+TEST_F(ResultStoreTest, EvictedKeyReloadsInsteadOfRecompute) {
     auto store = std::make_shared<core::ResultStore>(dir_);
     core::EvaluationCache cache({.max_entries = 1}, store);
     int alpha_computes = 0;
@@ -242,12 +247,15 @@ TEST_F(ResultStoreTest, EvictionSpillsAndReloadInsteadOfRecompute) {
         ++alpha_computes;
         return make_result(0.5);
     });
-    // Admitting beta evicts alpha (budget 1) and spills it to the store.
+    // The lookup that computed alpha appended it.
+    EXPECT_TRUE(store->contains(alpha));
+    // Admitting beta evicts alpha (budget 1); the store still holds it.
     (void)cache.lookup(beta, [] { return make_result(0.75); });
     EXPECT_TRUE(store->contains(alpha));
 
     const auto before = cache.stats();
-    EXPECT_GE(before.spills, 1U);
+    EXPECT_EQ(before.evictions, 1U);
+    EXPECT_EQ(before.spills, 2U);  // alpha and beta, once each
 
     // Alpha's next lookup is a cache miss served by the store: the compute
     // closure must not run again.
@@ -261,22 +269,25 @@ TEST_F(ResultStoreTest, EvictionSpillsAndReloadInsteadOfRecompute) {
     EXPECT_EQ(reloaded->leakage, 0.5);
     const auto after = cache.stats();
     EXPECT_EQ(after.store_hits, before.store_hits + 1);
+    EXPECT_EQ(after.spills, before.spills);  // a store hit is not rewritten
 }
 
-TEST_F(ResultStoreTest, ShutdownFlushWarmsTheNextCache) {
+TEST_F(ResultStoreTest, ComputedResultWarmsTheNextCache) {
     const auto key = make_key("alpha");
     {
         auto store = std::make_shared<core::ResultStore>(dir_);
         core::EvaluationCache cache({}, store);
         (void)cache.lookup(key, [] { return make_result(0.5); });
-        // No eviction (unbounded): persistence comes from the destructor's
-        // flush_to_store().
+        // No eviction (unbounded) and no shutdown step: the lookup itself
+        // appended the result, so a sibling sees it while this cache lives.
+        EXPECT_EQ(cache.stats().spills, 1U);
+        EXPECT_TRUE(core::ResultStore(dir_).contains(key));
     }
     auto store = std::make_shared<core::ResultStore>(dir_);
     EXPECT_TRUE(store->contains(key));
     core::EvaluationCache cache({}, store);
     const auto value = cache.lookup(key, []() -> core::EvaluationResult {
-        ADD_FAILURE() << "flushed key recomputed";
+        ADD_FAILURE() << "stored key recomputed";
         return make_result(0.0);
     });
     EXPECT_EQ(value->leakage, 0.5);
@@ -288,8 +299,8 @@ TEST_F(ResultStoreTest, CacheWithoutStoreKeepsStoreCountersZero) {
     core::EvaluationCache cache({.max_entries = 1});
     (void)cache.lookup(make_key("alpha"), [] { return make_result(0.5); });
     (void)cache.lookup(make_key("beta"), [] { return make_result(0.75); });
-    cache.flush_to_store();
     const auto stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1U);
     EXPECT_EQ(stats.store_hits, 0U);
     EXPECT_EQ(stats.store_misses, 0U);
     EXPECT_EQ(stats.spills, 0U);
@@ -363,7 +374,7 @@ TEST_F(ResultStoreTest, ByteFlippedResultIsRejectedAndRecomputedIdentically) {
     EXPECT_EQ(core::wire::encode(*recomputed), pristine);
     EXPECT_EQ(cache.stats().store_rejects, 1U);
     EXPECT_EQ(cache.stats().store_hits, 0U);
-    cache.flush_to_store();
+    EXPECT_EQ(cache.stats().spills, 1U);
     EXPECT_TRUE(store->contains(key));
     EXPECT_EQ(store->load(key).status,
               core::ResultStore::LoadStatus::kHit);
@@ -450,13 +461,10 @@ struct Fleet {
     std::vector<core::ScenarioRequest> requests;
 };
 
-/// The warm-start acceptance trio: UAV, camera pill, rover (the rover
-/// shares perception kernels with the UAV).
-Fleet make_fleet() {
+/// One request per app, each with `fast_options()`.
+Fleet fleet_of(std::vector<usecases::UseCaseApp> apps) {
     Fleet fleet;
-    fleet.apps.push_back(usecases::make_uav_app("apalis-tk1"));
-    fleet.apps.push_back(usecases::make_camera_pill_app());
-    fleet.apps.push_back(usecases::make_rover_app("apalis-tk1"));
+    fleet.apps = std::move(apps);
     for (const auto& app : fleet.apps) {
         core::ScenarioRequest request;
         request.program = &app.program;
@@ -467,6 +475,61 @@ Fleet make_fleet() {
         fleet.requests.push_back(std::move(request));
     }
     return fleet;
+}
+
+/// The warm-start acceptance trio: UAV, camera pill, rover (the rover
+/// shares perception kernels with the UAV).
+Fleet make_fleet() {
+    std::vector<usecases::UseCaseApp> apps;
+    apps.push_back(usecases::make_uav_app("apalis-tk1"));
+    apps.push_back(usecases::make_camera_pill_app());
+    apps.push_back(usecases::make_rover_app("apalis-tk1"));
+    return fleet_of(std::move(apps));
+}
+
+/// One profiled and one static scenario: profile, taint and compiled-front
+/// results.
+Fleet uav_and_pill() {
+    std::vector<usecases::UseCaseApp> apps;
+    apps.push_back(usecases::make_uav_app("apalis-tk1"));
+    apps.push_back(usecases::make_camera_pill_app());
+    return fleet_of(std::move(apps));
+}
+
+/// The key of every record in the directory's segment files.
+std::vector<core::EvaluationKey> keys_on_disk(const fs::path& dir) {
+    std::vector<core::EvaluationKey> keys;
+    for (const auto& file : fs::directory_iterator(dir)) {
+        std::ifstream in(file.path(), std::ios::binary);
+        const std::vector<std::uint8_t> bytes{
+            std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+        std::size_t offset = 6;  // "TPSG" + u16 version
+        while (const auto key_frame = core::wire::next_frame(bytes, offset)) {
+            keys.push_back(core::wire::decode_key(*key_frame));
+            if (!core::wire::next_frame(bytes, offset)) break;  // the result
+        }
+    }
+    return keys;
+}
+
+/// What a process started now would read: a second store on `dir` holds
+/// exactly `count` records, each decoding to the bytes `holder` keeps for
+/// its key.
+void expect_store_holds(const fs::path& dir, std::size_t count,
+                        const core::ScenarioEngine& holder) {
+    core::ResultStore sibling(dir);
+    EXPECT_EQ(sibling.stats().indexed, count);
+    const auto keys = keys_on_disk(dir);
+    EXPECT_EQ(keys.size(), count);
+    for (const auto& key : keys) {
+        const auto held = holder.peek_cached(key);
+        ASSERT_NE(held, nullptr);
+        const auto loaded = sibling.load(key);
+        ASSERT_EQ(loaded.status, core::ResultStore::LoadStatus::kHit);
+        EXPECT_EQ(core::wire::encode(*loaded.result),
+                  core::wire::encode(*held));
+    }
 }
 
 std::vector<std::string> certificate_texts(
@@ -486,7 +549,6 @@ TEST_F(ResultStoreTest, WarmEngineServesIdenticalCertificatesWithoutRecompute) {
             {.worker_threads = 2,
              .result_store = std::make_shared<core::ResultStore>(dir_)});
         cold_certs = certificate_texts(engine.run_all(fleet.requests));
-        // Engine destruction flushes the cache to the store.
     }
     core::ScenarioEngine warm(
         {.worker_threads = 2,
@@ -513,20 +575,67 @@ TEST_F(ResultStoreTest, WarmStartIsBudgetInvariant) {
         EXPECT_EQ(certificate_texts(cold.run_all(fleet.requests)),
                   reference);
     }
-    // Warm restart under a hostile budget: every miss spills immediately,
-    // loads and recomputes interleave, bytes must not move.
-    core::ScenarioEngine warm(
-        {.worker_threads = 4,
-         .cache_budget = {.max_entries = 1},
-         .result_store = std::make_shared<core::ResultStore>(dir_)});
+    // Warm restart under a hostile budget: every miss is evicted again at
+    // once, loads and evictions interleave, bytes must not move.
+    auto store = std::make_shared<core::ResultStore>(dir_);
+    core::ScenarioEngine warm({.worker_threads = 4,
+                               .cache_budget = {.max_entries = 1},
+                               .result_store = store});
     EXPECT_EQ(certificate_texts(warm.run_all(fleet.requests)), reference);
-    EXPECT_EQ(warm.cache_stats().store_misses, 0U);
+    const auto stats = warm.cache_stats();
+    EXPECT_GT(stats.evictions, 0U);
+    EXPECT_EQ(stats.store_hits, stats.misses);  // every miss a store hit
+    EXPECT_EQ(stats.store_misses, 0U);
+    // However often a key is evicted and reloaded, a store hit is never
+    // written back.
+    EXPECT_EQ(stats.spills, 0U);
+    EXPECT_EQ(store->stats().appended, 0U);
+}
+
+TEST_F(ResultStoreTest, EveryComputedResultIsStoredWhileTheEngineRuns) {
+    // Nothing waits for a shutdown: the lookup that computes a result
+    // appends it, so a second store opened beside the live engine (a
+    // process killed now) already holds every key the engine computed.
+    const auto fleet = uav_and_pill();
+    core::ScenarioEngine engine(
+        {.worker_threads = 2,
+         .result_store = std::make_shared<core::ResultStore>(dir_)});
+    (void)engine.run_all(fleet.requests);
+
+    const auto stats = engine.cache_stats();
+    ASSERT_GT(stats.entries, 0U);
+    EXPECT_EQ(stats.store_misses, stats.entries);  // each one computed here
+    EXPECT_EQ(stats.spills, stats.entries);
+    expect_store_holds(dir_, stats.entries, engine);
+}
+
+TEST_F(ResultStoreTest, FetchedResultsAreStoredWhenFetched) {
+    // The fabric tier feeds the same write point.  The warm peer is an
+    // in-process engine behind the fetch hook (the wire is test_net's).
+    const auto fleet = uav_and_pill();
+    core::ScenarioEngine peer;
+    const auto peer_certs = certificate_texts(peer.run_all(fleet.requests));
+    core::ScenarioEngine local(
+        {.worker_threads = 2,
+         .result_store = std::make_shared<core::ResultStore>(dir_),
+         .remote_fetch = [&peer](const core::EvaluationKey& key)
+             -> std::optional<core::EvaluationResult> {
+             if (const auto value = peer.peek_cached(key)) return *value;
+             return std::nullopt;
+         }});
+    EXPECT_EQ(certificate_texts(local.run_all(fleet.requests)), peer_certs);
+
+    const auto stats = local.cache_stats();
+    ASSERT_GT(stats.remote_hits, 0U);
+    EXPECT_EQ(stats.remote_misses, 0U);
+    EXPECT_EQ(stats.spills, stats.remote_hits);
+    expect_store_holds(dir_, stats.remote_hits, peer);
 }
 
 TEST_F(ResultStoreTest, ConcurrentShardsShareOneStore) {
     // TSan coverage: two engines on two threads, each with workers and a
-    // tiny budget, spill into and load from one store instance at once
-    // (eviction spills of one cache race with loads of the other).
+    // tiny budget, append to and load from one store instance at once
+    // (the appends of one cache race with loads of the other).
     const auto fleet = make_fleet();
     auto store = std::make_shared<core::ResultStore>(dir_);
     const auto run_fleet = [&](std::vector<std::string>& certs) {
@@ -563,23 +672,11 @@ constexpr std::size_t kSweepRounds = 144;
 
 TEST_F(ResultStoreTest, ResealedSegmentMutantsLoadByteExactOrReject) {
     {
-        // One profiled and one static scenario: profile, taint and
-        // compiled-front result frames in one segment.
-        const auto uav = usecases::make_uav_app("apalis-tk1");
-        const auto pill = usecases::make_camera_pill_app();
-        std::vector<core::ScenarioRequest> requests;
-        for (const auto* app : {&uav, &pill}) {
-            core::ScenarioRequest request;
-            request.program = &app->program;
-            request.platform = &app->platform;
-            request.csl_source = app->csl_source;
-            request.options = fast_options();
-            request.label = app->name;
-            requests.push_back(std::move(request));
-        }
+        // Profile, taint and compiled-front result frames in one segment.
+        const auto fleet = uav_and_pill();
         core::ScenarioEngine engine(
             {.result_store = std::make_shared<core::ResultStore>(dir_)});
-        (void)engine.run_all(requests);
+        (void)engine.run_all(fleet.requests);
     }
     const auto pristine = read_segment();
 
